@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="rank nodes via the lumped solver (TSV on stdout)")
     add_solver_args(p_rank)
-    p_rank.add_argument("--top", type=int, default=None, help="print only the best N rows")
+    p_rank.add_argument("--top", type=int, default=None,
+                        help="print only the best N rows (N >= 0)")
 
     p_cmp = sub.add_parser("compare", help="lumped vs full power method, timings and 1-norm gap")
     add_solver_args(p_cmp)
@@ -105,17 +106,20 @@ def _load_params(cfg, n: int) -> PageRankParams:
 
 
 def cmd_rank(cfg) -> int:
+    if cfg.top is not None and cfg.top < 0:
+        raise ValueError(f"--top must be at least 0, got {cfg.top}")
     g = _load_graph(cfg.graph_path)
     params = _load_params(cfg, g.n)
     rep = solve_lumped(g, params)
     print(f"# n={rep.n} k={rep.k} dangling={rep.n - rep.k} alpha={params.alpha:g} "
           f"iters={rep.iterations} residual={rep.residual:.6e}")
     # sort on the printed 12-digit value so ties mean ties in the output
-    printed = np.array([float(f"{s:.12g}") for s in rep.pagerank])
-    order = np.lexsort((g.labels, -printed))  # score desc, ties by label asc
-    limit = rep.n if cfg.top is None else min(cfg.top, rep.n)
-    for rank, i in enumerate(order[:limit], start=1):
-        print(f"{g.labels[i]}\t{rep.pagerank[i]:.12g}\t{rank}")
+    scores = [f"{s:.12g}" for s in rep.pagerank.tolist()]
+    printed = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
+    order = np.lexsort((g.labels, -printed))[:cfg.top]  # score desc, ties by label asc
+    rows = zip(order.tolist(), g.labels[order].tolist())
+    sys.stdout.write("".join(f"{label}\t{scores[i]}\t{rank}\n"
+                             for rank, (i, label) in enumerate(rows, start=1)))
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 
 

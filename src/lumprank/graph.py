@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import io
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -14,46 +15,64 @@ class EdgeListParseError(ValueError):
 
 @dataclass(frozen=True)
 class WebGraph:
-    """Directed link graph over dense 0-based internal indices.
+    """Directed link graph in CSR form over dense 0-based internal indices.
 
-    External labels (arbitrary non-negative integers) are renumbered in
+    External labels (integers in [0, 2**63)) are renumbered in
     first-appearance order; ``labels[i]`` is the external label of internal
-    node ``i`` and ``index_of`` maps labels back.  Out-edge arrays are sorted
-    and duplicate-free.
+    node ``i``.  The out-neighbours of node ``i`` are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending and duplicate-free.
     """
 
     n: int
-    out_edges: list[np.ndarray]
     labels: np.ndarray
-    index_of: dict[int, int] = field(repr=False)
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def out_degree(self, i: int) -> int:
-        return len(self.out_edges[i])
+
+# The only bytes the fast tokeniser accepts.
+_DATA_BYTES = b"0123456789 \t\n"
+_MAX_LABEL = 2**63 - 1
 
 
 def parse_edge_list(text: str | bytes) -> WebGraph:
     """Parse "src dst" lines into a :class:`WebGraph`.
 
-    Blank lines and lines starting with ``#`` are ignored.  Duplicate edges
+    Blank lines and lines whose first non-blank character is ``#`` are
+    ignored.  Labels are decimal integers in [0, 2**63).  Duplicate edges
     collapse to one; self-loops count as ordinary out-edges.  Raises
     :class:`EdgeListParseError` on a malformed line or empty input.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    pairs = _fast_pairs(text)
+    if pairs is None:
+        pairs = _checked_pairs(text)
+    return _build_graph(pairs)
 
-    index_of: dict[int, int] = {}
-    labels: list[int] = []
-    targets: list[set[int]] = []
 
-    def intern(label: int) -> int:
-        idx = index_of.get(label)
-        if idx is None:
-            idx = len(labels)
-            index_of[label] = idx
-            labels.append(label)
-            targets.append(set())
-        return idx
+def _fast_pairs(text: str) -> np.ndarray | None:
+    """(m, 2) label pairs read by ``np.loadtxt``, or None to read line by line.
 
+    Returns None unless ``text`` holds only ASCII digits, spaces, tabs and
+    ``\\n``, and every line that is not blank holds exactly two labels below
+    2**63.  On such text loadtxt and :func:`_checked_pairs` agree; anything
+    else (comments and ``\\r\\n`` included), valid or not, is left to the
+    checked reader.
+    """
+    if (not text.isascii() or text.encode("ascii").translate(None, _DATA_BYTES)
+            or not text.strip()):
+        return None
+    try:
+        pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # rows of unequal length, or a label beyond int64
+        return None
+    return pairs if pairs.shape[1] == 2 else None
+
+
+def _checked_pairs(text: str) -> np.ndarray:
+    """(m, 2) label pairs read line by line; the first bad line raises
+    :class:`EdgeListParseError` with its number."""
+    flat: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -73,20 +92,34 @@ def parse_edge_list(text: str | bytes) -> WebGraph:
             raise EdgeListParseError(
                 f"line {lineno}: negative node label in {stripped!r}"
             )
-        src = intern(src_label)
-        dst = intern(dst_label)
-        targets[src].add(dst)
+        if src_label > _MAX_LABEL or dst_label > _MAX_LABEL:
+            raise EdgeListParseError(
+                f"line {lineno}: node label too large (must be below 2**63) in {stripped!r}"
+            )
+        flat += (src_label, dst_label)
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
-    if not labels:
+
+def _build_graph(pairs: np.ndarray) -> WebGraph:
+    """CSR graph from (m, 2) label pairs, nodes numbered in first-appearance order."""
+    if pairs.size == 0:
         raise EdgeListParseError("empty edge list: no nodes or edges found")
-
-    out_edges = [np.array(sorted(t), dtype=np.int64) for t in targets]
-    return WebGraph(
-        n=len(labels),
-        out_edges=out_edges,
-        labels=np.array(labels, dtype=np.int64),
-        index_of=index_of,
-    )
+    flat = pairs.ravel()  # src0, dst0, src1, dst1, ...: the order labels appear in
+    uniq, inverse = np.unique(flat, return_inverse=True)
+    first = np.full(uniq.size, flat.size)
+    np.minimum.at(first, inverse, np.arange(flat.size))
+    by_first = np.argsort(first)
+    index = np.empty_like(by_first)
+    index[by_first] = np.arange(uniq.size)
+    ids = index[inverse]
+    n = uniq.size
+    # one sortable key per edge; n <= 2m keeps n*n below 2**63 for any graph in memory
+    key = np.sort(ids[0::2] * n + ids[1::2])
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    src, indices = np.divmod(key, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return WebGraph(n=n, labels=uniq[by_first], indptr=indptr, indices=indices)
 
 
 @dataclass(frozen=True)
@@ -111,17 +144,9 @@ class HyperlinkMatrix:
 
 def build_hyperlink_matrix(g: WebGraph) -> HyperlinkMatrix:
     """Build the hyperlink matrix: uniform weight over each node's out-links."""
-    counts = np.fromiter((len(t) for t in g.out_edges), dtype=np.int64, count=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=np.float64)
-    for i, t in enumerate(g.out_edges):
-        if len(t):
-            indices[indptr[i]:indptr[i + 1]] = t
-            data[indptr[i]:indptr[i + 1]] = 1.0 / len(t)
-    csr = sparse.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
+    degree = np.diff(g.indptr)
+    data = 1.0 / np.repeat(degree, degree)
+    csr = sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
     return HyperlinkMatrix(n=g.n, csr=csr)
 
 

@@ -42,9 +42,14 @@ def stationary(M):
     return np.linalg.solve(A, rhs)
 
 
+def out_edges(g, i):
+    """Out-neighbours of internal node i of a WebGraph, as a list."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+
+
 def graph_to_dict(g):
     """Raw out-edge dict of a WebGraph (internal indices)."""
-    return {i: set(int(t) for t in g.out_edges[i]) for i in range(g.n)}
+    return {i: set(out_edges(g, i)) for i in range(g.n)}
 
 
 def random_edge_dict(rng, n, dangling_frac, avg_degree=4):
@@ -61,12 +66,74 @@ def make_webgraph(n, edges):
     """WebGraph over labels 0..n-1 from a raw out-edge dict (isolated nodes kept)."""
     from lumprank import WebGraph
 
-    out = [np.array(sorted(edges.get(i, ())), dtype=np.int64) for i in range(n)]
-    return WebGraph(n=n, out_edges=out, labels=np.arange(n, dtype=np.int64),
-                    index_of={i: i for i in range(n)})
+    rows = [sorted(edges.get(i, ())) for i in range(n)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(r) for r in rows])
+    indices = np.array([t for r in rows for t in r], dtype=np.int64)
+    return WebGraph(n=n, labels=np.arange(n, dtype=np.int64), indptr=indptr,
+                    indices=indices)
 
 
 def edge_text(edges):
     """Edge-list text for a raw out-edge dict, sources and targets ascending."""
     lines = [f"{s} {t}" for s in sorted(edges) for t in sorted(edges[s])]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_parse(text):
+    """Line-by-line edge-list reader: (labels, {i: sorted targets}).
+
+    The package's original parser, kept as the reference its vectorised reader
+    must match: labels are interned in first-appearance order, the first bad
+    line raises EdgeListParseError with its number.  One rule was added: a
+    label of 2**63 or more is rejected, where the original crashed when it
+    stored the labels as int64.
+    """
+    from lumprank import EdgeListParseError
+
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+
+    index_of = {}
+    labels = []
+    targets = []
+
+    def intern(label):
+        idx = index_of.get(label)
+        if idx is None:
+            idx = len(labels)
+            index_of[label] = idx
+            labels.append(label)
+            targets.append(set())
+        return idx
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(
+                f"line {lineno}: expected two node labels, got {stripped!r}"
+            )
+        try:
+            src_label, dst_label = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListParseError(
+                f"line {lineno}: non-integer node label in {stripped!r}"
+            ) from None
+        if src_label < 0 or dst_label < 0:
+            raise EdgeListParseError(
+                f"line {lineno}: negative node label in {stripped!r}"
+            )
+        if src_label >= 2**63 or dst_label >= 2**63:
+            raise EdgeListParseError(
+                f"line {lineno}: node label too large (must be below 2**63) in {stripped!r}"
+            )
+        src = intern(src_label)
+        dst = intern(dst_label)
+        targets[src].add(dst)
+
+    if not labels:
+        raise EdgeListParseError("empty edge list: no nodes or edges found")
+    return labels, {i: sorted(t) for i, t in enumerate(targets)}

@@ -88,6 +88,41 @@ class TestRank:
         assert code == 0
         assert len(out.strip().splitlines()) == 2  # header + one row
 
+    def test_top_zero_prints_only_the_header(self, capsys, tri_file):
+        code, out, _ = run(capsys, "rank", tri_file, "--top", "0")
+        assert code == 0
+        assert out.startswith("# n=3 ") and out.count("\n") == 1
+
+    def test_negative_top_exits_1(self, capsys, tri_file):
+        code, out, err = run(capsys, "rank", tri_file, "--top", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--top" in err
+
+    def test_output_matches_row_by_row_printing(self, capsys, tmp_path):
+        # many dangling nodes share a score, so ties are broken by label
+        rng = np.random.default_rng(4)
+        path = tmp_path / "g.txt"
+        text = generate_edge_list(300, 0.7, 2, seed=4)
+        labels = rng.permutation(10_000)[:300]
+        path.write_text("\n".join(f"{labels[int(a)]} {labels[int(b)]}"
+                                  for a, b in (line.split() for line in text.splitlines())))
+        g = parse_edge_list(path.read_text())
+        rep = solve_lumped(g, PageRankParams.uniform(g.n))
+        printed = np.array([float(f"{s:.12g}") for s in rep.pagerank])
+        order = np.lexsort((g.labels, -printed))
+        rows = [f"{g.labels[i]}\t{rep.pagerank[i]:.12g}\t{rank}\n"
+                for rank, i in enumerate(order, start=1)]
+        scores = [row.split("\t")[1] for row in rows]
+        assert len(set(scores)) < len(scores) // 2
+        for top in (None, 0, 1, 50, g.n + 5):
+            argv = [] if top is None else ["--top", str(top)]
+            code, out, _ = run(capsys, "rank", str(path), *argv)
+            assert code == 0
+            header, body = out.split("\n", 1)
+            assert header.startswith(f"# n={g.n} ")
+            assert body == "".join(rows[:top])
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, "rank", str(tmp_path / "nope.txt"))
         assert code == 1
@@ -99,6 +134,15 @@ class TestRank:
         code, _, err = run(capsys, "rank", str(path))
         assert code == 1
         assert "line 2" in err
+
+    def test_label_too_large_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("9223372036854775808 1\n")
+        code, out, err = run(capsys, "rank", str(path))
+        assert code == 1
+        assert out == ""
+        assert "line 1: node label too large" in err
+        assert "Traceback" not in err
 
     def test_bad_alpha_exits_1(self, capsys, tri_file):
         code, _, err = run(capsys, "rank", tri_file, "--alpha", "1.5")

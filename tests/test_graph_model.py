@@ -23,22 +23,22 @@ class TestParseEdgeList:
         g = parse_edge_list("1 2\n1 3\n2 1")
         assert g.n == 3
         assert g.labels.tolist() == [1, 2, 3]
-        assert [e.tolist() for e in g.out_edges] == [[1, 2], [0], []]
+        assert [oracles.out_edges(g, i) for i in range(g.n)] == [[1, 2], [0], []]
 
     def test_self_loop_kept(self):
         g = parse_edge_list("7 7")
         assert g.n == 1
-        assert g.out_edges[0].tolist() == [0]
+        assert oracles.out_edges(g, 0) == [0]
 
     def test_duplicate_edges_collapse(self):
         g = parse_edge_list("1 2\n1 2\n")
         assert g.n == 2
-        assert [e.tolist() for e in g.out_edges] == [[1], []]
+        assert [oracles.out_edges(g, i) for i in range(g.n)] == [[1], []]
 
     def test_comments_blanks_and_mixed_whitespace_ignored(self):
         g = parse_edge_list("# header\n\n  1\t 2 \n#tail\n")
         assert g.n == 2
-        assert g.out_edges[0].tolist() == [1]
+        assert oracles.out_edges(g, 0) == [1]
 
     def test_accepts_utf8_bytes(self):
         g = parse_edge_list(b"4 5\n")
@@ -50,6 +50,7 @@ class TestParseEdgeList:
         ("1 2\nx y\n", "line 2"),
         ("1 2\n3 4.5\n", "line 2"),
         ("1 -2\n", "negative"),
+        ("1 2\n9223372036854775808 1\n", "line 2: node label too large"),
     ])
     def test_malformed_line_reports_line_number(self, text, fragment):
         with pytest.raises(EdgeListParseError, match=fragment):
@@ -65,9 +66,10 @@ class TestParseEdgeList:
         labels = rng.choice(10_000, size=60, replace=False)
         text = "\n".join(f"{labels[2 * i]} {labels[2 * i + 1]}" for i in range(30))
         g = parse_edge_list(text)
+        index_of = {int(label): i for i, label in enumerate(g.labels)}
         for i in range(g.n):
-            assert g.index_of[int(g.labels[i])] == i
-        assert sorted(g.index_of.values()) == list(range(g.n))
+            assert index_of[int(g.labels[i])] == i
+        assert sorted(index_of.values()) == list(range(g.n))
 
     def test_targets_in_range_and_distinct(self):
         rng = np.random.default_rng(11)
@@ -75,9 +77,97 @@ class TestParseEdgeList:
             n = int(rng.integers(2, 30))
             edges = oracles.random_edge_dict(rng, n, float(rng.uniform(0.0, 0.8)))
             g = parse_edge_list(oracles.edge_text(edges))
-            for out in g.out_edges:
-                assert np.all((out >= 0) & (out < g.n))
-                assert len(set(out.tolist())) == len(out)
+            for i in range(g.n):
+                out = oracles.out_edges(g, i)
+                assert all(0 <= t < g.n for t in out)
+                assert len(set(out)) == len(out)
+
+
+def assert_parses_like_reference(text):
+    """parse_edge_list gives the reference's labels and CSR, or its exact error."""
+    try:
+        labels, targets = oracles.reference_parse(text)
+    except EdgeListParseError as exc:
+        with pytest.raises(EdgeListParseError) as raised:
+            parse_edge_list(text)
+        assert str(raised.value) == str(exc)
+        return
+    g = parse_edge_list(text)
+    rows = [targets[i] for i in range(len(labels))]
+    assert g.n == len(labels)
+    assert g.labels.dtype == np.int64 and g.labels.tolist() == labels
+    assert g.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+    assert g.indices.tolist() == [t for r in rows for t in r]
+
+
+def random_edge_text(rng, plain):
+    """Edge-list text with shuffled labels up to 2**63 - 1, duplicate edges,
+    self-loops, tabs, padding and blank lines.  Unless ``plain``, it may also
+    hold comment lines and CRLF line ends, which the fast reader leaves to
+    the checked one."""
+    n = int(rng.integers(2, 40))
+    labels = rng.choice(np.array([2**63 - 1 - int(x) for x in range(200)]
+                                 + list(range(200)), dtype=np.int64), size=n, replace=False)
+    comments = ["# comment", "  #\tindented # comment", "#", "# café"]
+    pads, seps = ["", " ", "\t", " \t "], [" ", "\t", "  ", " \t"]
+    lines = []
+    for _ in range(int(rng.integers(1, 80))):
+        kind = rng.random()
+        if kind < 0.1 and not plain:
+            lines.append(str(rng.choice(comments)))
+        elif kind < 0.2:
+            lines.append(str(rng.choice(pads)))
+        else:
+            src = int(rng.choice(labels))
+            dst = src if rng.random() < 0.1 else int(rng.choice(labels))
+            lead, sep, trail = (str(rng.choice(c)) for c in (pads, seps, pads))
+            lines.append(f"{lead}{src}{sep}{dst}{trail}")
+    if not any(line.strip() and not line.lstrip().startswith("#") for line in lines):
+        lines.append(f"{labels[0]} {labels[-1]}")
+    eol = "\r\n" if rng.random() < 0.3 and not plain else "\n"
+    return eol.join(lines) + (eol if rng.random() < 0.5 else "")
+
+
+class TestReferenceParity:
+    def test_random_edge_lists_take_the_fast_reader_and_match(self):
+        from lumprank.graph import _fast_pairs
+
+        rng = np.random.default_rng(20)
+        for i in range(400):
+            plain = i % 2 == 0
+            text = random_edge_text(rng, plain)
+            if plain:
+                assert _fast_pairs(text) is not None, text
+            assert_parses_like_reference(text)
+            assert_parses_like_reference(text.encode("utf-8"))
+
+    @pytest.mark.parametrize("text", [
+        # '#' inside a data line
+        "1 2 # note\n", "1 2#note\n", "1 #2\n", "1 2\n3 4 #\n",
+        # line breaks to str.splitlines() other than \n and \r\n
+        *(f"1 2{ch}3 4\n" for ch in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+        *(f"1{ch}2\n" for ch in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+        *(f"# c{ch}1 2\n3 4\n" for ch in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+        # labels only int() reads
+        "1_0 2\n", "+1 2\n", "1 +2\n", "\u0661\u0662 3\n", "\uff11 \uff12\n",
+        "-0 1\n", "1 -2\n", "1e3 2\n", "0x1 2\n", "1 2.0\n", "1 2.5\n",
+        # blanks other than space and tab
+        "1\u00a02\n", "\u3000 1 2\n", "1\x1f2\n", "\u00a0# c\n1 2\n",
+        # the int64 boundary
+        "9223372036854775807 1\n", "9223372036854775808 1\n",
+        "1 9223372036854775808\n", "1 2\n100000000000000000000000000000 1\n",
+        "18446744073709551616 1\n", "09223372036854775807 0\n",
+        "000000000000000000000000000007 8\n",
+        # not two columns
+        "1 2 3\n4 5 6\n", "1\n2\n3\n", "1 2\n3\n", "1\n2 3\n",
+        # no edges
+        "", "\n", "   \n\t\n", "\r\n", "# only a comment\n", "# a\n  # b\n\n",
+        # comment lines holding anything
+        "# caf\u00e9 \x00 1 2 3\n1 2\n", "##\n1 2\n#\n",
+    ])
+    def test_divergent_inputs_match(self, text):
+        assert_parses_like_reference(text)
+        assert_parses_like_reference(text.encode("utf-8"))
 
 
 class TestHyperlinkMatrix:
