@@ -139,8 +139,8 @@ def cmd_compare(cfg) -> int:
 
     op = full_operator(H, params)
     t0 = time.perf_counter()
-    pi_full, full_iters, _, full_conv = power_method(op, uniform_vector(n),
-                                                     params.tol, params.max_iter)
+    pi_full, full_iters, _, full_conv = power_method(op, uniform_vector(n), params.tol,
+                                                     params.max_iter, alpha=params.alpha)
     full_time = time.perf_counter() - t0
 
     lumped_per = f"{lumped_time / rep.iterations:.3e}s" if rep.iterations else "n/a (closed form)"
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
                 "verify": cmd_verify, "gen": cmd_gen}
     try:
         return handlers[cfg.command](cfg)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"lumprank: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

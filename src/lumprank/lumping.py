@@ -5,7 +5,8 @@ The full chain has transition matrix G = alpha*(H + d w^T) + (1-alpha) e v^T.
 Reordering nondangling nodes first turns G into a 2x2 block form whose lower
 blocks are rank one; collapsing the dangling block to one state yields a
 (k+1)-order chain with the same nonzero spectrum.  Its stationary vector is
-found by power iteration and expanded back to all n nodes in closed form.
+found by power iteration, with one extrapolation step at the eigenvalue alpha,
+and expanded back to all n nodes in closed form.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def full_operator(H: HyperlinkMatrix,
     """
     if params.n != H.n:
         raise ValueError("parameter vectors and matrix sizes differ")
-    mask = H.dangling_mask()
+    dangling = np.flatnonzero(H.dangling_mask())
     A = H.csr
     alpha, beta = params.alpha, 1.0 - params.alpha
     v, w = params.v, params.w
@@ -172,7 +173,7 @@ def full_operator(H: HyperlinkMatrix,
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (n,):
             raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
-        xd = x[mask].sum()
+        xd = x[dangling].sum()
         out = x @ A
         out *= alpha
         out += (alpha * xd) * w
@@ -189,25 +190,50 @@ def full_apply(x: np.ndarray, H: HyperlinkMatrix,
 
 
 def power_method(apply_op: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-                 tol: float, max_iter: int):
+                 tol: float, max_iter: int, alpha: float | None = None):
     """Left power iteration with per-step renormalization to unit 1-norm.
 
-    Stops when the 1-norm difference of successive iterates drops below tol.
-    Returns (iterate, iterations, residual, converged); with max_iter=0 the
-    start vector comes straight back unconverged.
+    Stops when the 1-norm difference of successive iterates drops below tol;
+    that test runs only on plain steps.  Returns (iterate, iterations,
+    residual, converged), where iterations counts applications of apply_op;
+    with max_iter=0 the start vector comes straight back unconverged.
+
+    Given the damping factor ``alpha``, at most one power-extrapolation step
+    is taken.  On a graph with two or more closed groups (rank sinks) the
+    second eigenvalue of the Google matrix is exactly alpha, and the lumped
+    chain shares its nonzero spectrum, so plain iteration converges at rate
+    alpha.  Once the successive differences d = y - x satisfy
+    ||d - alpha*d_prev||_1 <= 1e-3*||d||_1, the error lies along the
+    eigenvalue-alpha direction, and (y - alpha*x)/(1 - alpha) removes it; the
+    step is taken only if that vector has no negative entry.  The error left
+    then decays at the rate of the next eigenvalue.  With ``alpha=None`` the
+    loop is plain power iteration.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     residual = np.inf
+    d_prev = None
     for t in range(1, max_iter + 1):
         y = apply_op(x)
         total = y.sum()
-        if not np.all(np.isfinite(y)) or not total > 0.0:
+        if not (np.isfinite(total) and total > 0.0):  # a sum is non-finite if any entry is
             raise FloatingPointError(f"non-finite or degenerate iterate at step {t}")
         y /= total  # exact no-op in exact arithmetic; arrests rounding drift
-        residual = float(np.abs(y - x).sum())
-        x = y
+        d = y - x
+        residual = float(np.abs(d).sum())
         if residual < tol:
-            return x, t, residual, True
+            return y, t, residual, True
+        x = y
+        if alpha is None:
+            continue
+        if d_prev is not None:
+            d_prev *= -alpha
+            d_prev += d
+            if np.abs(d_prev, out=d_prev).sum() <= 1e-3 * residual:
+                z = y + (alpha / (1.0 - alpha)) * d
+                if z.min() >= 0.0:
+                    x = z / z.sum()
+                    alpha = None  # extrapolate at most once
+        d_prev = d
     return x, max_iter, residual, False
 
 
@@ -264,8 +290,8 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     n, k = H.n, p.k
     if k == n:
         op = full_operator(H, params)
-        pi, iters, res, conv = power_method(op, uniform_vector(n),
-                                            params.tol, params.max_iter)
+        pi, iters, res, conv = power_method(op, uniform_vector(n), params.tol,
+                                            params.max_iter, alpha=params.alpha)
         return SolveReport(iterations=iters, residual=res, converged=conv,
                            pagerank=pi, k=k, n=n)
     if k == 0:
@@ -274,8 +300,8 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
                            pagerank=u, k=0, n=n)
     b = permute_blocks(H, p, params)
     sigma, iters, res, conv = power_method(lambda s: lumped_apply(s, b),
-                                           uniform_vector(k + 1),
-                                           params.tol, params.max_iter)
+                                           uniform_vector(k + 1), params.tol,
+                                           params.max_iter, alpha=params.alpha)
     pi = unpermute(recover_pagerank(sigma, b), p)
     # exact no-op at stationarity; keeps the report a probability vector when
     # iteration stopped early or tol was loose

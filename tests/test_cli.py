@@ -149,6 +149,17 @@ class TestRank:
         assert code == 1
         assert "alpha" in err
 
+    def test_floating_point_error_exits_1(self, capsys, monkeypatch, tri_file):
+        def degenerate(g, params):
+            raise FloatingPointError("non-finite or degenerate iterate at step 3")
+
+        monkeypatch.setattr("lumprank.cli.solve_lumped", degenerate)
+        code, out, err = run(capsys, "rank", tri_file)
+        assert code == 1
+        assert out == ""
+        assert err == "lumprank: error: non-finite or degenerate iterate at step 3\n"
+        assert "Traceback" not in err
+
     def test_non_convergence_exits_2_but_prints(self, capsys, tri_file):
         code, out, _ = run(capsys, "rank", tri_file, "--tol", "1e-16", "--max-iter", "2")
         assert code == 2

@@ -226,6 +226,89 @@ class TestPowerMethod:
             power_method(bad, np.array([0.5, 0.5]), 1e-12, 10)
 
 
+def sink_case(rng, n=300, k=120, groups=3, size=16):
+    """Graph whose first groups*size nodes form closed groups (rank sinks),
+    so the Google matrix has eigenvalue alpha; nodes >= k are dangling.
+    Returns (edges, heavy-tailed teleport vector)."""
+    edges = {}
+    for s in range(groups * size):
+        base = s - s % size
+        # a cycle keeps each group irreducible; the other links stay inside
+        edges[s] = {base + (s + 1 - base) % size}
+        edges[s] |= {int(t) for t in base + rng.integers(0, size, 3)}
+    for s in range(groups * size, k):
+        edges[s] = {int(t) for t in rng.integers(0, n, int(rng.integers(1, 8)))}
+    v = rng.pareto(1.0, n) + 1e-3
+    return edges, v / v.sum()
+
+
+def plain_and_extrapolated(g, params):
+    """(plain, extrapolated) power_method results on the operator solve_lumped uses."""
+    H = build_hyperlink_matrix(g)
+    p = detect_dangling(H)
+    if p.k == g.n:
+        op, x0 = full_operator(H, params), uniform_vector(g.n)
+    else:
+        b = permute_blocks(H, p, params)
+        op, x0 = (lambda s: lumped_apply(s, b)), uniform_vector(p.k + 1)
+    return (power_method(op, x0, params.tol, params.max_iter),
+            power_method(op, x0, params.tol, params.max_iter, alpha=params.alpha))
+
+
+class TestExtrapolation:
+    @pytest.mark.parametrize("n, k", [(300, 120), (120, 120)])  # lumped, full path
+    def test_rank_sinks_converge_in_a_fifth_of_the_steps(self, n, k):
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            edges, v = sink_case(rng, n, k)
+            g = oracles.make_webgraph(n, edges)
+            params = PageRankParams(alpha=0.99, v=v, w=uniform_vector(n), tol=1e-12,
+                                    max_iter=50_000)
+            rep = solve_lumped(g, params)
+            (_, plain_iters, _, plain_conv), _ = plain_and_extrapolated(g, params)
+            assert rep.converged and plain_conv
+            assert rep.k == k
+            assert 5 * rep.iterations <= plain_iters
+            pi_dense = oracles.stationary(oracles.dense_google(n, edges, 0.99, v=v))
+            assert np.abs(rep.pagerank - pi_dense).sum() <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.85, 0.99])
+    @pytest.mark.parametrize("case", ["tri", "two-cycle", "two-2-cycles-dangling"])
+    def test_unchanged_where_it_cannot_fire(self, case, alpha):
+        # no closed groups (tri), or an eigenvalue -alpha decaying as fast as
+        # the alpha part (the periodic cases with a skewed v)
+        if case == "tri":
+            g, v = parse_edge_list(TRI_TEXT), uniform_vector(3)
+        elif case == "two-cycle":
+            g, v = parse_edge_list("0 1\n1 0\n"), np.array([0.9, 0.1])
+        else:
+            g = oracles.make_webgraph(5, {0: {1}, 1: {0}, 2: {3}, 3: {2}})
+            v = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
+        params = PageRankParams(alpha=alpha, v=v, w=uniform_vector(g.n), tol=1e-12,
+                                max_iter=50_000)
+        (x0, it0, res0, conv0), (x1, it1, res1, conv1) = plain_and_extrapolated(g, params)
+        assert conv0 and conv1
+        assert np.array_equal(x0, x1) and (it0, res0) == (it1, res1)
+
+    def test_zero_teleport_entries_stay_nonnegative(self):
+        # the first group gets no in-links from outside and no teleport mass,
+        # so its rank is 0 and an extrapolated iterate can dip below 0 there
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            edges, v = sink_case(rng)
+            for s in range(48, 120):
+                edges[s] = {t for t in edges[s] if t >= 16} or {200}
+            v[rng.random(300) < 0.5] = 0.0
+            v[:16] = 0.0
+            v /= v.sum()
+            params = PageRankParams(alpha=0.99, v=v, w=v, tol=1e-12, max_iter=50_000)
+            rep = solve_lumped(oracles.make_webgraph(300, edges), params)
+            assert rep.converged
+            assert rep.pagerank.min() >= 0.0
+            pi_dense = oracles.stationary(oracles.dense_google(300, edges, 0.99, v=v, w=v))
+            assert np.abs(rep.pagerank - pi_dense).sum() <= 1e-10
+
+
 class TestRecoverAndUnpermute:
     def test_micro_instance_recovery(self):
         _, _, _, _, b = tri_setup()
