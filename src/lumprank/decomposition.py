@@ -5,6 +5,7 @@ rankings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg
@@ -26,24 +27,54 @@ class LduFactors:
     k: int
 
 
-def _split_blocks(Gt: np.ndarray, k: int):
+@dataclass(frozen=True)
+class _BlockSplit:
+    """G~ split at k, with the solves every block identity shares.
+
+    D11 = I - G11 is LU-factored once (``lu11``); Y = D11^-1 G12,
+    Z = G21 D11^-1 and the stochastic complement S = G22 + Z G12 come from
+    that one factorization.  G12, G21 and G22 are views of G~.
+    """
+
+    k: int
+    D11: np.ndarray
+    G12: np.ndarray
+    G21: np.ndarray
+    G22: np.ndarray
+    lu11: tuple
+    Y: np.ndarray
+    Z: np.ndarray
+    S: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.k + self.S.shape[0]
+
+    @cached_property
+    def lu22(self):
+        """LU of I - G22, or None when a trailing row sums to 1 within 1e-12
+        (I - G22 is then singular).  Factored on first use: only the coupled
+        stationarity identity (c) needs it."""
+        if self.G22.sum(axis=1).max() >= 1.0 - 1e-12:
+            return None
+        return _lu_with_pivot_check(np.eye(self.n - self.k) - self.G22,
+                                    "I minus the trailing block")
+
+
+def _block_split(Gt: np.ndarray, k: int) -> _BlockSplit:
     Gt = np.asarray(Gt, dtype=np.float64)
     n = Gt.shape[0]
     if Gt.ndim != 2 or Gt.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {Gt.shape}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"split point k={k} must leave both blocks nonempty (n={n})")
-    return Gt[:k, :k], Gt[:k, k:], Gt[k:, :k], Gt[k:, k:]
-
-
-def _complement_parts(Gt: np.ndarray, k: int):
-    """Shared solves: Y = (I-G11)^-1 G12, Z = G21 (I-G11)^-1, S = G22 + Z G12."""
-    G11, G12, G21, G22 = _split_blocks(Gt, k)
-    lu_piv = _lu_with_pivot_check(np.eye(k) - G11, "I minus the leading block")
-    Y = linalg.lu_solve(lu_piv, G12)
-    Z = linalg.lu_solve(lu_piv, G21.T, trans=1).T
-    S = G22 + Z @ G12
-    return G11, G12, G21, G22, Y, Z, S
+    G12, G21, G22 = Gt[:k, k:], Gt[k:, :k], Gt[k:, k:]
+    D11 = np.eye(k) - Gt[:k, :k]
+    lu11 = _lu_with_pivot_check(D11, "I minus the leading block")
+    Y = linalg.lu_solve(lu11, G12)
+    Z = linalg.lu_solve(lu11, G21.T, trans=1).T
+    return _BlockSplit(k=k, D11=D11, G12=G12, G21=G21, G22=G22, lu11=lu11,
+                       Y=Y, Z=Z, S=G22 + Z @ G12)
 
 
 def ldu_factors(Gt: np.ndarray, k: int) -> LduFactors:
@@ -52,16 +83,43 @@ def ldu_factors(Gt: np.ndarray, k: int) -> LduFactors:
     The leading block I - G11 is nonsingular whenever the damping factor is
     below 1; a singular leading block raises LinAlgError.
     """
-    n = np.asarray(Gt).shape[0]
-    G11, _, _, _, Y, Z, S = _complement_parts(Gt, k)
+    s = _block_split(Gt, k)
+    n = s.n
     Lfac = np.eye(n)
-    Lfac[k:, :k] = -Z
+    Lfac[k:, :k] = -s.Z
     Ufac = np.eye(n)
-    Ufac[:k, k:] = -Y
+    Ufac[:k, k:] = -s.Y
     Dfac = np.zeros((n, n))
-    Dfac[:k, :k] = np.eye(k) - G11
-    Dfac[k:, k:] = np.eye(n - k) - S
+    Dfac[:k, :k] = s.D11
+    Dfac[k:, k:] = np.eye(n - k) - s.S
     return LduFactors(Lfac=Lfac, Dfac=Dfac, Ufac=Ufac, k=k)
+
+
+def _ldu_deviation(s: _BlockSplit) -> float:
+    """max |L D U - (I - G~)| over the factors of :func:`ldu_factors`, block by block.
+
+    With L = [[I, 0], [-Z, I]], D = blockdiag(D11, I - S) and
+    U = [[I, -Y], [0, I]], the product is
+    [[D11, -D11 Y], [-Z D11, Z D11 Y + I - S]].  The unit and zero blocks
+    of L and U are exact by this construction, and the leading block is
+    D11 = I - G11 itself, so the other three blocks hold the whole
+    deviation: about 2k(n-k)(n+k) flops instead of the dense 4n^3.
+    """
+    D11Y = s.D11 @ s.Y
+    I22 = np.eye(s.n - s.k)
+    return max(float(np.abs(D11Y - s.G12).max()),
+               float(np.abs(s.Z @ s.D11 - s.G21).max()),
+               float(np.abs(s.Z @ D11Y + (I22 - s.S) - (I22 - s.G22)).max()))
+
+
+def _checked_complement(s: _BlockSplit) -> np.ndarray:
+    S = s.S
+    if S.min() < -1e-12:
+        raise ValueError(f"complement has entry {S.min():.3e} < -1e-12; input not stochastic?")
+    row_dev = np.abs(S.sum(axis=1) - 1.0).max()
+    if row_dev > 1e-10:
+        raise ValueError(f"complement row sums deviate from 1 by {row_dev:.3e} > 1e-10")
+    return S
 
 
 def stochastic_complement(Gt: np.ndarray, k: int) -> np.ndarray:
@@ -71,13 +129,34 @@ def stochastic_complement(Gt: np.ndarray, k: int) -> np.ndarray:
     or row sums off 1 by more than 1e-10 mean the input was not a stochastic
     matrix split and raise ValueError.
     """
-    _, _, _, _, _, _, S = _complement_parts(Gt, k)
-    if S.min() < -1e-12:
-        raise ValueError(f"complement has entry {S.min():.3e} < -1e-12; input not stochastic?")
-    row_dev = np.abs(S.sum(axis=1) - 1.0).max()
-    if row_dev > 1e-10:
-        raise ValueError(f"complement row sums deviate from 1 by {row_dev:.3e} > 1e-10")
-    return S
+    return _checked_complement(_block_split(Gt, k))
+
+
+def _coupled_stationarity(s: _BlockSplit, pi_tilde: np.ndarray, tol: float) -> CheckReport:
+    pi_tilde = np.asarray(pi_tilde, dtype=np.float64)
+    if pi_tilde.shape != (s.n,):
+        raise ValueError(f"expected stationary vector of length {s.n}, got shape {pi_tilde.shape}")
+    pi1, pi2 = pi_tilde[:s.k], pi_tilde[s.k:]
+
+    dev_a = float(np.abs(pi2 @ s.S - pi2).max())
+
+    lhs_b = linalg.lu_solve(s.lu11, pi2 @ s.G21, trans=1)
+    dev_b = float(np.abs(lhs_b - pi1).max())
+
+    devs = [dev_a, dev_b]
+    parts = [f"complement stationarity={dev_a:.3e}",
+             f"nondangling from dangling={dev_b:.3e}"]
+    if s.lu22 is None:
+        parts.append("dangling from nondangling skipped (trailing block has unit row sums)")
+    else:
+        lhs_c = linalg.lu_solve(s.lu22, pi1 @ s.G12, trans=1)
+        dev_c = float(np.abs(lhs_c - pi2).max())
+        devs.append(dev_c)
+        parts.append(f"dangling from nondangling={dev_c:.3e}")
+
+    worst = max(devs)
+    return CheckReport(passed=worst <= tol, max_abs_deviation=worst,
+                       detail="; ".join(parts))
 
 
 def verify_coupled_stationarity(pi_tilde: np.ndarray, Gt: np.ndarray, k: int,
@@ -93,31 +172,4 @@ def verify_coupled_stationarity(pi_tilde: np.ndarray, Gt: np.ndarray, k: int,
     (c) needs I - G22 nonsingular; it is skipped (and reported) when the
     trailing block has a row sum at 1 within 1e-12.
     """
-    pi_tilde = np.asarray(pi_tilde, dtype=np.float64)
-    n = np.asarray(Gt).shape[0]
-    if pi_tilde.shape != (n,):
-        raise ValueError(f"expected stationary vector of length {n}, got shape {pi_tilde.shape}")
-    G11, G12, G21, G22, _, _, S = _complement_parts(Gt, k)
-    pi1, pi2 = pi_tilde[:k], pi_tilde[k:]
-
-    dev_a = float(np.abs(pi2 @ S - pi2).max())
-
-    lu11 = _lu_with_pivot_check(np.eye(k) - G11, "I minus the leading block")
-    lhs_b = linalg.lu_solve(lu11, pi2 @ G21, trans=1)
-    dev_b = float(np.abs(lhs_b - pi1).max())
-
-    devs = [dev_a, dev_b]
-    parts = [f"complement stationarity={dev_a:.3e}",
-             f"nondangling from dangling={dev_b:.3e}"]
-    if G22.sum(axis=1).max() >= 1.0 - 1e-12:
-        parts.append("dangling from nondangling skipped (trailing block has unit row sums)")
-    else:
-        lu22 = _lu_with_pivot_check(np.eye(n - k) - G22, "I minus the trailing block")
-        lhs_c = linalg.lu_solve(lu22, pi1 @ G12, trans=1)
-        dev_c = float(np.abs(lhs_c - pi2).max())
-        devs.append(dev_c)
-        parts.append(f"dangling from nondangling={dev_c:.3e}")
-
-    worst = max(devs)
-    return CheckReport(passed=worst <= tol, max_abs_deviation=worst,
-                       detail="; ".join(parts))
+    return _coupled_stationarity(_block_split(Gt, k), pi_tilde, tol)

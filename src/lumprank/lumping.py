@@ -11,6 +11,8 @@ and expanded back to all n nodes in closed form.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,7 +74,12 @@ class BlockStructure:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a PageRank solve; scores are in original node order."""
+    """Outcome of a PageRank solve; scores are in original node order.
+
+    ``timings`` holds the wall seconds of each stage of :func:`solve_lumped`:
+    hyperlink (matrix build), partition, blocks, loop (power iteration) and
+    recover (expansion to all n nodes); a stage the solve skipped reads 0.
+    """
 
     iterations: int
     residual: float
@@ -80,6 +87,7 @@ class SolveReport:
     pagerank: np.ndarray
     k: int
     n: int
+    timings: dict
 
 
 def detect_dangling(H: HyperlinkMatrix) -> DanglingPartition:
@@ -277,6 +285,13 @@ def unpermute(pi_tilde: np.ndarray, p: DanglingPartition) -> np.ndarray:
     return out
 
 
+@contextmanager
+def _stage(timings: dict, name: str):
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
 def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     """Full pipeline: hyperlink matrix, partition, lumped power iteration,
     recovery, un-permutation.
@@ -285,26 +300,34 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     full chain is iterated directly; with no nondangling nodes the chain is
     rank one and u = alpha*w + (1-alpha)*v is returned in closed form.
     """
-    H = build_hyperlink_matrix(g)
-    p = detect_dangling(H)
+    timings = dict.fromkeys(("hyperlink", "partition", "blocks", "loop", "recover"), 0.0)
+    with _stage(timings, "hyperlink"):
+        H = build_hyperlink_matrix(g)
+    with _stage(timings, "partition"):
+        p = detect_dangling(H)
     n, k = H.n, p.k
     if k == n:
         op = full_operator(H, params)
-        pi, iters, res, conv = power_method(op, uniform_vector(n), params.tol,
-                                            params.max_iter, alpha=params.alpha)
+        with _stage(timings, "loop"):
+            pi, iters, res, conv = power_method(op, uniform_vector(n), params.tol,
+                                                params.max_iter, alpha=params.alpha)
         return SolveReport(iterations=iters, residual=res, converged=conv,
-                           pagerank=pi, k=k, n=n)
+                           pagerank=pi, k=k, n=n, timings=timings)
     if k == 0:
-        u = params.alpha * params.w + (1.0 - params.alpha) * params.v
+        with _stage(timings, "recover"):
+            u = params.alpha * params.w + (1.0 - params.alpha) * params.v
         return SolveReport(iterations=0, residual=0.0, converged=True,
-                           pagerank=u, k=0, n=n)
-    b = permute_blocks(H, p, params)
-    sigma, iters, res, conv = power_method(lambda s: lumped_apply(s, b),
-                                           uniform_vector(k + 1), params.tol,
-                                           params.max_iter, alpha=params.alpha)
-    pi = unpermute(recover_pagerank(sigma, b), p)
-    # exact no-op at stationarity; keeps the report a probability vector when
-    # iteration stopped early or tol was loose
-    pi /= pi.sum()
+                           pagerank=u, k=0, n=n, timings=timings)
+    with _stage(timings, "blocks"):
+        b = permute_blocks(H, p, params)
+    with _stage(timings, "loop"):
+        sigma, iters, res, conv = power_method(lambda s: lumped_apply(s, b),
+                                               uniform_vector(k + 1), params.tol,
+                                               params.max_iter, alpha=params.alpha)
+    with _stage(timings, "recover"):
+        pi = unpermute(recover_pagerank(sigma, b), p)
+        # exact no-op at stationarity; keeps the report a probability vector
+        # when iteration stopped early or tol was loose
+        pi /= pi.sum()
     return SolveReport(iterations=iters, residual=res, converged=conv,
-                       pagerank=pi, k=k, n=n)
+                       pagerank=pi, k=k, n=n, timings=timings)

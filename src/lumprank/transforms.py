@@ -207,28 +207,43 @@ def check_spectrum_identity(Gt: np.ndarray, G1: np.ndarray, k: int,
     runs in log-determinant space (LU under the hood), which equals the
     relative deviation for small discrepancies and cannot overflow.
     """
+    return _spectrum_check(Gt, k, seed)(G1, tol)
+
+
+def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
+    """Evaluate the full side of :func:`check_spectrum_identity` once.
+
+    Returns ``check(G1, tol) -> CheckReport``, which computes only the
+    (k+1)-order side, so several lumped blocks are compared against one set
+    of n x n determinants.
+    """
     Gt = np.asarray(Gt, dtype=np.float64)
-    G1 = np.asarray(G1, dtype=np.float64)
     n = Gt.shape[0]
-    if Gt.shape != (n, n) or G1.shape != (k + 1, k + 1):
+    if Gt.shape != (n, n):
         raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
     rng = np.random.default_rng(seed)
     lams = np.concatenate([[1.5, 2.0, 3.0], rng.uniform(1.1, 4.0, size=5)])
-    worst = 0.0
-    worst_lam = float(lams[0])
-    for lam in lams:
-        s_full, ld_full = np.linalg.slogdet(lam * np.eye(n) - Gt)
-        s_lump, ld_lump = np.linalg.slogdet(lam * np.eye(k + 1) - G1)
-        ld_lump += (n - k - 1) * np.log(lam)
-        # |d1 - d2| / max(|d1|, |d2|) with determinants kept in log space
-        rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))
-        if rel > worst:
-            worst, worst_lam = float(rel), float(lam)
-    passed = worst <= tol
-    return CheckReport(
-        passed=passed, max_abs_deviation=worst,
-        detail=f"seed={seed}; worst relative deviation at lambda={worst_lam:.6g}",
-    )
+    full = [np.linalg.slogdet(lam * np.eye(n) - Gt) for lam in lams]
+
+    def check(G1: np.ndarray, tol: float) -> CheckReport:
+        G1 = np.asarray(G1, dtype=np.float64)
+        if G1.shape != (k + 1, k + 1):
+            raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
+        worst = 0.0
+        worst_lam = float(lams[0])
+        for lam, (s_full, ld_full) in zip(lams, full):
+            s_lump, ld_lump = np.linalg.slogdet(lam * np.eye(k + 1) - G1)
+            ld_lump += (n - k - 1) * np.log(lam)
+            # |d1 - d2| / max(|d1|, |d2|) with determinants kept in log space
+            rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))
+            if rel > worst:
+                worst, worst_lam = float(rel), float(lam)
+        return CheckReport(
+            passed=worst <= tol, max_abs_deviation=worst,
+            detail=f"seed={seed}; worst relative deviation at lambda={worst_lam:.6g}",
+        )
+
+    return check
 
 
 def check_lumpable(M: np.ndarray, boundaries, tol: float = 1e-10,

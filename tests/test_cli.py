@@ -1,8 +1,31 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from lumprank import PageRankParams, parse_edge_list, solve_lumped
-from lumprank.cli import generate_edge_list, main
+import lumprank.cli
+from lumprank import (
+    PageRankParams,
+    build_dense_google,
+    build_dense_lumped,
+    build_hyperlink_matrix,
+    build_transform,
+    check_lumpable,
+    check_spectrum_identity,
+    detect_dangling,
+    ldu_factors,
+    load_weight_vector,
+    parse_edge_list,
+    permute_blocks,
+    similarity_transform,
+    solve_lumped,
+    stationary_dense,
+    stochastic_complement,
+    verify_coupled_stationarity,
+    verify_transform_condition,
+)
+from lumprank.cli import _BUILTIN_KINDS, generate_edge_list, main
 
 TRI_TEXT = "1 2\n1 3\n2 1\n"
 
@@ -188,6 +211,24 @@ class TestCompare:
         assert code == 0
         assert "no dangling nodes; lumped path = full path" in out
 
+    def test_lumped_per_iter_is_loop_only(self, capsys, tmp_path, monkeypatch):
+        reports = []
+
+        def recording_solve(g, params):
+            reports.append(solve_lumped(g, params))
+            return reports[-1]
+
+        monkeypatch.setattr(lumprank.cli, "solve_lumped", recording_solve)
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(120, 0.6, 4, seed=5))
+        code, out, _ = run(capsys, "compare", str(path))
+        assert code == 0
+        (rep,) = reports
+        line = next(l for l in out.splitlines() if l.startswith("lumped:"))
+        assert f"per_iter={rep.timings['loop'] / rep.iterations:.3e}s" in line
+        # time= stays the whole solve, which contains the loop
+        assert float(re.search(r"time=(\S+)s", line).group(1)) >= rep.timings["loop"]
+
 
 class TestVerify:
     def test_all_checks_pass_on_micro_instance(self, capsys, tri_file):
@@ -205,12 +246,20 @@ class TestVerify:
         assert "FAIL" not in out
         assert "seed=9" in out
 
-    def test_negative_control_fails(self, capsys, tri_file):
-        code, out, _ = run(capsys, "verify", tri_file, "--negative-control")
-        assert code == 1
-        fails = [l for l in out.splitlines() if l.startswith("FAIL")]
-        assert len(fails) >= 1
-        assert all("negative_control" in l for l in fails)
+    def test_negative_control_fails(self, capsys, tri_file, tmp_path):
+        # both blocks nonempty: every check runs, and only the controls fail
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
+        for graph in (tri_file, str(path)):
+            code, out, _ = run(capsys, "verify", graph, "--negative-control")
+            assert code == 1
+            lines = [l for l in out.splitlines() if not l.startswith("#")]
+            controls = [l for l in lines if "negative_control[" in l]
+            others = [l for l in lines if "negative_control[" not in l]
+            assert [l.split()[:2] for l in controls] == [
+                ["FAIL", "negative_control[corrupted_lumped_block]"],
+                ["FAIL", "negative_control[perturbed_stationary]"]]
+            assert len(others) == 14 and all(l.startswith("PASS ") for l in others)
 
     def test_dense_limit_exits_3(self, capsys, tri_file):
         code, _, err = run(capsys, "verify", tri_file, "--dense-limit", "2")
@@ -221,6 +270,126 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", cycle_file)
         assert code == 0
         assert "SKIP" in out and "FAIL" not in out
+
+
+LINE = re.compile(r"(PASS|FAIL|SKIP) (\S+)(?: max_dev=(\S+))?(?:  \((.*)\))?$")
+
+
+def public_path_checks(g, params, seed):
+    """The checks of ``verify --negative-control``, each made by calling the
+    public lab functions on its own, L*D*U formed as a dense product.
+    Returns (status, name, max_dev, note) tuples in output order."""
+    H = build_hyperlink_matrix(g)
+    p = detect_dangling(H)
+    n, k = g.n, p.k
+    Gt = build_dense_google(g, params, p)
+    out = []
+
+    def emit(name, passed, dev, note=""):
+        out.append(("PASS" if passed else "FAIL", name, dev, note))
+
+    G1_direct = build_dense_lumped(permute_blocks(H, p, params))
+    for kind in _BUILTIN_KINDS:
+        L = build_transform(kind, n - k)
+        rep = verify_transform_condition(L, tol=1e-12)
+        emit(f"transform_condition[{kind.value}]", rep.passed, rep.max_abs_deviation)
+        full, G1, _ = similarity_transform(Gt, L, k)
+        dev_tri = float(np.abs(full[k + 1:, :]).max()) if n - k > 1 else 0.0
+        emit(f"block_triangular[{kind.value}]", dev_tri <= 1e-11, dev_tri,
+             "degenerate order-1 transform" if n - k == 1 else "")
+        dev_g1 = float(np.abs(G1 - G1_direct).max())
+        emit(f"lumped_block_formula[{kind.value}]", dev_g1 <= 1e-12, dev_g1)
+    rep = check_spectrum_identity(Gt, G1_direct, k, tol=1e-8, seed=seed)
+    emit("spectrum_identity", rep.passed, rep.max_abs_deviation, rep.detail)
+    rep = check_lumpable(Gt, [k], tol=1e-10, blocks=[(1, 0)])
+    emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
+    f = ldu_factors(Gt, k)
+    dev_ldu = float(np.abs(f.Lfac @ f.Dfac @ f.Ufac - (np.eye(n) - Gt)).max())
+    emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
+    S = stochastic_complement(Gt, k)
+    dev_rows = max(float(np.abs(S.sum(axis=1) - 1.0).max()), float(max(-S.min(), 0.0)))
+    emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
+    pi_t = stationary_dense(Gt)
+    rep = verify_coupled_stationarity(pi_t, Gt, k, tol=1e-8)
+    emit("coupled_stationarity", rep.passed, rep.max_abs_deviation, rep.detail)
+
+    bad = G1_direct.copy()
+    bad[0, 0] += 0.1
+    rep = check_spectrum_identity(Gt, bad, k, tol=1e-8, seed=seed)
+    emit("negative_control[corrupted_lumped_block]", rep.passed, rep.max_abs_deviation,
+         "expected FAIL")
+    bad_pi = pi_t.copy()
+    bad_pi[0] += 1e-3
+    bad_pi /= bad_pi.sum()
+    rep = verify_coupled_stationarity(bad_pi, Gt, k, tol=1e-6)
+    emit("negative_control[perturbed_stationary]", rep.passed, rep.max_abs_deviation,
+         "expected FAIL")
+    return out
+
+
+SINKS = "0 100\n1 200\n100 101\n101 100\n200 201\n201 202\n202 200\n"
+
+
+class TestVerifyDifferential:
+    """``verify`` shares one split and one set of determinants across its
+    checks; its report must match the public functions called one by one."""
+
+    @pytest.mark.parametrize("text, alpha, seed, on_dangling, shape", [
+        (generate_edge_list(30, 0.05, 4, seed=1), 0.85, 0, False, (30, 29)),   # m = 1
+        (generate_edge_list(20, 0.96, 4, seed=7), 0.85, 3, False, (8, 1)),     # k = 1
+        (generate_edge_list(40, 0.5, 4, seed=2), 0.5, 1, True, None),    # (c) skipped
+        (generate_edge_list(50, 0.6, 4, seed=4) + SINKS, 0.99, 2, False, None),
+        (generate_edge_list(80, 0.7, 6, seed=8), 0.85, 5, False, None),
+    ])
+    def test_matches_public_functions(self, capsys, tmp_path, text, alpha, seed,
+                                      on_dangling, shape):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        g = parse_edge_list(text)
+        k = detect_dangling(build_hyperlink_matrix(g)).k
+        assert shape is None or (g.n, k) == shape
+        argv = ["verify", str(path), "--alpha", str(alpha), "--seed", str(seed),
+                "--negative-control"]
+        v = np.ones(g.n)
+        if on_dangling:  # all teleport and dangling mass on dangling nodes
+            v[np.diff(g.indptr) > 0] = 0.0
+            v_path = tmp_path / "v.txt"
+            v_path.write_text(" ".join(map(str, v)))
+            argv += ["--v", str(v_path), "--w", str(v_path)]
+        v = load_weight_vector(" ".join(map(str, v)), g.n)
+        params = PageRankParams(alpha=alpha, v=v, w=v.copy())
+
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        got = [LINE.match(l).groups() for l in out.splitlines()[1:]]
+        expected = public_path_checks(g, params, seed)
+        assert [(s, name) for s, name, _, _ in got] == [(s, name) for s, name, _, _ in expected]
+        for (_, name, dev, note), (_, _, ref_dev, ref_note) in zip(got, expected):
+            # max_dev prints with 4 significant digits
+            assert abs(float(dev) - float(f"{ref_dev:.3e}")) <= 1e-12, name
+            assert (note or "") == ref_note, name
+        if on_dangling:
+            assert "dangling from nondangling skipped" in out
+
+    # the factor blocks, and the blocks of G~ that only one block of the
+    # blockwise check compares against
+    @pytest.mark.parametrize("block", ["Y", "Z", "D11", "S", "G12", "G21"])
+    def test_corrupted_factor_block_fails_ldu(self, capsys, tmp_path, monkeypatch, block):
+        split = lumprank.cli._block_split
+
+        def corrupted_split(Gt, k):
+            s = split(Gt, k)
+            bad = getattr(s, block).copy()
+            bad[-1, :2] += [1e-6, -1e-6]  # row sums kept: S stays stochastic
+            return dataclasses.replace(s, **{block: bad})
+
+        monkeypatch.setattr(lumprank.cli, "_block_split", corrupted_split)
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        fails = [l.split()[1] for l in out.splitlines() if l.startswith("FAIL")]
+        assert "ldu_reconstruction" in fails
 
 
 class TestGen:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -393,6 +395,21 @@ class TestSolveLumped:
                                                      max_iter=3))
         assert not rep.converged and rep.iterations == 3
         assert abs(rep.pagerank.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("edges, n, ran", [
+        (TRI_EDGES, 3, {"hyperlink", "partition", "blocks", "loop", "recover"}),
+        ({0: {1}, 1: {0}}, 2, {"hyperlink", "partition", "loop"}),   # k == n
+        ({}, 2, {"hyperlink", "partition", "recover"}),              # k == 0
+    ])
+    def test_stage_timings(self, edges, n, ran):
+        g = oracles.make_webgraph(n, edges)
+        t0 = time.perf_counter()
+        rep = solve_lumped(g, PageRankParams.uniform(n, alpha=0.85))
+        wall = time.perf_counter() - t0
+        assert set(rep.timings) == {"hyperlink", "partition", "blocks", "loop", "recover"}
+        assert all(t >= 0.0 for t in rep.timings.values())
+        assert {s for s, t in rep.timings.items() if t > 0.0} == ran
+        assert sum(rep.timings.values()) <= wall
 
 
 class TestAgreementProperties:
