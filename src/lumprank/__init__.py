@@ -1,12 +1,8 @@
 """PageRank by lumping all dangling nodes into a single state, plus a dense
 verification lab for the matrix identities the method rests on."""
 
-from .decomposition import (
-    LduFactors,
-    ldu_factors,
-    stochastic_complement,
-    verify_coupled_stationarity,
-)
+import importlib
+
 from .graph import (
     EdgeListParseError,
     HyperlinkMatrix,
@@ -20,6 +16,7 @@ from .graph import (
 )
 from .lumping import (
     BlockStructure,
+    CooMatrix,
     DanglingPartition,
     SolveReport,
     detect_dangling,
@@ -32,24 +29,36 @@ from .lumping import (
     solve_lumped,
     unpermute,
 )
-from .transforms import (
-    CheckReport,
-    TransformKind,
-    build_dense_google,
-    build_dense_lumped,
-    build_transform,
-    check_lumpable,
-    check_spectrum_identity,
-    similarity_transform,
-    stationary_dense,
-    verify_transform_condition,
-)
+
+# The dense verification lab needs scipy; its names resolve on first use
+# (PEP 562), so importing the package or running the sparse solver loads
+# numpy only.
+_LAB = {
+    "decomposition": ("LduFactors", "ldu_factors", "stochastic_complement",
+                      "verify_coupled_stationarity"),
+    "transforms": ("CheckReport", "TransformKind", "build_dense_google",
+                   "build_dense_lumped", "build_transform", "check_lumpable",
+                   "check_spectrum_identity", "similarity_transform",
+                   "stationary_dense", "verify_transform_condition"),
+}
+_LAB_MODULE = {name: module for module, names in _LAB.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAB_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockStructure",
     "CheckReport",
+    "CooMatrix",
     "DanglingPartition",
     "EdgeListParseError",
     "HyperlinkMatrix",

@@ -9,12 +9,6 @@ import time
 
 import numpy as np
 
-from .decomposition import (
-    _block_split,
-    _checked_complement,
-    _coupled_stationarity,
-    _ldu_deviation,
-)
 from .graph import (
     PageRankParams,
     build_hyperlink_matrix,
@@ -23,26 +17,11 @@ from .graph import (
     uniform_vector,
 )
 from .lumping import detect_dangling, full_operator, permute_blocks, power_method, solve_lumped
-from .transforms import (
-    DENSE_LIMIT_DEFAULT,
-    TransformKind,
-    _spectrum_check,
-    build_dense_google,
-    build_dense_lumped,
-    build_transform,
-    check_lumpable,
-    similarity_transform,
-    stationary_dense,
-    verify_transform_condition,
-)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_DENSE_LIMIT = 3
-
-_BUILTIN_KINDS = (TransformKind.AVERAGING, TransformKind.SPARSE_ELIM,
-                  TransformKind.JORDAN_DIFF)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="dense identity checks on a small graph")
     add_solver_args(p_ver)
-    p_ver.add_argument("--dense-limit", type=int, default=DENSE_LIMIT_DEFAULT)
+    p_ver.add_argument("--dense-limit", type=int, default=None)  # None: the lab's default
     p_ver.add_argument("--seed", type=int, default=0, help="seed for sampled check points")
     p_ver.add_argument("--negative-control", action="store_true",
                        help="also run deliberately corrupted checks (they must FAIL)")
@@ -160,9 +139,31 @@ def cmd_compare(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
+    # the dense lab, and scipy with it, loads only for the command that uses it
+    from .decomposition import (
+        _block_split,
+        _checked_complement,
+        _coupled_stationarity,
+        _ldu_deviation,
+    )
+    from .transforms import (
+        _BUILTIN_KINDS,
+        DENSE_LIMIT_DEFAULT,
+        _conjugate,
+        _lu,
+        _spectrum_check,
+        _transform_condition,
+        build_dense_google,
+        build_dense_lumped,
+        build_transform,
+        check_lumpable,
+        stationary_dense,
+    )
+
+    dense_limit = DENSE_LIMIT_DEFAULT if cfg.dense_limit is None else cfg.dense_limit
     g = _load_graph(cfg.graph_path)
-    if g.n > cfg.dense_limit:
-        print(f"lumprank: n={g.n} exceeds dense limit {cfg.dense_limit}",
+    if g.n > dense_limit:
+        print(f"lumprank: n={g.n} exceeds dense limit {dense_limit}",
               file=sys.stderr)
         return EXIT_DENSE_LIMIT
     params = _load_params(cfg, g.n)
@@ -170,7 +171,7 @@ def cmd_verify(cfg) -> int:
     p = detect_dangling(H)
     n, k = g.n, p.k
     m = n - k
-    Gt = build_dense_google(g, params, p, dense_limit=cfg.dense_limit)
+    Gt = build_dense_google(g, params, p, dense_limit=dense_limit)
 
     failures = 0
 
@@ -198,12 +199,14 @@ def cmd_verify(cfg) -> int:
         G1_direct = build_dense_lumped(b)
         for kind in _BUILTIN_KINDS:
             L = build_transform(kind, m)
-            rep = verify_transform_condition(L, tol=1e-12)
+            lu_piv = _lu(L)  # shared by the condition check and the conjugation
+            rep = _transform_condition(L, lu_piv, tol=1e-12)
             emit(f"transform_condition[{kind.value}]", rep.passed,
                  rep.max_abs_deviation, rep.detail if not rep.passed else "")
-            full, G1, _ = similarity_transform(Gt, L, k)
+            full, G1, _ = _conjugate(Gt, L, k, lu_piv)
             bottom = full[k + 1:, :]
             dev_tri = float(np.abs(bottom).max()) if bottom.size else 0.0
+            del full, bottom, lu_piv  # freed before the next n x n products
             note = "degenerate order-1 transform" if m == 1 else ""
             emit(f"block_triangular[{kind.value}]", dev_tri <= 1e-11, dev_tri, note)
             dev_g1 = float(np.abs(G1 - G1_direct).max())

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 
 class EdgeListParseError(ValueError):
@@ -124,18 +124,35 @@ def _build_graph(pairs: np.ndarray) -> WebGraph:
 
 @dataclass(frozen=True)
 class HyperlinkMatrix:
-    """Row-normalized link matrix in CSR form.
+    """Row-normalized link matrix as numpy CSR arrays.
 
     A row with out-links holds 1/out_degree at each out-neighbor column; a
     dangling row stores no entries at all, so danglingness is a structural
-    property of the storage, never a floating-point comparison.
+    property of the storage, never a floating-point comparison.  Row ``i``
+    stores ``data[indptr[i]:indptr[i + 1]]`` at columns
+    ``indices[indptr[i]:indptr[i + 1]]``.
     """
 
     n: int
-    csr: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @cached_property
+    def csr(self):
+        """The same matrix as a ``scipy.sparse.csr_matrix``, built on first
+        access; the solver never touches it, so ranking never imports scipy."""
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
 
     def row_nnz(self) -> np.ndarray:
-        return np.diff(self.csr.indptr)
+        return np.diff(self.indptr)
+
+    def row_index(self) -> np.ndarray:
+        """Row of each stored entry (the COO row array of the CSR storage)."""
+        return np.repeat(np.arange(self.n), self.row_nnz())
 
     def dangling_mask(self) -> np.ndarray:
         """Boolean mask of rows with zero stored entries."""
@@ -145,9 +162,8 @@ class HyperlinkMatrix:
 def build_hyperlink_matrix(g: WebGraph) -> HyperlinkMatrix:
     """Build the hyperlink matrix: uniform weight over each node's out-links."""
     degree = np.diff(g.indptr)
-    data = 1.0 / np.repeat(degree, degree)
-    csr = sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
-    return HyperlinkMatrix(n=g.n, csr=csr)
+    return HyperlinkMatrix(n=g.n, indptr=g.indptr, indices=g.indices,
+                           data=1.0 / np.repeat(degree, degree))
 
 
 def probability_vector(values, tol: float = 1e-12) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .graph import (
     HyperlinkMatrix,
@@ -46,30 +45,55 @@ class DanglingPartition:
 
 
 @dataclass(frozen=True)
+class CooMatrix:
+    """Sparse matrix as coordinate arrays: ``data[t]`` sits at ``(rows[t], cols[t])``.
+
+    It exists for one product, ``x^T A``, which :meth:`rmatvec` computes as a
+    gather and a weighted ``np.bincount``: one pass over the entries, no BLAS
+    call and no scipy.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """x^T A as a 1-D array of length ``shape[1]``."""
+        weights = x[self.rows]
+        weights *= self.data
+        out = np.bincount(self.cols, weights=weights, minlength=self.shape[1])
+        # bincount of no entries returns int64 zeros, weights or not
+        return out.astype(np.float64, copy=False)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (self.rows, self.cols), self.data)
+        return dense
+
+
+@dataclass(frozen=True)
 class BlockStructure:
     """Everything the lumped operator needs, precomputed once.
 
-    H11/H12 are the nondangling rows of the permuted hyperlink matrix split at
-    column k; ``r12`` caches the H12 row sums so iteration never touches H12.
-    The two rank-one dangling blocks are represented implicitly by u1 and u2
-    (u = alpha*w + (1-alpha)*v split at k).  No dense block of size k*(n-k) or
+    The lumped chain is M = [alpha*A + (1-alpha)*e v^T; u^T] with one sparse
+    k x (k+1) part A = [H11 | H12 e]: the nondangling rows of the permuted
+    hyperlink matrix, their dangling columns summed into column k.
+    ``v = [v1, sum v2]`` and ``u = [u1, sum u2]`` are (k+1)-vectors, with
+    u = alpha*w + (1-alpha)*v.  ``H12``, ``v2`` and ``u2`` serve only the
+    recovery of the dangling ranks.  No dense block of size k*(n-k) or
     (n-k)^2 is ever formed.
     """
 
     k: int
     n: int
     alpha: float
-    H11: sparse.csr_matrix
-    H12: sparse.csr_matrix
-    r12: np.ndarray
-    v1: np.ndarray
+    A: CooMatrix
+    v: np.ndarray
+    u: np.ndarray
+    H12: CooMatrix
     v2: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    u1: np.ndarray
     u2: np.ndarray
-    v2_sum: float
-    u2_sum: float
 
 
 @dataclass(frozen=True)
@@ -107,29 +131,37 @@ def detect_dangling(H: HyperlinkMatrix) -> DanglingPartition:
 
 def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition,
                    params: PageRankParams) -> BlockStructure:
-    """Split the permuted system into the blocks the lumped operator uses."""
+    """Build the lumped operator's blocks straight from the CSR arrays of H."""
     if p.perm.size != H.n:
         raise ValueError("partition and matrix sizes differ")
     if params.n != H.n:
         raise ValueError("parameter vectors and matrix sizes differ")
-    k = p.k
-    nd = p.perm[:k]
-    dg = p.perm[k:]
-    # dangling rows are structurally empty, so only the top k rows are kept
-    top = H.csr[nd, :][:, p.perm].tocsr()
-    H11 = top[:, :k].tocsr()
-    H12 = top[:, k:].tocsr()
-    r12 = np.asarray(H12.sum(axis=1)).ravel()
+    k, n = p.k, H.n
+    # dangling rows are structurally empty, so every entry lies in the top k
+    # rows; CSR order keeps prow ascending, and each row's entries in order
+    prow = p.inv_perm[H.row_index()]
+    pcol = p.inv_perm[H.indices]
+    # entry positions of each block; three gathers by integer positions cost
+    # less than three boolean-mask selections
+    in11, in12 = np.flatnonzero(pcol < k), np.flatnonzero(pcol >= k)
+    rows12, cols12, data12 = prow[in12], pcol[in12] - k, H.data[in12]
+    # H12 e: each row with dangling links reduced on its own, in storage order
+    starts = np.flatnonzero(np.diff(rows12, prepend=-1))
+    r12 = np.zeros(k)
+    r12[rows12[starts]] = np.add.reduceat(data12, starts)
+    A = CooMatrix(rows=np.concatenate([prow[in11], np.arange(k)]),
+                  cols=np.concatenate([pcol[in11], np.full(k, k)]),
+                  data=np.concatenate([H.data[in11], r12]), shape=(k, k + 1))
     alpha = params.alpha
+    nd, dg = p.perm[:k], p.perm[k:]
     v1, v2 = params.v[nd], params.v[dg]
-    w1, w2 = params.w[nd], params.w[dg]
-    u1 = alpha * w1 + (1.0 - alpha) * v1
-    u2 = alpha * w2 + (1.0 - alpha) * v2
+    u1 = alpha * params.w[nd] + (1.0 - alpha) * v1
+    u2 = alpha * params.w[dg] + (1.0 - alpha) * v2
     return BlockStructure(
-        k=k, n=H.n, alpha=alpha,
-        H11=H11, H12=H12, r12=r12,
-        v1=v1, v2=v2, w1=w1, w2=w2, u1=u1, u2=u2,
-        v2_sum=float(v2.sum()), u2_sum=float(u2.sum()),
+        k=k, n=n, alpha=alpha, A=A,
+        v=np.append(v1, v2.sum()), u=np.append(u1, u2.sum()),
+        H12=CooMatrix(rows=rows12, cols=cols12, data=data12, shape=(k, n - k)),
+        v2=v2, u2=u2,
     )
 
 
@@ -138,27 +170,19 @@ def lumped_apply(sigma: np.ndarray, b: BlockStructure) -> np.ndarray:
 
     With sigma = [sa | sb] (sb the lumped-node mass):
 
-        head = alpha*(sa^T H11) + (1-alpha)*(sa^T e)*v1^T + sb*u1^T
-        tail = alpha*(sa^T r12) + (1-alpha)*(sa^T e)*v2_sum + sb*u2_sum
+        sigma^T M = alpha*(sa^T [H11 | H12 e]) + (1-alpha)*(sa^T e)*v^T + sb*u^T
 
-    The lumped matrix is never materialized; cost O(nnz(H11) + k) and only
-    O(k) scratch.
+    one sparse product and two axpys; the lumped matrix is never
+    materialized.  Cost O(nnz(H11) + k) and only O(nnz(H11) + k) scratch.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (b.k + 1,):
         raise ValueError(f"expected vector of length {b.k + 1}, got shape {sigma.shape}")
     sa = sigma[:b.k]
-    sb = sigma[b.k]
-    se = sa.sum()
-    beta = 1.0 - b.alpha
-    out = np.empty(b.k + 1)
-    head = out[:b.k]
-    if b.k:
-        head[:] = sa @ b.H11  # runs through the zero-copy transpose, O(nnz)
-        head *= b.alpha
-        head += (beta * se) * b.v1
-        head += sb * b.u1
-    out[b.k] = b.alpha * (sa @ b.r12) + beta * b.v2_sum * se + sb * b.u2_sum
+    out = b.A.rmatvec(sa)
+    out *= b.alpha
+    out += ((1.0 - b.alpha) * sa.sum()) * b.v
+    out += sigma[b.k] * b.u
     return out
 
 
@@ -172,7 +196,7 @@ def full_operator(H: HyperlinkMatrix,
     if params.n != H.n:
         raise ValueError("parameter vectors and matrix sizes differ")
     dangling = np.flatnonzero(H.dangling_mask())
-    A = H.csr
+    A = CooMatrix(rows=H.row_index(), cols=H.indices, data=H.data, shape=(H.n, H.n))
     alpha, beta = params.alpha, 1.0 - params.alpha
     v, w = params.v, params.w
     n = H.n
@@ -182,7 +206,7 @@ def full_operator(H: HyperlinkMatrix,
         if x.shape != (n,):
             raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
         xd = x[dangling].sum()
-        out = x @ A
+        out = A.rmatvec(x)
         out *= alpha
         out += (alpha * xd) * w
         out += (beta * x.sum()) * v
@@ -259,20 +283,11 @@ def recover_pagerank(sigma: np.ndarray, b: BlockStructure) -> np.ndarray:
     if sigma.shape != (b.k + 1,):
         raise ValueError(f"expected vector of length {b.k + 1}, got shape {sigma.shape}")
     sa = sigma[:b.k]
-    sb = sigma[b.k]
-    se = sa.sum()
-    beta = 1.0 - b.alpha
-    out = np.empty(b.n)
-    out[:b.k] = sa
-    tail = out[b.k:]
-    if b.k:
-        tail[:] = sa @ b.H12
-        tail *= b.alpha
-    else:
-        tail[:] = 0.0
-    tail += (beta * se) * b.v2
-    tail += sb * b.u2
-    return out
+    tail = b.H12.rmatvec(sa)
+    tail *= b.alpha
+    tail += ((1.0 - b.alpha) * sa.sum()) * b.v2
+    tail += sigma[b.k] * b.u2
+    return np.concatenate([sa, tail])
 
 
 def unpermute(pi_tilde: np.ndarray, p: DanglingPartition) -> np.ndarray:

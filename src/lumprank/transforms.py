@@ -32,6 +32,10 @@ class TransformKind(Enum):
     CUSTOM = "custom"
 
 
+_BUILTIN_KINDS = (TransformKind.AVERAGING, TransformKind.SPARSE_ELIM,
+                  TransformKind.JORDAN_DIFF)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of a numerical identity check."""
@@ -73,11 +77,17 @@ def build_transform(kind: TransformKind, m: int,
     return L
 
 
-def _lu_with_pivot_check(A: np.ndarray, what: str):
-    """LU-factor A, raising LinAlgError when a pivot is negligibly small."""
+def _lu(A: np.ndarray):
+    """LU factors of A; a zero pivot is left for the caller's pivot test."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns instead of raising on 0 pivots
-        lu, piv = linalg.lu_factor(A)
+        return linalg.lu_factor(A)
+
+
+def _lu_with_pivot_check(A: np.ndarray, what: str, lu_piv=None):
+    """LU-factor A, or take its factors ``lu_piv``, raising LinAlgError when a
+    pivot is negligibly small."""
+    lu, piv = _lu(A) if lu_piv is None else lu_piv
     scale = np.abs(A).max()
     if scale == 0.0 or np.abs(np.diag(lu)).min() <= _PIVOT_RTOL * scale:
         raise np.linalg.LinAlgError(f"{what} is singular to working precision")
@@ -93,22 +103,24 @@ def verify_transform_condition(L: np.ndarray, tol: float = 1e-12) -> CheckReport
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"transform must be square, got shape {L.shape}")
+    return _transform_condition(L, _lu(L), tol)
+
+
+def _transform_condition(L: np.ndarray, lu_piv, tol: float) -> CheckReport:
+    """:func:`verify_transform_condition` on a square L with its LU factors."""
     m = L.shape[0]
     e1 = np.zeros(m)
     e1[0] = 1.0
     dev_fwd = float(np.abs(L @ np.ones(m) - e1).max())
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = linalg.lu_factor(L)
     inf_norm = float(np.abs(L).sum(axis=1).max())
-    min_pivot = float(np.abs(np.diag(lu)).min())
+    min_pivot = float(np.abs(np.diag(lu_piv[0])).min())
     if inf_norm == 0.0 or min_pivot <= _PIVOT_RTOL * inf_norm:
         return CheckReport(
             passed=False, max_abs_deviation=np.inf,
             detail=f"singular: smallest LU pivot {min_pivot:.3e} vs inf-norm {inf_norm:.3e}",
         )
-    dev_inv = float(np.abs(linalg.lu_solve((lu, piv), e1) - 1.0).max())
+    dev_inv = float(np.abs(linalg.lu_solve(lu_piv, e1) - 1.0).max())
 
     max_dev = max(dev_fwd, dev_inv)
     passed = max_dev <= tol
@@ -133,7 +145,8 @@ def build_dense_google(g: WebGraph, params: PageRankParams, p: DanglingPartition
     if params.n != g.n or p.perm.size != g.n:
         raise ValueError("graph, params, and partition sizes differ")
     H = build_hyperlink_matrix(g)
-    Ht = H.csr[p.perm, :][:, p.perm].toarray()
+    Ht = np.zeros((g.n, g.n))
+    Ht[p.inv_perm[H.row_index()], p.inv_perm[H.indices]] = H.data
     v = params.v[p.perm]
     w = params.w[p.perm]
     G = params.alpha * Ht
@@ -145,13 +158,9 @@ def build_dense_google(g: WebGraph, params: PageRankParams, p: DanglingPartition
 def build_dense_lumped(b: BlockStructure) -> np.ndarray:
     """Explicit (k+1)-order lumped matrix [G11, G12 e; u1^T, u2^T e] from the
     block data: the dense counterpart of the matrix-free operator."""
-    k = b.k
-    beta = 1.0 - b.alpha
-    M = np.empty((k + 1, k + 1))
-    M[:k, :k] = b.alpha * b.H11.toarray() + beta * b.v1
-    M[:k, k] = b.alpha * b.r12 + beta * b.v2_sum
-    M[k, :k] = b.u1
-    M[k, k] = b.u2_sum
+    M = np.empty((b.k + 1, b.k + 1))
+    M[:b.k] = b.alpha * b.A.toarray() + (1.0 - b.alpha) * b.v
+    M[b.k] = b.u
     return M
 
 
@@ -184,7 +193,12 @@ def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int):
     if L.shape != (m, m):
         raise ValueError(f"transform must have order {m}, got shape {L.shape}")
 
-    lu_piv = _lu_with_pivot_check(L, "transform")
+    return _conjugate(Gt, L, k, _lu(L))
+
+
+def _conjugate(Gt: np.ndarray, L: np.ndarray, k: int, lu_piv):
+    """:func:`similarity_transform` on checked shapes, with L's LU factors."""
+    lu_piv = _lu_with_pivot_check(L, "transform", lu_piv)
     A = np.empty_like(Gt)
     A[:k] = Gt[:k]
     A[k:] = L @ Gt[k:]

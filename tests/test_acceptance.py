@@ -270,3 +270,56 @@ def test_c8_performance_shape_100k_nodes():
            f"per-iteration wall time lumped {t_lumped * 1e3:.3f}ms < full "
            f"{t_full * 1e3:.3f}ms; lumped peak alloc {lumped_peak}B < {budget}B, "
            f"full peak {full_peak}B")
+
+
+def test_c9_performance_shape_200k_nodes():
+    # C8's shape at k = 2e4 (beyond 1e4, where a BLAS level-1 call in the
+    # step would go multithreaded), plus an absolute per-step bound
+    n = 200_000
+    k_target = 20_000  # dangling fraction 0.9
+    rng = np.random.default_rng(909)
+    edges = {
+        src: {int(t) for t in rng.integers(0, n, size=int(rng.integers(1, 16)))}
+        for src in range(k_target)  # out-degree uniform on [1, 15]: avg 8
+    }
+    g = oracles.make_webgraph(n, edges)
+    params = PageRankParams.uniform(n, alpha=0.85)
+    H = build_hyperlink_matrix(g)
+    p = detect_dangling(H)
+    assert p.k == k_target
+    b = permute_blocks(H, p, params)
+    lumped_op = lambda s: lumped_apply(s, b)
+    full_op = full_operator(H, params)
+    x_lumped = uniform_vector(p.k + 1)
+    x_full = uniform_vector(n)
+
+    def per_iteration_seconds(op, x0, iters=30, reps=3):
+        best = np.inf
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            power_method(op, x0, 0.0, iters)
+            best = min(best, (time.perf_counter() - t0) / iters)
+        return best
+
+    t_lumped = per_iteration_seconds(lumped_op, x_lumped)
+    t_full = per_iteration_seconds(full_op, x_full)
+
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    power_method(lumped_op, x_lumped, 0.0, 5)
+    lumped_peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    power_method(full_op, x_full, 0.0, 5)
+    full_peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+
+    budget = int(0.75 * 8 * n)
+    ok = (t_lumped < t_full and t_lumped <= 0.5e-3 and lumped_peak < budget
+          and full_peak > 8 * n and lumped_peak < full_peak)
+    report("C9", ok,
+           f"per-iteration wall time lumped {t_lumped * 1e3:.3f}ms (<=0.5ms) < full "
+           f"{t_full * 1e3:.3f}ms; lumped peak alloc {lumped_peak}B < {budget}B, "
+           f"full peak {full_peak}B")

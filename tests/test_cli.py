@@ -1,10 +1,17 @@
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lumprank.cli
+import lumprank.decomposition
 from lumprank import (
     PageRankParams,
     build_dense_google,
@@ -25,7 +32,8 @@ from lumprank import (
     verify_coupled_stationarity,
     verify_transform_condition,
 )
-from lumprank.cli import _BUILTIN_KINDS, generate_edge_list, main
+from lumprank.cli import generate_edge_list, main
+from lumprank.transforms import _BUILTIN_KINDS
 
 TRI_TEXT = "1 2\n1 3\n2 1\n"
 
@@ -261,6 +269,22 @@ class TestVerify:
                 ["FAIL", "negative_control[perturbed_stationary]"]]
             assert len(others) == 14 and all(l.startswith("PASS ") for l in others)
 
+    def test_each_matrix_is_lu_factored_once(self, capsys, tmp_path, monkeypatch):
+        # three order-(n-k) transforms, I - G11 and I - G22: five factorizations
+        lu_factor = scipy.linalg.lu_factor
+        factored = []
+
+        def recording_lu_factor(a, *args, **kwargs):
+            factored.append(np.asarray(a).tobytes())
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", recording_lu_factor)
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
+        code, out, _ = run(capsys, "verify", str(path), "--negative-control")
+        assert code == 1 and out.count("PASS ") == 14
+        assert len(factored) == len(set(factored)) == 5
+
     def test_dense_limit_exits_3(self, capsys, tri_file):
         code, _, err = run(capsys, "verify", tri_file, "--dense-limit", "2")
         assert code == 3
@@ -375,7 +399,7 @@ class TestVerifyDifferential:
     # blockwise check compares against
     @pytest.mark.parametrize("block", ["Y", "Z", "D11", "S", "G12", "G21"])
     def test_corrupted_factor_block_fails_ldu(self, capsys, tmp_path, monkeypatch, block):
-        split = lumprank.cli._block_split
+        split = lumprank.decomposition._block_split
 
         def corrupted_split(Gt, k):
             s = split(Gt, k)
@@ -383,7 +407,7 @@ class TestVerifyDifferential:
             bad[-1, :2] += [1e-6, -1e-6]  # row sums kept: S stays stochastic
             return dataclasses.replace(s, **{block: bad})
 
-        monkeypatch.setattr(lumprank.cli, "_block_split", corrupted_split)
+        monkeypatch.setattr(lumprank.decomposition, "_block_split", corrupted_split)
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         code, out, _ = run(capsys, "verify", str(path))
@@ -425,3 +449,50 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--nodes", "10", "--dangling-frac", "1.5")
         assert code == 1
         assert "fraction" in err
+
+
+# Runs in a fresh interpreter: which scipy modules are loaded after each
+# step of a session that imports the CLI and runs the sparse commands.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+path = sys.argv[1]
+steps = {}
+
+def record(step, code=None):
+    steps[step] = {"code": code, "scipy": sorted(
+        m for m in sys.modules if m.split(".")[0] == "scipy")}
+
+import lumprank.cli
+record("import lumprank.cli")
+for argv in (["gen", "--nodes", "50", "--dangling-frac", "0.4"], ["rank", path],
+             ["compare", path]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lumprank.cli.main(argv)
+    record(argv[0], code)
+import lumprank
+lumprank.build_dense_google
+from lumprank import *
+record("lab names", int(callable(build_dense_google) and callable(ldu_factors)))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lumprank.cli.main(["verify", path])
+record("verify", code)
+print(json.dumps(steps))
+"""
+
+
+class TestScipyFreePath:
+    def test_only_verify_loads_scipy(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(path)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        steps = json.loads(proc.stdout)
+        for step in ("import lumprank.cli", "gen", "rank", "compare"):
+            assert steps[step]["scipy"] == [], step
+        assert [steps[s]["code"] for s in ("gen", "rank", "compare")] == [0, 0, 0]
+        # the lab names still resolve, and the lab then loads scipy
+        assert steps["lab names"]["code"] == 1
+        assert "scipy.linalg" in steps["lab names"]["scipy"]
+        assert steps["verify"]["code"] == 0

@@ -76,9 +76,10 @@ class TestPermuteBlocks:
     def test_micro_instance_blocks(self):
         _, _, _, _, b = tri_setup()
         assert b.k == 2 and b.n == 3
-        assert b.H11.toarray().tolist() == [[0.0, 0.5], [1.0, 0.0]]
+        # the one sparse operator is [H11 | H12 e]
+        assert b.A.shape == (2, 3)
+        assert b.A.toarray().tolist() == [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]
         assert b.H12.toarray().tolist() == [[0.5], [0.0]]
-        assert b.r12.tolist() == [0.5, 0.0]
 
     def test_no_dangling_gives_empty_trailing_block(self):
         g = oracles.make_webgraph(3, {0: {1}, 1: {2}, 2: {0}})
@@ -86,29 +87,45 @@ class TestPermuteBlocks:
         p = detect_dangling(H)
         b = permute_blocks(H, p, PageRankParams.uniform(3))
         assert b.H12.shape == (3, 0)
-        assert b.r12.tolist() == [0.0, 0.0, 0.0]
+        assert b.A.toarray()[:, 3].tolist() == [0.0, 0.0, 0.0]
 
     def test_uniform_vector_split(self):
         g = oracles.make_webgraph(4, {0: {1}, 1: {0}})
         H = build_hyperlink_matrix(g)
         b = permute_blocks(H, detect_dangling(H), PageRankParams.uniform(4))
-        assert b.v1.tolist() == [0.25, 0.25]
+        assert b.v.tolist() == [0.25, 0.25, 0.5]
         assert b.v2.tolist() == [0.25, 0.25]
-        assert b.v2_sum == 0.5
+
+    def test_one_column_k_entry_per_row(self):
+        # a row's dangling links fold into one entry, never one per link
+        g = oracles.make_webgraph(6, {0: {1, 2, 3, 4}, 1: {0, 5}})
+        H = build_hyperlink_matrix(g)
+        b = permute_blocks(H, detect_dangling(H), PageRankParams.uniform(6))
+        assert b.A.rows.size == 2 + 2  # H11 holds 0 -> 1 and 1 -> 0
+        assert b.A.toarray().tolist() == [[0.0, 0.25, 0.75], [0.5, 0.0, 0.5]]
+        assert b.H12.rows.size == 4
 
     def test_block_invariants_random(self):
         rng = np.random.default_rng(2)
         for _ in range(15):
-            g, _, params = random_case(rng)
+            g, edges, params = random_case(rng)
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
             b = permute_blocks(H, p, params)
-            row_sums = np.asarray(b.H11.sum(axis=1)).ravel() + b.r12
-            assert np.abs(row_sums - 1.0).max() <= 1e-12
+            k = p.k
+            # dense [H11 | H12 e] from the oracle's hyperlink matrix
+            Hd = oracles.dense_hyperlink(g.n, edges)[np.ix_(p.perm, p.perm)]
+            A = b.A.toarray()
+            assert np.array_equal(A[:, :k], Hd[:k, :k])
+            assert np.abs(A[:, k] - Hd[:k, k:].sum(axis=1)).max(initial=0.0) <= 1e-15
+            assert np.array_equal(b.H12.toarray(), Hd[:k, k:])
+            assert np.abs(A.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
             a = params.alpha
-            assert np.array_equal(b.u1, a * b.w1 + (1 - a) * b.v1)
-            assert np.all(b.u1 >= 0) and np.all(b.u2 >= 0)
-            assert abs(b.u1.sum() + b.u2_sum - 1.0) <= 1e-12
+            u = a * params.w[p.perm] + (1 - a) * params.v[p.perm]
+            assert np.array_equal(b.u[:k], u[:k]) and np.array_equal(b.u2, u[k:])
+            assert b.u.min() >= 0 and b.u2.min(initial=0.0) >= 0
+            assert abs(b.u.sum() - 1.0) <= 1e-12
+            assert b.v[k] == params.v[p.perm[k:]].sum()
 
 
 class TestLumpedApply:
