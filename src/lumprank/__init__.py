@@ -20,7 +20,6 @@ from .lumping import (
     DanglingPartition,
     SolveReport,
     detect_dangling,
-    full_apply,
     full_operator,
     lumped_apply,
     permute_blocks,
@@ -74,7 +73,6 @@ __all__ = [
     "check_lumpable",
     "check_spectrum_identity",
     "detect_dangling",
-    "full_apply",
     "full_operator",
     "ldu_factors",
     "load_weight_vector",

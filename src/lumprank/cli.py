@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_edge_list(fh.read())
 
 
@@ -97,14 +97,29 @@ def cmd_rank(cfg) -> int:
     rep = solve_lumped(g, params)
     print(f"# n={rep.n} k={rep.k} dangling={rep.n - rep.k} alpha={params.alpha:g} "
           f"iters={rep.iterations} residual={rep.residual:.6e}")
-    # sort on the printed 12-digit value so ties mean ties in the output
-    scores = [f"{s:.12g}" for s in rep.pagerank.tolist()]
-    printed = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
-    order = np.lexsort((g.labels, -printed))[:cfg.top]  # score desc, ties by label asc
-    rows = zip(order.tolist(), g.labels[order].tolist())
-    sys.stdout.write("".join(f"{label}\t{scores[i]}\t{rank}\n"
-                             for rank, (i, label) in enumerate(rows, start=1)))
+    sys.stdout.write(_ranking_rows(g.labels, rep.pagerank, cfg.top))
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
+
+
+def _ranking_rows(labels: np.ndarray, scores: np.ndarray, top: int | None) -> str:
+    """The ``label<TAB>score<TAB>rank`` rows of ``rank``, best ``top`` first.
+
+    Rows sort on the printed 12-digit score, descending, so ties mean ties in
+    the output, and then on the label, ascending.  Each distinct score is
+    formatted once, and all rows are formatted by one ``%`` call.
+    """
+    # np.unique merges -0.0 with 0.0, which print differently; a PageRank
+    # vector is nonnegative, and the solver never yields -0.0
+    assert not np.signbit(scores).any()
+    uniq, inverse = np.unique(scores, return_inverse=True)
+    text = np.array([f"{s:.12g}" for s in uniq.tolist()], dtype=object)
+    order = np.lexsort((labels, -text.astype(np.float64)[inverse]))[:top]
+    m = order.size
+    cells = [None] * (3 * m)
+    cells[0::3] = labels[order].tolist()
+    cells[1::3] = text[inverse[order]].tolist()
+    cells[2::3] = range(1, m + 1)
+    return ("%d\t%s\t%d\n" * m) % tuple(cells)
 
 
 def cmd_compare(cfg) -> int:

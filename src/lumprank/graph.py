@@ -39,31 +39,32 @@ def parse_edge_list(text: str | bytes) -> WebGraph:
 
     Blank lines and lines whose first non-blank character is ``#`` are
     ignored.  Labels are decimal integers in [0, 2**63).  Duplicate edges
-    collapse to one; self-loops count as ordinary out-edges.  Raises
-    :class:`EdgeListParseError` on a malformed line or empty input.
+    collapse to one; self-loops count as ordinary out-edges.  Bytes are read
+    as UTF-8.  Raises :class:`EdgeListParseError` on a malformed line or
+    empty input, and ``UnicodeDecodeError`` on bytes that are not UTF-8.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    pairs = _fast_pairs(text)
+    if isinstance(text, str) and not text.isascii():
+        return _build_graph(_checked_pairs(text))
+    raw = text.encode("ascii") if isinstance(text, str) else text
+    pairs = _fast_pairs(raw)
     if pairs is None:
-        pairs = _checked_pairs(text)
+        pairs = _checked_pairs(raw.decode("utf-8"))
     return _build_graph(pairs)
 
 
-def _fast_pairs(text: str) -> np.ndarray | None:
+def _fast_pairs(raw: bytes) -> np.ndarray | None:
     """(m, 2) label pairs read by ``np.loadtxt``, or None to read line by line.
 
-    Returns None unless ``text`` holds only ASCII digits, spaces, tabs and
+    Returns None unless ``raw`` holds only ASCII digits, spaces, tabs and
     ``\\n``, and every line that is not blank holds exactly two labels below
-    2**63.  On such text loadtxt and :func:`_checked_pairs` agree; anything
+    2**63.  On such input loadtxt and :func:`_checked_pairs` agree; anything
     else (comments and ``\\r\\n`` included), valid or not, is left to the
     checked reader.
     """
-    if (not text.isascii() or text.encode("ascii").translate(None, _DATA_BYTES)
-            or not text.strip()):
+    if raw.translate(None, _DATA_BYTES) or not raw.strip():
         return None
     try:
-        pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+        pairs = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
     except ValueError:  # rows of unequal length, or a label beyond int64
         return None
     return pairs if pairs.shape[1] == 2 else None

@@ -215,12 +215,6 @@ def full_operator(H: HyperlinkMatrix,
     return apply
 
 
-def full_apply(x: np.ndarray, H: HyperlinkMatrix,
-               params: PageRankParams) -> np.ndarray:
-    """One-shot x^T G product; see :func:`full_operator`."""
-    return full_operator(H, params)(x)
-
-
 def power_method(apply_op: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
                  tol: float, max_iter: int, alpha: float | None = None):
     """Left power iteration with per-step renormalization to unit 1-norm.

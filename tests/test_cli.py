@@ -12,8 +12,10 @@ import scipy.linalg
 
 import lumprank.cli
 import lumprank.decomposition
+import oracles
 from lumprank import (
     PageRankParams,
+    SolveReport,
     build_dense_google,
     build_dense_lumped,
     build_hyperlink_matrix,
@@ -42,6 +44,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def row_by_row(labels, scores, top=None):
+    """The TSV rows of ``rank``, printed one row at a time: Python's sort on
+    (printed 12-digit score descending, label ascending), each score
+    formatted in its own row."""
+    labels, scores = labels.tolist(), scores.tolist()
+    printed = [float(f"{s:.12g}") for s in scores]
+    order = sorted(range(len(scores)), key=lambda i: (-printed[i], labels[i]))[:top]
+    return "".join(f"{labels[i]}\t{scores[i]:.12g}\t{rank}\n"
+                   for rank, i in enumerate(order, start=1))
+
+
+def assert_rows_match(capsys, path, labels, scores, *argv, tops=(None, 0, 1)):
+    """``rank`` prints the row-by-row reference rows at every ``--top``,
+    n + 5 included."""
+    for top in (*tops, labels.size + 5):
+        top_argv = [] if top is None else ["--top", str(top)]
+        code, out, _ = run(capsys, "rank", str(path), *argv, *top_argv)
+        assert code == 0
+        header, body = out.split("\n", 1)
+        assert header.startswith(f"# n={labels.size} ")
+        assert body == row_by_row(labels, scores, top)
 
 
 @pytest.fixture
@@ -140,19 +165,64 @@ class TestRank:
                                   for a, b in (line.split() for line in text.splitlines())))
         g = parse_edge_list(path.read_text())
         rep = solve_lumped(g, PageRankParams.uniform(g.n))
-        printed = np.array([float(f"{s:.12g}") for s in rep.pagerank])
-        order = np.lexsort((g.labels, -printed))
-        rows = [f"{g.labels[i]}\t{rep.pagerank[i]:.12g}\t{rank}\n"
-                for rank, i in enumerate(order, start=1)]
-        scores = [row.split("\t")[1] for row in rows]
+        scores = [row.split("\t")[1] for row in row_by_row(g.labels, rep.pagerank).splitlines()]
         assert len(set(scores)) < len(scores) // 2
-        for top in (None, 0, 1, 50, g.n + 5):
-            argv = [] if top is None else ["--top", str(top)]
-            code, out, _ = run(capsys, "rank", str(path), *argv)
-            assert code == 0
-            header, body = out.split("\n", 1)
-            assert header.startswith(f"# n={g.n} ")
-            assert body == "".join(rows[:top])
+        assert_rows_match(capsys, path, g.labels, rep.pagerank, tops=(None, 0, 1, 50))
+
+    def test_scores_equal_when_printed_tie_by_label(self, capsys, monkeypatch, tmp_path):
+        # labels fall as the internal index rises, and raw scores fall with
+        # the index too: a sort on the raw score would put the larger label
+        # first, while ties on the printed value put the smaller one first
+        n = 40
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{100 - 2 * i} {99 - 2 * i}\n" for i in range(n // 2)))
+        i = np.arange(n)
+        scores = np.where(i % 2 == 0, 0.03, 0.02) * (1.0 + (n - i) * 1e-14)
+
+        def fake_solve(g, params):
+            return SolveReport(iterations=1, residual=0.0, converged=True,
+                               pagerank=scores, k=n // 2, n=n, timings={})
+
+        monkeypatch.setattr(lumprank.cli, "solve_lumped", fake_solve)
+        g = parse_edge_list(path.read_text())
+        assert g.labels.tolist() == list(range(100, 100 - n, -1))
+        assert np.unique(scores).size == n
+        assert_rows_match(capsys, path, g.labels, scores)
+        _, out, _ = run(capsys, "rank", str(path))
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert {r[1] for r in rows} == {"0.03", "0.02"}
+        assert [r[0] for r in rows[:3]] == ["62", "64", "66"]
+
+    def test_zero_weights_give_exact_zero_scores(self, capsys, tmp_path):
+        # a node without in-links whose v and w entries are 0 scores exactly 0
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(60, 0.5, 2, seed=8))
+        g = parse_edge_list(path.read_text())
+        linked = np.bincount(g.indices, minlength=g.n) > 0
+        weights = tmp_path / "vw.txt"
+        weights.write_text(" ".join("1" if x else "0" for x in linked))
+        argv = ("--v", str(weights), "--w", str(weights))
+        rep = solve_lumped(g, PageRankParams(alpha=0.85, v=linked / linked.sum(),
+                                             w=linked / linked.sum()))
+        zero = rep.pagerank == 0.0
+        assert zero.sum() >= 2 and zero.tolist() == (~linked).tolist()
+        assert not np.signbit(rep.pagerank).any()
+        assert_rows_match(capsys, path, g.labels, rep.pagerank, *argv)
+        _, out, _ = run(capsys, "rank", str(path), *argv)
+        zero_rows = [line.split("\t") for line in out.splitlines()[-int(zero.sum()):]]
+        assert {r[1] for r in zero_rows} == {"0"}
+        assert [int(r[0]) for r in zero_rows] == sorted(g.labels[zero].tolist())
+
+    def test_labels_at_int64_max(self, capsys, tmp_path):
+        top = 2**63 - 1
+        path = tmp_path / "g.txt"
+        path.write_text(f"{top} 0\n0 {top - 1}\n{top - 1} {top}\n{top - 2} {top}\n")
+        g = parse_edge_list(path.read_text())
+        rep = solve_lumped(g, PageRankParams.uniform(g.n))
+        assert_rows_match(capsys, path, g.labels, rep.pagerank)
+        _, out, _ = run(capsys, "rank", str(path))
+        assert {line.split("\t")[0] for line in out.splitlines()[1:]} == {
+            str(top), "0", str(top - 1), str(top - 2)}
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, out, err = run(capsys, "rank", str(tmp_path / "nope.txt"))
@@ -174,6 +244,33 @@ class TestRank:
         assert out == ""
         assert "line 1: node label too large" in err
         assert "Traceback" not in err
+
+    def test_invalid_utf8_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 2\n# caf\xe9\n3 4\n")
+        code, out, err = run(capsys, "rank", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("lumprank: error: ") and "utf-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "# caf\u00e9\r\n1 2\r\n2\t3\r\n\r\n  # indented\r\n3 1\r\n",
+        "1\u00a02\n\u3000 2 3\n3\u20031\n",
+        "# \u2603\n7 8\u20289 7\n8\t9\x85\n",
+        "5 6\n\n6 5\n",
+    ])
+    def test_file_bytes_parse_like_the_reference(self, capsys, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode("utf-8"))
+        labels, targets = oracles.reference_parse(path.read_bytes())
+        g = lumprank.cli._load_graph(str(path))
+        assert g.labels.tolist() == labels
+        assert [oracles.out_edges(g, i) for i in range(g.n)] == [
+            targets[i] for i in range(len(labels))]
+        code, out, _ = run(capsys, "rank", str(path))
+        assert code == 0
+        assert out.startswith(f"# n={len(labels)} ")
 
     def test_bad_alpha_exits_1(self, capsys, tri_file):
         code, _, err = run(capsys, "rank", tri_file, "--alpha", "1.5")

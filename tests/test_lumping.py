@@ -8,7 +8,6 @@ from lumprank import (
     PageRankParams,
     build_hyperlink_matrix,
     detect_dangling,
-    full_apply,
     full_operator,
     lumped_apply,
     parse_edge_list,
@@ -187,7 +186,7 @@ class TestFullApply:
             H = build_hyperlink_matrix(g)
             x = rng.random(g.n)
             x /= x.sum()
-            out = full_apply(x, H, params)
+            out = full_operator(H, params)(x)
             assert abs(out.sum() - 1.0) <= 1e-12
             assert out.min() >= 0.0
 
@@ -196,11 +195,11 @@ class TestFullApply:
         H = build_hyperlink_matrix(oracles.make_webgraph(2, {}))
         x = np.array([0.9, 0.1])
         u = params.alpha * params.w + (1 - params.alpha) * params.v
-        assert np.abs(full_apply(x, H, params) - u).max() <= 1e-15
+        assert np.abs(full_operator(H, params)(x) - u).max() <= 1e-15
 
     def test_micro_instance_value(self):
         g, params, H, _, _ = tri_setup()
-        out = full_apply(np.full(3, 1 / 3), H, params)
+        out = full_operator(H, params)(np.full(3, 1 / 3))
         assert np.abs(out - np.array([7 / 18, 11 / 36, 11 / 36])).max() <= 1e-15
 
     def test_matches_dense_oracle(self):
@@ -211,12 +210,12 @@ class TestFullApply:
             G = oracles.dense_google(g.n, edges, params.alpha)
             x = rng.random(g.n)
             x /= x.sum()
-            assert np.abs(full_apply(x, H, params) - x @ G).max() <= 1e-13
+            assert np.abs(full_operator(H, params)(x) - x @ G).max() <= 1e-13
 
     def test_length_mismatch_raises(self):
         g, params, H, _, _ = tri_setup()
         with pytest.raises(ValueError, match="length 3"):
-            full_apply(np.full(5, 0.2), H, params)
+            full_operator(H, params)(np.full(5, 0.2))
 
 
 class TestPowerMethod:

@@ -12,7 +12,7 @@ from lumprank import (
     check_lumpable,
     check_spectrum_identity,
     detect_dangling,
-    full_apply,
+    full_operator,
     lumped_apply,
     parse_edge_list,
     permute_blocks,
@@ -127,7 +127,7 @@ class TestDenseGoogle:
             x = rng.random(g.n)
             x /= x.sum()
             lhs = (x[p.perm] @ Gt)
-            rhs = full_apply(x, H, params)[p.perm]
+            rhs = full_operator(H, params)(x)[p.perm]
             assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_size_cap_enforced(self):
