@@ -75,8 +75,14 @@ def _load_graph(path: str):
 def _load_weight(spec: str, n: int) -> np.ndarray:
     if spec == "uniform":
         return load_weight_vector("uniform", n)
-    with open(spec, "r", encoding="utf-8") as fh:
-        return load_weight_vector(fh.read(), n)
+    with open(spec, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"weight vector: {spec} is not valid utf-8 (byte "
+                         f"0x{raw[exc.start]:02x} at offset {exc.start})") from None
+    return load_weight_vector(text, n)
 
 
 def _load_params(cfg, n: int) -> PageRankParams:

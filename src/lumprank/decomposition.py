@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg
 
-from .transforms import CheckReport, _lu_with_pivot_check
+from .transforms import CheckReport, _dot, _lu_with_pivot_check
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def _block_split(Gt: np.ndarray, k: int) -> _BlockSplit:
     Y = linalg.lu_solve(lu11, G12)
     Z = linalg.lu_solve(lu11, G21.T, trans=1).T
     return _BlockSplit(k=k, D11=D11, G12=G12, G21=G21, G22=G22, lu11=lu11,
-                       Y=Y, Z=Z, S=G22 + Z @ G12)
+                       Y=Y, Z=Z, S=G22 + _dot(Z, G12))
 
 
 def ldu_factors(Gt: np.ndarray, k: int) -> LduFactors:
@@ -105,11 +105,11 @@ def _ldu_deviation(s: _BlockSplit) -> float:
     D11 = I - G11 itself, so the other three blocks hold the whole
     deviation: about 2k(n-k)(n+k) flops instead of the dense 4n^3.
     """
-    D11Y = s.D11 @ s.Y
+    D11Y = _dot(s.D11, s.Y)
     I22 = np.eye(s.n - s.k)
     return max(float(np.abs(D11Y - s.G12).max()),
-               float(np.abs(s.Z @ s.D11 - s.G21).max()),
-               float(np.abs(s.Z @ D11Y + (I22 - s.S) - (I22 - s.G22)).max()))
+               float(np.abs(_dot(s.Z, s.D11) - s.G21).max()),
+               float(np.abs(_dot(s.Z, D11Y) + (I22 - s.S) - (I22 - s.G22)).max()))
 
 
 def _checked_complement(s: _BlockSplit) -> np.ndarray:
@@ -138,9 +138,9 @@ def _coupled_stationarity(s: _BlockSplit, pi_tilde: np.ndarray, tol: float) -> C
         raise ValueError(f"expected stationary vector of length {s.n}, got shape {pi_tilde.shape}")
     pi1, pi2 = pi_tilde[:s.k], pi_tilde[s.k:]
 
-    dev_a = float(np.abs(pi2 @ s.S - pi2).max())
+    dev_a = float(np.abs(_dot(pi2, s.S) - pi2).max())
 
-    lhs_b = linalg.lu_solve(s.lu11, pi2 @ s.G21, trans=1)
+    lhs_b = linalg.lu_solve(s.lu11, _dot(pi2, s.G21), trans=1)
     dev_b = float(np.abs(lhs_b - pi1).max())
 
     devs = [dev_a, dev_b]
@@ -149,7 +149,7 @@ def _coupled_stationarity(s: _BlockSplit, pi_tilde: np.ndarray, tol: float) -> C
     if s.lu22 is None:
         parts.append("dangling from nondangling skipped (trailing block has unit row sums)")
     else:
-        lhs_c = linalg.lu_solve(s.lu22, pi1 @ s.G12, trans=1)
+        lhs_c = linalg.lu_solve(s.lu22, _dot(pi1, s.G12), trans=1)
         dev_c = float(np.abs(lhs_c - pi2).max())
         devs.append(dev_c)
         parts.append(f"dangling from nondangling={dev_c:.3e}")

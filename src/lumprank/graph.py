@@ -40,16 +40,29 @@ def parse_edge_list(text: str | bytes) -> WebGraph:
     Blank lines and lines whose first non-blank character is ``#`` are
     ignored.  Labels are decimal integers in [0, 2**63).  Duplicate edges
     collapse to one; self-loops count as ordinary out-edges.  Bytes are read
-    as UTF-8.  Raises :class:`EdgeListParseError` on a malformed line or
-    empty input, and ``UnicodeDecodeError`` on bytes that are not UTF-8.
+    as UTF-8.  Raises :class:`EdgeListParseError` on a malformed line, on
+    bytes that are not UTF-8 (naming the line that holds the first bad byte),
+    or on empty input.
     """
     if isinstance(text, str) and not text.isascii():
         return _build_graph(_checked_pairs(text))
     raw = text.encode("ascii") if isinstance(text, str) else text
     pairs = _fast_pairs(raw)
     if pairs is None:
-        pairs = _checked_pairs(raw.decode("utf-8"))
+        pairs = _checked_pairs(_decode_utf8(raw))
     return _build_graph(pairs)
+
+
+def _decode_utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as _checked_pairs does: the valid prefix, split by
+        # str.splitlines, ends on the line that holds the bad byte
+        lineno = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        raise EdgeListParseError(
+            f"line {lineno}: byte 0x{raw[exc.start]:02x} is not valid utf-8 ({exc.reason})"
+        ) from None
 
 
 def _fast_pairs(raw: bytes) -> np.ndarray | None:

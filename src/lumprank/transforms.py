@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
 from .graph import PageRankParams, WebGraph, build_hyperlink_matrix
 from .lumping import BlockStructure, DanglingPartition
@@ -77,11 +78,40 @@ def build_transform(kind: TransformKind, m: int,
     return L
 
 
-def _lu(A: np.ndarray):
+def _lu(A: np.ndarray, overwrite: bool = False):
     """LU factors of A; a zero pivot is left for the caller's pivot test."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns instead of raising on 0 pivots
-        return linalg.lu_factor(A)
+        return linalg.lu_factor(A, overwrite_a=overwrite)
+
+
+def _slogdet(A: np.ndarray):
+    """Sign and log|det| of square A from its :func:`_lu` factors, as
+    ``np.linalg.slogdet`` gives them: (0.0, -inf) when a pivot is exactly 0.
+
+    A may be overwritten; a Fortran-order A is factored in place.
+    """
+    lu, piv = _lu(A, overwrite=True)
+    d = np.diag(lu)
+    swaps = np.count_nonzero(piv != np.arange(piv.size))  # each one flips the sign
+    sign = (-1.0) ** swaps * float(np.prod(np.sign(d)))
+    with np.errstate(divide="ignore"):
+        return sign, float(np.log(np.abs(d)).sum())
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a or b (the other 1-D or 2-D) through scipy's BLAS.
+
+    numpy and scipy each ship their own OpenBLAS, each with a thread pool
+    whose idle workers spin on the cores the other library is using; the lab
+    therefore calls one library for every product, factorization and solve.
+    C-order operands pass to BLAS as their Fortran-order transposes, uncopied.
+    """
+    if a.ndim == 1:
+        return blas.dgemv(1.0, b.T, a)  # x^T B = (B^T x)^T
+    if b.ndim == 1:
+        return blas.dgemv(1.0, a.T, b, trans=1)
+    return blas.dgemm(1.0, b.T, a.T).T  # (A B)^T = B^T A^T
 
 
 def _lu_with_pivot_check(A: np.ndarray, what: str, lu_piv=None):
@@ -111,7 +141,7 @@ def _transform_condition(L: np.ndarray, lu_piv, tol: float) -> CheckReport:
     m = L.shape[0]
     e1 = np.zeros(m)
     e1[0] = 1.0
-    dev_fwd = float(np.abs(L @ np.ones(m) - e1).max())
+    dev_fwd = float(np.abs(_dot(L, np.ones(m)) - e1).max())
 
     inf_norm = float(np.abs(L).sum(axis=1).max())
     min_pivot = float(np.abs(np.diag(lu_piv[0])).min())
@@ -168,11 +198,11 @@ def stationary_dense(M: np.ndarray) -> np.ndarray:
     """Stationary row vector of a stochastic matrix by direct linear solve."""
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
-    A = np.eye(n) - M.T
+    A = (np.eye(n) - M).T  # Fortran order: LAPACK factors it without a copy
     A[-1, :] = 1.0  # replace one redundant equation by the normalization
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    return np.linalg.solve(A, rhs)
+    return linalg.solve(A, rhs, overwrite_a=True)
 
 
 def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int):
@@ -201,7 +231,7 @@ def _conjugate(Gt: np.ndarray, L: np.ndarray, k: int, lu_piv):
     lu_piv = _lu_with_pivot_check(L, "transform", lu_piv)
     A = np.empty_like(Gt)
     A[:k] = Gt[:k]
-    A[k:] = L @ Gt[k:]
+    A[k:] = _dot(L, Gt[k:])
     full = np.empty_like(A)
     full[:, :k] = A[:, :k]
     # right-multiplying by L^-1 == solving L^T X^T = A_right^T
@@ -217,9 +247,10 @@ def check_spectrum_identity(Gt: np.ndarray, G1: np.ndarray, k: int,
 
     Evaluates det(lam I - Gt) against lam^(n-k-1) * det(lam I - G1) at three
     fixed points {1.5, 2, 3} plus five seeded uniform draws from (1.1, 4.0),
-    all outside the unit spectral disk so neither side vanishes.  Comparison
-    runs in log-determinant space (LU under the hood), which equals the
-    relative deviation for small discrepancies and cannot overflow.
+    all outside the unit spectral disk so neither side vanishes.  Each
+    determinant is a sign and log|det| read off scipy's LU factors (pivots
+    and diagonal), and the comparison runs in that log space, which equals
+    the relative deviation for small discrepancies and cannot overflow.
     """
     return _spectrum_check(Gt, k, seed)(G1, tol)
 
@@ -237,7 +268,8 @@ def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
         raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
     rng = np.random.default_rng(seed)
     lams = np.concatenate([[1.5, 2.0, 3.0], rng.uniform(1.1, 4.0, size=5)])
-    full = [np.linalg.slogdet(lam * np.eye(n) - Gt) for lam in lams]
+    # det(A^T) = det(A), and the transpose of a C-order matrix is Fortran order
+    full = [_slogdet((lam * np.eye(n) - Gt).T) for lam in lams]
 
     def check(G1: np.ndarray, tol: float) -> CheckReport:
         G1 = np.asarray(G1, dtype=np.float64)
@@ -246,7 +278,7 @@ def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
         worst = 0.0
         worst_lam = float(lams[0])
         for lam, (s_full, ld_full) in zip(lams, full):
-            s_lump, ld_lump = np.linalg.slogdet(lam * np.eye(k + 1) - G1)
+            s_lump, ld_lump = _slogdet((lam * np.eye(k + 1) - G1).T)
             ld_lump += (n - k - 1) * np.log(lam)
             # |d1 - d2| / max(|d1|, |d2|) with determinants kept in log space
             rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))

@@ -254,6 +254,28 @@ class TestRank:
         assert err.startswith("lumprank: error: ") and "utf-8" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("raw, line", [
+        (b"1 2\n# caf\xe9\n3 4\n", 2),
+        (b"\xff 1\n", 1),
+        (b"1 2\r\n\r\n3 4\n4 \x80\n", 4),
+        (b"# \xe2\x80\xa8 two lines\n1 2\n\xc3(\n", 4),  # U+2028 breaks a line too
+    ])
+    def test_invalid_utf8_names_its_line(self, capsys, tmp_path, raw, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "rank", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"lumprank: error: line {line}: byte 0x")
+        assert "not valid utf-8" in err and "position" not in err
+
+    def test_invalid_utf8_weight_file_exits_1(self, capsys, tri_file, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"0.5 0.25\n0.2\xe95\n")
+        code, out, err = run(capsys, "rank", tri_file, "--v", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("lumprank: error: weight vector: ")
+        assert "not valid utf-8" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         "# caf\u00e9\r\n1 2\r\n2\t3\r\n\r\n  # indented\r\n3 1\r\n",
         "1\u00a02\n\u3000 2 3\n3\u20031\n",
@@ -367,7 +389,10 @@ class TestVerify:
             assert len(others) == 14 and all(l.startswith("PASS ") for l in others)
 
     def test_each_matrix_is_lu_factored_once(self, capsys, tmp_path, monkeypatch):
-        # three order-(n-k) transforms, I - G11 and I - G22: five factorizations
+        # 29 factorizations, none repeated: three order-(n-k) transforms,
+        # I - G11 and I - G22 (5); the 8 n x n spectrum determinants (8); the
+        # 8 (k+1)-order determinants of the lumped block and 8 of its
+        # corrupted control (16)
         lu_factor = scipy.linalg.lu_factor
         factored = []
 
@@ -380,7 +405,7 @@ class TestVerify:
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         code, out, _ = run(capsys, "verify", str(path), "--negative-control")
         assert code == 1 and out.count("PASS ") == 14
-        assert len(factored) == len(set(factored)) == 5
+        assert len(factored) == len(set(factored)) == 5 + 8 + 2 * 8
 
     def test_dense_limit_exits_3(self, capsys, tri_file):
         code, _, err = run(capsys, "verify", tri_file, "--dense-limit", "2")

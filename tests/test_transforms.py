@@ -1,6 +1,14 @@
+import ast
+import inspect
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import lumprank.cli
+import lumprank.decomposition
+import lumprank.transforms
 import oracles
 from lumprank import (
     PageRankParams,
@@ -22,6 +30,7 @@ from lumprank import (
     uniform_vector,
     verify_transform_condition,
 )
+from lumprank.transforms import _dot, _slogdet
 
 BUILTIN = (TransformKind.AVERAGING, TransformKind.SPARSE_ELIM, TransformKind.JORDAN_DIFF)
 
@@ -298,7 +307,115 @@ class TestStationaryDense:
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(31)
         g, params, H, p, Gt, _ = dense_setup(rng)
+        Gt_before = Gt.copy()
         pi = stationary_dense(Gt)
+        assert np.array_equal(Gt, Gt_before)  # only its own copy is factored in place
         pi_oracle = oracles.stationary(Gt)
         assert np.abs(pi - pi_oracle).max() <= 1e-12
         assert np.abs(pi @ Gt - pi).max() <= 1e-12
+
+
+class TestLuSlogdet:
+    @pytest.mark.parametrize("n", [1, 2, 50, 300])
+    def test_matches_numpy_slogdet(self, n):
+        rng = np.random.default_rng(60 + n)
+        cases = [rng.standard_normal((n, n)) for _ in range(6)]
+        cases += [A[::-1].copy() for A in cases[:3]]  # rows reversed
+        cases.append(np.diag(-np.arange(1.0, n + 1)))  # det (-1)^n n!, no interchange
+        seen = set()
+        for A in cases:
+            ref_sign, ref_ld = np.linalg.slogdet(A)
+            odd = np.count_nonzero(scipy.linalg.lu_factor(A)[1] != np.arange(n)) % 2
+            seen.add((ref_sign, odd))
+            sign, ld = _slogdet(A.copy())
+            assert sign == ref_sign
+            assert abs(ld - ref_ld) <= 1e-12 * max(1.0, abs(ref_ld))
+        assert -1.0 in {sign for sign, _ in seen}
+        assert n == 1 or 1 in {odd for _, odd in seen}
+
+    @pytest.mark.parametrize("A", [
+        np.zeros((1, 1)),
+        np.zeros((3, 3)),
+        np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+    ])
+    def test_singular_gives_zero_sign_and_minus_inf(self, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sign, ld = _slogdet(A.copy())
+        assert sign == 0.0 and ld == -np.inf
+        assert np.linalg.slogdet(A)[0] == 0.0
+
+
+def layouts(M):
+    """M as a C-order array, a Fortran-order array and a strided view."""
+    big = np.zeros(tuple(2 * d + 3 for d in M.shape))
+    view = big[tuple(slice(1, 1 + 2 * d, 2) for d in M.shape)]
+    view[...] = M
+    return {"C": np.ascontiguousarray(M), "F": np.asfortranarray(M), "view": view}
+
+
+class TestBlasProduct:
+    @pytest.mark.parametrize("la", ["C", "F", "view"])
+    @pytest.mark.parametrize("lb", ["C", "F", "view"])
+    @pytest.mark.parametrize("shapes", [((7, 5), (5, 9)), ((7, 5), (5,)), ((5,), (5, 9)),
+                                        ((1, 1), (1, 4)), ((6, 1), (1,))])
+    def test_matches_numpy_matmul(self, la, lb, shapes):
+        rng = np.random.default_rng(70)
+        a, b = (rng.standard_normal(shape) for shape in shapes)
+        a, b = layouts(a)[la], layouts(b)[lb]
+        got = _dot(a, b)
+        ref = a @ b
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_blocks_of_a_permuted_google_matrix(self):
+        rng = np.random.default_rng(71)
+        _, _, _, p, Gt, _ = dense_setup(rng, n_max=60)
+        k = p.k
+        x = rng.random(Gt.shape[0])
+        for a, b in [(Gt[k:, :k], Gt[:k, k:]), (Gt[:k, k:], Gt[k:]), (x[:k], Gt[:k, k:]),
+                     (Gt[:k, k:], x[k:]), (x[k:], Gt[k:, :k])]:
+            ref = a @ b
+            assert np.abs(_dot(a, b) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def numpy_blas_uses(tree):
+    """Source text of every numpy matrix product or numpy.linalg use in tree
+    (raising or catching np.linalg.LinAlgError is allowed)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr == "dot"
+                or (isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and node.func.attr in ("matmul", "vdot", "inner", "tensordot", "einsum"))):
+            found.append(node)
+        elif (isinstance(node, ast.Attribute) and node.attr != "LinAlgError"
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+              and isinstance(node.value.value, ast.Name) and node.value.value.id == "np"):
+            found.append(node)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found.append(node)
+    return [ast.unparse(node) for node in found]
+
+
+class TestOneBlasLibrary:
+    """numpy and scipy each load their own OpenBLAS; ``verify`` must call only
+    scipy's, so neither thread pool spins while the other one works."""
+
+    def test_guard_flags_numpy_products_and_linalg(self):
+        tree = ast.parse("x = a @ b\nx @= b\ny = np.linalg.solve(a, b)\nz = a.dot(b)\n"
+                         "w = np.matmul(a, b)\nfrom numpy.linalg import det\n"
+                         "raise np.linalg.LinAlgError('singular')\n")
+        assert len(numpy_blas_uses(tree)) == 6
+
+    @pytest.mark.parametrize("where", ["transforms.py", "decomposition.py", "cli.cmd_verify"])
+    def test_dense_lab_calls_no_numpy_blas(self, where):
+        if where == "cli.cmd_verify":
+            source = inspect.getsource(lumprank.cli.cmd_verify)
+        else:
+            module = lumprank.transforms if where == "transforms.py" else lumprank.decomposition
+            source = inspect.getsource(module)
+        assert numpy_blas_uses(ast.parse(source)) == []
