@@ -33,7 +33,7 @@ from .lumping import (
 # (PEP 562), so importing the package or running the sparse solver loads
 # numpy only.
 _LAB = {
-    "decomposition": ("LduFactors", "ldu_factors", "stochastic_complement",
+    "decomposition": ("LduFactors", "ldu_factors", "run_checks", "stochastic_complement",
                       "verify_coupled_stationarity"),
     "transforms": ("CheckReport", "TransformKind", "build_dense_google",
                    "build_dense_lumped", "build_transform", "check_lumpable",
@@ -82,6 +82,7 @@ __all__ = [
     "power_method",
     "probability_vector",
     "recover_pagerank",
+    "run_checks",
     "similarity_transform",
     "solve_lumped",
     "stationary_dense",

@@ -16,7 +16,7 @@ from .graph import (
     parse_edge_list,
     uniform_vector,
 )
-from .lumping import detect_dangling, full_operator, permute_blocks, power_method, solve_lumped
+from .lumping import full_operator, power_method, solve_lumped
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -131,18 +131,15 @@ def _ranking_rows(labels: np.ndarray, scores: np.ndarray, top: int | None) -> st
 def cmd_compare(cfg) -> int:
     g = _load_graph(cfg.graph_path)
     params = _load_params(cfg, g.n)
-    H = build_hyperlink_matrix(g)
-    p = detect_dangling(H)
-    n, k = g.n, p.k
+    t0 = time.perf_counter()
+    rep = solve_lumped(g, params)
+    lumped_time = time.perf_counter() - t0
+    n, k = rep.n, rep.k
     print(f"# n={n} k={k} dangling={n - k} alpha={params.alpha:g} tol={params.tol:g}")
     if k == n:
         print("no dangling nodes; lumped path = full path")
 
-    t0 = time.perf_counter()
-    rep = solve_lumped(g, params)
-    lumped_time = time.perf_counter() - t0
-
-    op = full_operator(H, params)
+    op = full_operator(build_hyperlink_matrix(g), params)
     t0 = time.perf_counter()
     pi_full, full_iters, _, full_conv = power_method(op, uniform_vector(n), params.tol,
                                                      params.max_iter, alpha=params.alpha)
@@ -161,117 +158,24 @@ def cmd_compare(cfg) -> int:
 
 def cmd_verify(cfg) -> int:
     # the dense lab, and scipy with it, loads only for the command that uses it
-    from .decomposition import (
-        _block_split,
-        _checked_complement,
-        _coupled_stationarity,
-        _ldu_deviation,
-    )
-    from .transforms import (
-        _BUILTIN_KINDS,
-        DENSE_LIMIT_DEFAULT,
-        _conjugate,
-        _lu,
-        _spectrum_check,
-        _transform_condition,
-        build_dense_google,
-        build_dense_lumped,
-        build_transform,
-        check_lumpable,
-        stationary_dense,
-    )
+    from .decomposition import run_checks
+    from .transforms import DENSE_LIMIT_DEFAULT
 
+    if cfg.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {cfg.seed}")
     dense_limit = DENSE_LIMIT_DEFAULT if cfg.dense_limit is None else cfg.dense_limit
     g = _load_graph(cfg.graph_path)
     if g.n > dense_limit:
-        print(f"lumprank: n={g.n} exceeds dense limit {dense_limit}",
-              file=sys.stderr)
+        print(f"lumprank: n={g.n} exceeds dense limit {dense_limit}", file=sys.stderr)
         return EXIT_DENSE_LIMIT
     params = _load_params(cfg, g.n)
-    H = build_hyperlink_matrix(g)
-    p = detect_dangling(H)
-    n, k = g.n, p.k
-    m = n - k
-    Gt = build_dense_google(g, params, p, dense_limit=dense_limit)
-
-    failures = 0
-
-    def emit(name: str, passed: bool, dev: float, note: str = ""):
-        nonlocal failures
-        if not passed:
-            failures += 1
-        suffix = f"  ({note})" if note else ""
-        print(f"{'PASS' if passed else 'FAIL'} {name} max_dev={dev:.3e}{suffix}")
-
-    def skip(name: str, why: str):
-        print(f"SKIP {name}  ({why})")
-
-    print(f"# n={n} k={k} dangling={m} alpha={params.alpha:g} seed={cfg.seed}")
-
-    # each dense factorization and determinant is computed once; the
-    # negative controls reuse them with only the corrupted input recomputed
-    spectrum = split = None
-    if m == 0:
-        for kind in _BUILTIN_KINDS:
-            skip(f"transform_condition[{kind.value}]", "no dangling nodes; nothing to lump")
-        skip("spectrum_identity", "no dangling nodes")
-    else:
-        b = permute_blocks(H, p, params)
-        G1_direct = build_dense_lumped(b)
-        for kind in _BUILTIN_KINDS:
-            L = build_transform(kind, m)
-            lu_piv = _lu(L)  # shared by the condition check and the conjugation
-            rep = _transform_condition(L, lu_piv, tol=1e-12)
-            emit(f"transform_condition[{kind.value}]", rep.passed,
-                 rep.max_abs_deviation, rep.detail if not rep.passed else "")
-            full, G1, _ = _conjugate(Gt, L, k, lu_piv)
-            bottom = full[k + 1:, :]
-            dev_tri = float(np.abs(bottom).max()) if bottom.size else 0.0
-            del full, bottom, lu_piv  # freed before the next n x n products
-            note = "degenerate order-1 transform" if m == 1 else ""
-            emit(f"block_triangular[{kind.value}]", dev_tri <= 1e-11, dev_tri, note)
-            dev_g1 = float(np.abs(G1 - G1_direct).max())
-            emit(f"lumped_block_formula[{kind.value}]", dev_g1 <= 1e-12, dev_g1)
-        spectrum = _spectrum_check(Gt, k, cfg.seed)
-        rep = spectrum(G1_direct, tol=1e-8)
-        emit("spectrum_identity", rep.passed, rep.max_abs_deviation, rep.detail)
-
-    if 1 <= k <= n - 1:
-        rep = check_lumpable(Gt, [k], tol=1e-10, blocks=[(1, 0)])
-        emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
-
-        split = _block_split(Gt, k)
-        dev_ldu = _ldu_deviation(split)
-        emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
-
-        S = _checked_complement(split)
-        dev_rows = max(float(np.abs(S.sum(axis=1) - 1.0).max()),
-                       float(max(-S.min(), 0.0)))
-        emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
-
-        pi_t = stationary_dense(Gt)
-        rep = _coupled_stationarity(split, pi_t, tol=1e-8)
-        emit("coupled_stationarity", rep.passed, rep.max_abs_deviation, rep.detail)
-    else:
-        skip("lumpable_dangling_to_nondangling", "partition has an empty block")
-        skip("decomposition_checks", "split needs both nondangling and dangling nodes")
-
-    if cfg.negative_control:
-        if spectrum is not None:
-            bad = G1_direct.copy()
-            bad[0, 0] += 0.1
-            rep = spectrum(bad, tol=1e-8)
-            emit("negative_control[corrupted_lumped_block]", rep.passed,
-                 rep.max_abs_deviation, "expected FAIL")
-        if split is not None:
-            bad_pi = pi_t.copy()
-            bad_pi[0] += 1e-3
-            bad_pi /= bad_pi.sum()
-            rep = _coupled_stationarity(split, bad_pi, tol=1e-6)
-            emit("negative_control[perturbed_stationary]", rep.passed,
-                 rep.max_abs_deviation, "expected FAIL")
-
-    return EXIT_OK if failures == 0 else 1
+    k = int(np.count_nonzero(np.diff(g.indptr)))  # nodes with out-links
+    print(f"# n={g.n} k={k} dangling={g.n - k} alpha={params.alpha:g} seed={cfg.seed}")
+    rows = run_checks(g, params, cfg.seed, cfg.negative_control, dense_limit)
+    for status, name, dev, note in rows:
+        dev_text = "" if dev is None else f" max_dev={dev:.3e}"
+        print(f"{status} {name}{dev_text}" + (f"  ({note})" if note else ""))
+    return EXIT_OK if all(row[0] != "FAIL" for row in rows) else 1
 
 
 def generate_edge_list(nodes: int, dangling_frac: float, avg_degree: int,
@@ -298,6 +202,8 @@ def generate_edge_list(nodes: int, dangling_frac: float, avg_degree: int,
 
 
 def cmd_gen(cfg) -> int:
+    if cfg.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {cfg.seed}")
     sys.stdout.write(generate_edge_list(cfg.nodes, cfg.dangling_frac,
                                         cfg.avg_degree, cfg.seed))
     return EXIT_OK

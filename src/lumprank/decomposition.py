@@ -1,6 +1,6 @@
 """Block LDU factorization of I - G~, the stochastic complement of the
-dangling block, and the coupled stationarity identities linking the two block
-rankings."""
+dangling block, the coupled stationarity identities linking the two block
+rankings, and :func:`run_checks`, the check sequence of ``lumprank verify``."""
 
 from __future__ import annotations
 
@@ -10,7 +10,24 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg
 
-from .transforms import CheckReport, _dot, _lu_with_pivot_check
+from .graph import PageRankParams, WebGraph, build_hyperlink_matrix
+from .lumping import detect_dangling, permute_blocks
+from .transforms import (
+    DENSE_LIMIT_DEFAULT,
+    CheckReport,
+    TransformKind,
+    _conjugate,
+    _dot,
+    _lu,
+    _lu_with_pivot_check,
+    _spectrum_check,
+    _transform_condition,
+    build_dense_google,
+    build_dense_lumped,
+    build_transform,
+    check_lumpable,
+    stationary_dense,
+)
 
 
 @dataclass(frozen=True)
@@ -173,3 +190,92 @@ def verify_coupled_stationarity(pi_tilde: np.ndarray, Gt: np.ndarray, k: int,
     trailing block has a row sum at 1 within 1e-12.
     """
     return _coupled_stationarity(_block_split(Gt, k), pi_tilde, tol)
+
+
+def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
+               negative_control: bool = False,
+               dense_limit: int = DENSE_LIMIT_DEFAULT) -> list[tuple]:
+    """Every dense lab check of ``lumprank verify``, in its output order.
+
+    Returns ``(status, name, max_dev, note)`` rows: status is PASS, FAIL or
+    SKIP, and a SKIP row holds None as max_dev and its reason as the note.
+    This function owns the order of the checks, their thresholds and the
+    negative controls (corrupted inputs that must FAIL), which
+    ``negative_control`` appends.  ``seed`` draws the spectrum identity's
+    sample points.  Each dense factorization and determinant is computed
+    once; the negative controls reuse them with only the corrupted input
+    recomputed.
+    """
+    H = build_hyperlink_matrix(g)
+    p = detect_dangling(H)
+    n, k = g.n, p.k
+    m = n - k
+    Gt = build_dense_google(g, params, p, dense_limit=dense_limit)
+    rows = []
+
+    def emit(name: str, passed: bool, dev: float, note: str = ""):
+        rows.append(("PASS" if passed else "FAIL", name, dev, note))
+
+    def skip(name: str, why: str):
+        rows.append(("SKIP", name, None, why))
+
+    spectrum = split = None
+    if m == 0:
+        for kind in TransformKind:
+            skip(f"transform_condition[{kind.value}]", "no dangling nodes; nothing to lump")
+        skip("spectrum_identity", "no dangling nodes")
+    else:
+        G1_direct = build_dense_lumped(permute_blocks(H, p, params))
+        for kind in TransformKind:
+            L = build_transform(kind, m)
+            lu_piv = _lu(L)  # shared by the condition check and the conjugation
+            rep = _transform_condition(L, lu_piv, tol=1e-12)
+            emit(f"transform_condition[{kind.value}]", rep.passed,
+                 rep.max_abs_deviation, rep.detail if not rep.passed else "")
+            full, G1, _ = _conjugate(Gt, L, k, lu_piv)
+            bottom = full[k + 1:, :]
+            dev_tri = float(np.abs(bottom).max()) if bottom.size else 0.0
+            del full, bottom, lu_piv  # freed before the next n x n products
+            note = "degenerate order-1 transform" if m == 1 else ""
+            emit(f"block_triangular[{kind.value}]", dev_tri <= 1e-11, dev_tri, note)
+            dev_g1 = float(np.abs(G1 - G1_direct).max())
+            emit(f"lumped_block_formula[{kind.value}]", dev_g1 <= 1e-12, dev_g1)
+        spectrum = _spectrum_check(Gt, k, seed)
+        rep = spectrum(G1_direct, tol=1e-8)
+        emit("spectrum_identity", rep.passed, rep.max_abs_deviation, rep.detail)
+
+    if 1 <= k <= n - 1:
+        rep = check_lumpable(Gt, [k], tol=1e-10, blocks=[(1, 0)])
+        emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
+
+        split = _block_split(Gt, k)
+        dev_ldu = _ldu_deviation(split)
+        emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
+
+        S = _checked_complement(split)
+        dev_rows = max(float(np.abs(S.sum(axis=1) - 1.0).max()),
+                       float(max(-S.min(), 0.0)))
+        emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
+
+        pi_t = stationary_dense(Gt)
+        rep = _coupled_stationarity(split, pi_t, tol=1e-8)
+        emit("coupled_stationarity", rep.passed, rep.max_abs_deviation, rep.detail)
+    else:
+        skip("lumpable_dangling_to_nondangling", "partition has an empty block")
+        skip("decomposition_checks", "split needs both nondangling and dangling nodes")
+
+    if negative_control:
+        if spectrum is not None:
+            bad = G1_direct.copy()
+            bad[0, 0] += 0.1
+            rep = spectrum(bad, tol=1e-8)
+            emit("negative_control[corrupted_lumped_block]", rep.passed,
+                 rep.max_abs_deviation, "expected FAIL")
+        if split is not None:
+            bad_pi = pi_t.copy()
+            bad_pi[0] += 1e-3
+            bad_pi /= bad_pi.sum()
+            rep = _coupled_stationarity(split, bad_pi, tol=1e-6)
+            emit("negative_control[perturbed_stationary]", rep.passed,
+                 rep.max_abs_deviation, "expected FAIL")
+    return rows

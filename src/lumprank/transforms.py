@@ -25,16 +25,11 @@ _PIVOT_RTOL = 1e-10
 
 
 class TransformKind(Enum):
-    """Built-in families of order-m matrices with L @ ones = e1."""
+    """Families of order-m matrices with L @ ones = e1."""
 
     AVERAGING = "averaging"      # dense rows: identity minus rank-one averaging
     SPARSE_ELIM = "sparse-elim"  # subtract row 1 from the rest; lower triangular
     JORDAN_DIFF = "jordan-diff"  # identity minus a lower Jordan block, bidiagonal
-    CUSTOM = "custom"
-
-
-_BUILTIN_KINDS = (TransformKind.AVERAGING, TransformKind.SPARSE_ELIM,
-                  TransformKind.JORDAN_DIFF)
 
 
 @dataclass(frozen=True)
@@ -46,25 +41,15 @@ class CheckReport:
     detail: str = ""
 
 
-def build_transform(kind: TransformKind, m: int,
-                    custom: np.ndarray | None = None) -> np.ndarray:
+def build_transform(kind: TransformKind, m: int) -> np.ndarray:
     """Build the m-by-m transform of the chosen family.
 
-    Every built-in kind is invertible, maps the all-ones vector to the first
-    coordinate vector, and collapses to [[1]] for m == 1.  CUSTOM passes the
-    caller's square matrix through unchecked (verify it separately).
+    Every kind is invertible, maps the all-ones vector to the first
+    coordinate vector, and collapses to [[1]] for m == 1.  Any other matrix
+    L can be passed to the lab functions directly.
     """
     if m < 1:
         raise ValueError(f"transform order must be >= 1, got {m}")
-    if kind is TransformKind.CUSTOM:
-        if custom is None:
-            raise ValueError("CUSTOM kind requires the custom matrix")
-        L = np.array(custom, dtype=np.float64)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise ValueError(f"custom transform must be square, got shape {L.shape}")
-        if L.shape[0] != m:
-            raise ValueError(f"custom transform has order {L.shape[0]}, expected {m}")
-        return L
     L = np.eye(m)
     if kind is TransformKind.AVERAGING:
         L[1:, :] = -1.0 / m

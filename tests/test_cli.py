@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -16,6 +17,7 @@ import oracles
 from lumprank import (
     PageRankParams,
     SolveReport,
+    TransformKind,
     build_dense_google,
     build_dense_lumped,
     build_hyperlink_matrix,
@@ -35,7 +37,7 @@ from lumprank import (
     verify_transform_condition,
 )
 from lumprank.cli import generate_edge_list, main
-from lumprank.transforms import _BUILTIN_KINDS
+from lumprank.decomposition import run_checks
 
 TRI_TEXT = "1 2\n1 3\n2 1\n"
 
@@ -417,6 +419,27 @@ class TestVerify:
         assert code == 0
         assert "SKIP" in out and "FAIL" not in out
 
+    def test_run_checks_skip_rows_hold_the_reason(self):
+        g = parse_edge_list("0 1\n1 0\n")
+        rows = run_checks(g, PageRankParams.uniform(g.n), negative_control=True)
+        assert [status for status, _, _, _ in rows] == ["SKIP"] * 6
+        assert all(dev is None and note for _, _, dev, note in rows)
+
+    def test_negative_seed_exits_1(self, capsys, tri_file):
+        code, out, err = run(capsys, "verify", tri_file, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--seed must be at least 0, got -1" in err
+
+    def test_cli_imports_no_private_lab_name(self):
+        # the check sequence lives in decomposition.run_checks, not in the CLI
+        tree = ast.parse(Path(lumprank.cli.__file__).read_text(encoding="utf-8"))
+        private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[-1] in ("transforms", "decomposition")
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
+
 
 LINE = re.compile(r"(PASS|FAIL|SKIP) (\S+)(?: max_dev=(\S+))?(?:  \((.*)\))?$")
 
@@ -435,7 +458,7 @@ def public_path_checks(g, params, seed):
         out.append(("PASS" if passed else "FAIL", name, dev, note))
 
     G1_direct = build_dense_lumped(permute_blocks(H, p, params))
-    for kind in _BUILTIN_KINDS:
+    for kind in TransformKind:
         L = build_transform(kind, n - k)
         rep = verify_transform_condition(L, tol=1e-12)
         emit(f"transform_condition[{kind.value}]", rep.passed, rep.max_abs_deviation)
@@ -517,6 +540,13 @@ class TestVerifyDifferential:
         if on_dangling:
             assert "dangling from nondangling skipped" in out
 
+        # the lab entry point itself, compared on the unrounded deviations
+        rows = run_checks(g, params, seed, negative_control=True)
+        assert ([(s, name, note) for s, name, _, note in rows]
+                == [(s, name, note) for s, name, _, note in expected])
+        for (_, name, dev, _), (_, _, ref_dev, _) in zip(rows, expected):
+            assert abs(dev - ref_dev) <= 1e-12, name
+
     # the factor blocks, and the blocks of G~ that only one block of the
     # blockwise check compares against
     @pytest.mark.parametrize("block", ["Y", "Z", "D11", "S", "G12", "G21"])
@@ -566,6 +596,13 @@ class TestGen:
                            "--seed", "1")
         sources = {line.split()[0] for line in out.strip().splitlines()}
         assert sources == {str(i) for i in range(30)}
+
+    def test_negative_seed_exits_1(self, capsys):
+        code, out, err = run(capsys, "gen", "--nodes", "10", "--dangling-frac", "0.5",
+                             "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--seed must be at least 0, got -1" in err
 
     def test_invalid_fraction_exits_1(self, capsys):
         code, _, err = run(capsys, "gen", "--nodes", "10", "--dangling-frac", "1.5")

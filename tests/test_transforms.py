@@ -73,17 +73,6 @@ class TestBuildTransform:
     def test_order_1_collapses_to_identity(self, kind):
         assert build_transform(kind, 1).tolist() == [[1.0]]
 
-    def test_custom_passthrough_and_validation(self):
-        M = np.array([[1.0, 0.0], [-1.0, 1.0]])
-        out = build_transform(TransformKind.CUSTOM, 2, custom=M)
-        assert np.array_equal(out, M)
-        with pytest.raises(ValueError, match="square"):
-            build_transform(TransformKind.CUSTOM, 2, custom=np.ones((2, 3)))
-        with pytest.raises(ValueError, match="order"):
-            build_transform(TransformKind.CUSTOM, 3, custom=M)
-        with pytest.raises(ValueError, match="requires"):
-            build_transform(TransformKind.CUSTOM, 2)
-
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
             build_transform(TransformKind.AVERAGING, 0)
