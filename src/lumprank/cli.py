@@ -111,15 +111,26 @@ def _ranking_rows(labels: np.ndarray, scores: np.ndarray, top: int | None) -> st
     """The ``label<TAB>score<TAB>rank`` rows of ``rank``, best ``top`` first.
 
     Rows sort on the printed 12-digit score, descending, so ties mean ties in
-    the output, and then on the label, ascending.  Each distinct score is
-    formatted once, and all rows are formatted by one ``%`` call.
+    the output, and then on the label, ascending.  The distinct scores are
+    formatted by one ``%`` call.  Equal neighbouring strings among them (in
+    ascending score order) form one printed group; each row's sort key,
+    ``(groups above its own) * n + (its label's position in label order)``,
+    is a distinct int64, so one plain ``argsort`` gives the row order.  All
+    rows are formatted by one more ``%`` call.
     """
     # np.unique merges -0.0 with 0.0, which print differently; a PageRank
     # vector is nonnegative, and the solver never yields -0.0
     assert not np.signbit(scores).any()
+    n = labels.size
     uniq, inverse = np.unique(scores, return_inverse=True)
-    text = np.array([f"{s:.12g}" for s in uniq.tolist()], dtype=object)
-    order = np.lexsort((labels, -text.astype(np.float64)[inverse]))[:top]
+    text = np.array((("%.12g\n" * uniq.size) % tuple(uniq.tolist())).split("\n")[:-1],
+                    dtype=object)
+    # rounding is monotone, so the printed groups ascend with uniq
+    group = np.zeros(uniq.size, dtype=np.int64)
+    np.cumsum(text[1:] != text[:-1], out=group[1:])
+    label_rank = np.empty(n, dtype=np.int64)
+    label_rank[np.argsort(labels)] = np.arange(n)
+    order = np.argsort((group[-1] - group)[inverse] * n + label_rank)[:top]
     m = order.size
     cells = [None] * (3 * m)
     cells[0::3] = labels[order].tolist()

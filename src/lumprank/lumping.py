@@ -149,9 +149,23 @@ def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition,
     starts = np.flatnonzero(np.diff(rows12, prepend=-1))
     r12 = np.zeros(k)
     r12[rows12[starts]] = np.add.reduceat(data12, starts)
-    A = CooMatrix(rows=np.concatenate([prow[in11], np.arange(k)]),
-                  cols=np.concatenate([pcol[in11], np.full(k, k)]),
-                  data=np.concatenate([H.data[in11], r12]), shape=(k, k + 1))
+    # A in row order: each row's H11 entries, then its H12 e entry.  Stored
+    # after all of H11, the k column-k terms form one serial add chain in
+    # bincount's bin k; interleaved, they overlap with the other bins' adds.
+    # Every bin still sums its terms in the same order, so rmatvec is
+    # bitwise unchanged.
+    rows11 = prow[in11]
+    per_row = np.bincount(rows11, minlength=k) + 1
+    ends = np.cumsum(per_row) - 1  # position of each row's H12 e entry
+    # H11 entry t follows t H11 entries and one H12 e entry per earlier row
+    pos11 = rows11 + np.arange(in11.size)
+    cols = np.full(in11.size + k, k)
+    cols[pos11] = pcol[in11]
+    data = np.empty(in11.size + k)
+    data[pos11] = H.data[in11]
+    data[ends] = r12
+    A = CooMatrix(rows=np.repeat(np.arange(k), per_row), cols=cols, data=data,
+                  shape=(k, k + 1))
     alpha = params.alpha
     nd, dg = p.perm[:k], p.perm[k:]
     v1, v2 = params.v[nd], params.v[dg]

@@ -71,6 +71,36 @@ def assert_rows_match(capsys, path, labels, scores, *argv, tops=(None, 0, 1)):
         assert body == row_by_row(labels, scores, top)
 
 
+def rank_fixed_scores(monkeypatch, path, text, scores):
+    """Write the edge list ``text`` to ``path`` and make ``rank`` print
+    ``scores`` (in internal node order) in place of solving; returns the
+    parsed graph."""
+    path.write_text(text)
+
+    def fake_solve(g, params):
+        return SolveReport(iterations=1, residual=0.0, converged=True,
+                           pagerank=scores, k=g.n, n=g.n, timings={})
+
+    monkeypatch.setattr(lumprank.cli, "solve_lumped", fake_solve)
+    return parse_edge_list(text)
+
+
+LABEL_MAX = 2**63 - 1
+_SAME_LABELS = np.random.default_rng(6).permutation(1000)[:30].tolist()
+# (edge list, scores in internal node order, labels in the expected row order)
+FIXED_SCORE_CASES = {
+    # the extreme labels share a printed score, 2**63 - 1 with the larger raw one
+    "labels_0_and_int64_max_tie": (
+        f"{LABEL_MAX} 5\n5 {LABEL_MAX - 1}\n0 {LABEL_MAX - 1}\n",
+        [0.25 * (1 + 3e-15), 0.125, 0.25, 0.375], [0, LABEL_MAX - 1, LABEL_MAX, 5]),
+    # distinct raw scores, rising with the index, that all print the same
+    "every_score_prints_the_same": (
+        "".join(f"{a} {b}\n" for a, b in zip(_SAME_LABELS, _SAME_LABELS[1:] + _SAME_LABELS[:1])),
+        [(1.0 + i * 1e-15) / 30 for i in range(30)], sorted(_SAME_LABELS)),
+    "one_node": ("7 7\n", [1.0], [7]),
+}
+
+
 @pytest.fixture
 def tri_file(tmp_path):
     path = tmp_path / "tri.txt"
@@ -177,23 +207,32 @@ class TestRank:
         # first, while ties on the printed value put the smaller one first
         n = 40
         path = tmp_path / "g.txt"
-        path.write_text("".join(f"{100 - 2 * i} {99 - 2 * i}\n" for i in range(n // 2)))
         i = np.arange(n)
         scores = np.where(i % 2 == 0, 0.03, 0.02) * (1.0 + (n - i) * 1e-14)
-
-        def fake_solve(g, params):
-            return SolveReport(iterations=1, residual=0.0, converged=True,
-                               pagerank=scores, k=n // 2, n=n, timings={})
-
-        monkeypatch.setattr(lumprank.cli, "solve_lumped", fake_solve)
-        g = parse_edge_list(path.read_text())
+        g = rank_fixed_scores(
+            monkeypatch, path,
+            "".join(f"{100 - 2 * i} {99 - 2 * i}\n" for i in range(n // 2)), scores)
         assert g.labels.tolist() == list(range(100, 100 - n, -1))
         assert np.unique(scores).size == n
-        assert_rows_match(capsys, path, g.labels, scores)
+        # --top 7 cuts inside the 0.03 group, --top 25 inside the 0.02 group
+        assert_rows_match(capsys, path, g.labels, scores, tops=(None, 0, 1, 7, 25))
         _, out, _ = run(capsys, "rank", str(path))
         rows = [line.split("\t") for line in out.splitlines()[1:]]
         assert {r[1] for r in rows} == {"0.03", "0.02"}
         assert [r[0] for r in rows[:3]] == ["62", "64", "66"]
+
+    @pytest.mark.parametrize("case", FIXED_SCORE_CASES)
+    def test_fixed_scores_match_row_by_row(self, capsys, monkeypatch, tmp_path, case):
+        text, scores, expected = FIXED_SCORE_CASES[case]
+        scores = np.array(scores)
+        path = tmp_path / "g.txt"
+        g = rank_fixed_scores(monkeypatch, path, text, scores)
+        assert np.unique(scores).size == g.n
+        # on the multi-node cases, --top 2 and n // 2 cut inside a group of
+        # equal printed scores
+        assert_rows_match(capsys, path, g.labels, scores, tops=(None, 0, 1, 2, g.n // 2))
+        _, out, _ = run(capsys, "rank", str(path))
+        assert [int(line.split("\t")[0]) for line in out.splitlines()[1:]] == expected
 
     def test_zero_weights_give_exact_zero_scores(self, capsys, tmp_path):
         # a node without in-links whose v and w entries are 0 scores exactly 0

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from lumprank import (
+    CooMatrix,
     PageRankParams,
     build_hyperlink_matrix,
     detect_dangling,
@@ -18,6 +19,7 @@ from lumprank import (
     uniform_vector,
     unpermute,
 )
+from lumprank.cli import generate_edge_list
 
 # 3-node micro-instance: internal 0 -> {1,2}, 1 -> {0}, 2 dangling.
 TRI_EDGES = {0: {1, 2}, 1: {0}}
@@ -103,6 +105,32 @@ class TestPermuteBlocks:
         assert b.A.rows.size == 2 + 2  # H11 holds 0 -> 1 and 1 -> 0
         assert b.A.toarray().tolist() == [[0.0, 0.25, 0.75], [0.5, 0.0, 0.5]]
         assert b.H12.rows.size == 4
+
+    def test_row_ordered_layout_sums_like_concatenated(self):
+        # A stores each row's H12 e entry right after that row's H11 entries;
+        # every bin of x^T A still adds its terms in the order of the layout
+        # with all H12 e entries after H11, so the products are bitwise equal
+        rng = np.random.default_rng(9)
+        cases = [random_case(rng)[0] for _ in range(10)]
+        cases.append(parse_edge_list(generate_edge_list(3000, 0.5, 8, seed=9)))
+        for g in cases:
+            H = build_hyperlink_matrix(g)
+            p = detect_dangling(H)
+            b = permute_blocks(H, p, PageRankParams.uniform(g.n))
+            k = p.k
+            last = np.cumsum(np.bincount(b.A.rows, minlength=k)) - 1
+            assert np.all(np.diff(b.A.rows) >= 0)
+            assert np.flatnonzero(b.A.cols == k).tolist() == last.tolist()
+            prow, pcol = p.inv_perm[H.row_index()], p.inv_perm[H.indices]
+            in11 = pcol < k
+            concatenated = CooMatrix(
+                rows=np.concatenate([prow[in11], np.arange(k)]),
+                cols=np.concatenate([pcol[in11], np.full(k, k)]),
+                data=np.concatenate([H.data[in11], b.A.toarray()[:, k]]),
+                shape=(k, k + 1))
+            for _ in range(3):
+                x = rng.random(k)
+                assert np.array_equal(b.A.rmatvec(x), concatenated.rmatvec(x))
 
     def test_block_invariants_random(self):
         rng = np.random.default_rng(2)
