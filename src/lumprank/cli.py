@@ -147,8 +147,6 @@ def cmd_compare(cfg) -> int:
     lumped_time = time.perf_counter() - t0
     n, k = rep.n, rep.k
     print(f"# n={n} k={k} dangling={n - k} alpha={params.alpha:g} tol={params.tol:g}")
-    if k == n:
-        print("no dangling nodes; lumped path = full path")
 
     op = full_operator(build_hyperlink_matrix(g), params)
     t0 = time.perf_counter()
@@ -157,12 +155,11 @@ def cmd_compare(cfg) -> int:
     full_time = time.perf_counter() - t0
 
     # both per_iter figures cover the power loop alone; time= keeps the whole solve
-    lumped_per = (f"{rep.timings['loop'] / rep.iterations:.3e}s" if rep.iterations
-                  else "n/a (closed form)")
-    full_per = f"{full_time / full_iters:.3e}s" if full_iters else "n/a"
     diff = float(np.abs(rep.pagerank - pi_full).sum())
-    print(f"lumped: iters={rep.iterations} time={lumped_time:.6f}s per_iter={lumped_per}")
-    print(f"full:   iters={full_iters} time={full_time:.6f}s per_iter={full_per}")
+    print(f"lumped: iters={rep.iterations} time={lumped_time:.6f}s "
+          f"per_iter={rep.timings['loop'] / rep.iterations:.3e}s")
+    print(f"full:   iters={full_iters} time={full_time:.6f}s "
+          f"per_iter={full_time / full_iters:.3e}s")
     print(f"l1_diff={diff:.6e}")
     return EXIT_OK if (rep.converged and full_conv) else EXIT_NOT_CONVERGED
 
@@ -175,6 +172,8 @@ def cmd_verify(cfg) -> int:
     if cfg.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {cfg.seed}")
     dense_limit = DENSE_LIMIT_DEFAULT if cfg.dense_limit is None else cfg.dense_limit
+    if dense_limit < 1:
+        raise ValueError(f"--dense-limit must be at least 1, got {dense_limit}")
     g = _load_graph(cfg.graph_path)
     if g.n > dense_limit:
         print(f"lumprank: n={g.n} exceeds dense limit {dense_limit}", file=sys.stderr)
@@ -226,8 +225,9 @@ def main(argv=None) -> int:
                 "verify": cmd_verify, "gen": cmd_gen}
     try:
         return handlers[cfg.command](cfg)
-    except (OSError, ValueError, FloatingPointError) as exc:
-        print(f"lumprank: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
+        # MemoryError() raised by the interpreter carries no message
+        print(f"lumprank: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -102,7 +102,7 @@ class SolveReport:
 
     ``timings`` holds the wall seconds of each stage of :func:`solve_lumped`:
     hyperlink (matrix build), partition, blocks, loop (power iteration) and
-    recover (expansion to all n nodes); a stage the solve skipped reads 0.
+    recover (expansion to all n nodes).
     """
 
     iterations: int
@@ -319,33 +319,20 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     """Full pipeline: hyperlink matrix, partition, lumped power iteration,
     recovery, un-permutation.
 
-    Degenerate cases: with no dangling nodes there is nothing to lump and the
-    full chain is iterated directly; with no nondangling nodes the chain is
-    rank one and u = alpha*w + (1-alpha)*v is returned in closed form.
+    Every graph runs the (k+1)-order chain.  With no dangling nodes the lumped
+    state gets no inflow and drains after one step; with no nondangling nodes
+    the chain is that one state, whose recovery is u = alpha*w + (1-alpha)*v.
     """
-    timings = dict.fromkeys(("hyperlink", "partition", "blocks", "loop", "recover"), 0.0)
+    timings = {}
     with _stage(timings, "hyperlink"):
         H = build_hyperlink_matrix(g)
     with _stage(timings, "partition"):
         p = detect_dangling(H)
-    n, k = H.n, p.k
-    if k == n:
-        op = full_operator(H, params)
-        with _stage(timings, "loop"):
-            pi, iters, res, conv = power_method(op, uniform_vector(n), params.tol,
-                                                params.max_iter, alpha=params.alpha)
-        return SolveReport(iterations=iters, residual=res, converged=conv,
-                           pagerank=pi, k=k, n=n, timings=timings)
-    if k == 0:
-        with _stage(timings, "recover"):
-            u = params.alpha * params.w + (1.0 - params.alpha) * params.v
-        return SolveReport(iterations=0, residual=0.0, converged=True,
-                           pagerank=u, k=0, n=n, timings=timings)
     with _stage(timings, "blocks"):
         b = permute_blocks(H, p, params)
     with _stage(timings, "loop"):
         sigma, iters, res, conv = power_method(lambda s: lumped_apply(s, b),
-                                               uniform_vector(k + 1), params.tol,
+                                               uniform_vector(p.k + 1), params.tol,
                                                params.max_iter, alpha=params.alpha)
     with _stage(timings, "recover"):
         pi = unpermute(recover_pagerank(sigma, b), p)
@@ -353,4 +340,4 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
         # when iteration stopped early or tol was loose
         pi /= pi.sum()
     return SolveReport(iterations=iters, residual=res, converged=conv,
-                       pagerank=pi, k=k, n=n, timings=timings)
+                       pagerank=pi, k=p.k, n=H.n, timings=timings)

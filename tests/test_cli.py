@@ -377,7 +377,7 @@ class TestCompare:
     def test_no_dangling_notice(self, capsys, cycle_file):
         code, out, _ = run(capsys, "compare", cycle_file)
         assert code == 0
-        assert "no dangling nodes; lumped path = full path" in out
+        assert float(re.search(r"^l1_diff=(\S+)$", out, re.M).group(1)) <= 1e-8
 
     def test_lumped_per_iter_is_loop_only(self, capsys, tmp_path, monkeypatch):
         reports = []
@@ -469,6 +469,13 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "--seed must be at least 0, got -1" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_dense_limit_below_1_exits_1(self, capsys, tri_file, limit):
+        code, out, err = run(capsys, "verify", tri_file, "--dense-limit", limit)
+        assert code == 1
+        assert out == ""
+        assert f"--dense-limit must be at least 1, got {limit}" in err
 
     def test_cli_imports_no_private_lab_name(self):
         # the check sequence lives in decomposition.run_checks, not in the CLI
@@ -647,6 +654,17 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--nodes", "10", "--dangling-frac", "1.5")
         assert code == 1
         assert "fraction" in err
+
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError()  # no message, as the interpreter raises it
+
+        monkeypatch.setattr(lumprank.cli, "generate_edge_list", out_of_memory)
+        code, out, err = run(capsys, "gen", "--nodes", "5", "--dangling-frac", "0.5")
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"lumprank: error: \S.*\n", err)
+        assert "Traceback" not in err
 
 
 # Runs in a fresh interpreter: which scipy modules are loaded after each

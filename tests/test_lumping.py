@@ -413,8 +413,34 @@ class TestSolveLumped:
     def test_all_dangling_closed_form(self):
         g = oracles.make_webgraph(2, {})
         rep = solve_lumped(g, PageRankParams.uniform(2, alpha=0.6))
-        assert rep.iterations == 0 and rep.converged
+        assert rep.iterations == 1 and rep.converged
         assert rep.pagerank.tolist() == [0.5, 0.5]
+
+    def test_all_dangling_nonuniform_is_u(self):
+        # the lumped chain is one state; its recovery is u = alpha*w + (1-alpha)*v
+        rng = np.random.default_rng(31)
+        v, w = rng.random(6), rng.random(6)
+        params = PageRankParams(alpha=0.7, v=v / v.sum(), w=w / w.sum())
+        rep = solve_lumped(oracles.make_webgraph(6, {}), params)
+        assert rep.converged and rep.k == 0
+        u = params.alpha * params.w + (1.0 - params.alpha) * params.v
+        assert np.abs(rep.pagerank - u).sum() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [0.85, 0.99])
+    def test_no_dangling_matches_dense_oracle(self, alpha):
+        rng = np.random.default_rng(32)
+        for trial in range(10):
+            n = int(rng.integers(4, 60))
+            edges = oracles.random_edge_dict(rng, n, 0.0)  # every node links out
+            if trial % 2:
+                edges.update({0: {1}, 1: {0}, 2: {3}, 3: {2}})  # two rank sinks
+            v = rng.random(n)
+            params = PageRankParams(alpha=alpha, v=v / v.sum(), w=uniform_vector(n),
+                                    tol=1e-13, max_iter=50_000)
+            rep = solve_lumped(oracles.make_webgraph(n, edges), params)
+            assert rep.converged and rep.k == rep.n == n
+            pi = oracles.stationary(oracles.dense_google(n, edges, alpha, v=params.v))
+            assert np.abs(rep.pagerank - pi).sum() <= 1e-8
 
     def test_two_cycle_no_dangling(self):
         g = parse_edge_list("0 1\n1 0\n")
@@ -442,8 +468,8 @@ class TestSolveLumped:
 
     @pytest.mark.parametrize("edges, n, ran", [
         (TRI_EDGES, 3, {"hyperlink", "partition", "blocks", "loop", "recover"}),
-        ({0: {1}, 1: {0}}, 2, {"hyperlink", "partition", "loop"}),   # k == n
-        ({}, 2, {"hyperlink", "partition", "recover"}),              # k == 0
+        ({0: {1}, 1: {0}}, 2, {"hyperlink", "partition", "blocks", "loop", "recover"}),  # k == n
+        ({}, 2, {"hyperlink", "partition", "blocks", "loop", "recover"}),                # k == 0
     ])
     def test_stage_timings(self, edges, n, ran):
         g = oracles.make_webgraph(n, edges)
