@@ -1,7 +1,7 @@
-"""PageRank by lumping all dangling nodes into a single state, plus a dense
-verification lab for the matrix identities the method rests on."""
+"""PageRank by lumping all dangling nodes into a single state (numpy only).
 
-import importlib
+The dense verification lab, which needs scipy, is imported from its own
+modules, :mod:`lumprank.transforms` and :mod:`lumprank.decomposition`."""
 
 from .graph import (
     EdgeListParseError,
@@ -29,52 +29,20 @@ from .lumping import (
     unpermute,
 )
 
-# The dense verification lab needs scipy; its names resolve on first use
-# (PEP 562), so importing the package or running the sparse solver loads
-# numpy only.
-_LAB = {
-    "decomposition": ("LduFactors", "ldu_factors", "run_checks", "stochastic_complement",
-                      "verify_coupled_stationarity"),
-    "transforms": ("CheckReport", "TransformKind", "build_dense_google",
-                   "build_dense_lumped", "build_transform", "check_lumpable",
-                   "check_spectrum_identity", "similarity_transform",
-                   "stationary_dense", "verify_transform_condition"),
-}
-_LAB_MODULE = {name: module for module, names in _LAB.items() for name in names}
-
-
-def __getattr__(name):
-    module = _LAB_MODULE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockStructure",
-    "CheckReport",
     "CooMatrix",
     "DanglingPartition",
     "EdgeListParseError",
     "HyperlinkMatrix",
-    "LduFactors",
     "PageRankParams",
     "SolveReport",
-    "TransformKind",
     "WebGraph",
-    "build_dense_google",
-    "build_dense_lumped",
     "build_hyperlink_matrix",
-    "build_transform",
-    "check_lumpable",
-    "check_spectrum_identity",
     "detect_dangling",
     "full_operator",
-    "ldu_factors",
     "load_weight_vector",
     "lumped_apply",
     "parse_edge_list",
@@ -82,13 +50,7 @@ __all__ = [
     "power_method",
     "probability_vector",
     "recover_pagerank",
-    "run_checks",
-    "similarity_transform",
     "solve_lumped",
-    "stationary_dense",
-    "stochastic_complement",
     "uniform_vector",
     "unpermute",
-    "verify_coupled_stationarity",
-    "verify_transform_condition",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -225,6 +226,12 @@ def main(argv=None) -> int:
                 "verify": cmd_verify, "gen": cmd_gen}
     try:
         return handlers[cfg.command](cfg)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`), which is no input error;
+        # stdout goes to /dev/null so the exit-time flush stays silent, and
+        # the status is 128 + SIGPIPE, as a shell reports a writer it killed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         # MemoryError() raised by the interpreter carries no message
         print(f"lumprank: error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -129,16 +129,6 @@ def _ldu_deviation(s: _BlockSplit) -> float:
                float(np.abs(_dot(s.Z, D11Y) + (I22 - s.S) - (I22 - s.G22)).max()))
 
 
-def _checked_complement(s: _BlockSplit) -> np.ndarray:
-    S = s.S
-    if S.min() < -1e-12:
-        raise ValueError(f"complement has entry {S.min():.3e} < -1e-12; input not stochastic?")
-    row_dev = np.abs(S.sum(axis=1) - 1.0).max()
-    if row_dev > 1e-10:
-        raise ValueError(f"complement row sums deviate from 1 by {row_dev:.3e} > 1e-10")
-    return S
-
-
 def stochastic_complement(Gt: np.ndarray, k: int) -> np.ndarray:
     """Stochastic complement S = G22 + G21 (I-G11)^-1 G12 of the trailing block.
 
@@ -146,7 +136,13 @@ def stochastic_complement(Gt: np.ndarray, k: int) -> np.ndarray:
     or row sums off 1 by more than 1e-10 mean the input was not a stochastic
     matrix split and raise ValueError.
     """
-    return _checked_complement(_block_split(Gt, k))
+    S = _block_split(Gt, k).S
+    if S.min() < -1e-12:
+        raise ValueError(f"complement has entry {S.min():.3e} < -1e-12; input not stochastic?")
+    row_dev = np.abs(S.sum(axis=1) - 1.0).max()
+    if row_dev > 1e-10:
+        raise ValueError(f"complement row sums deviate from 1 by {row_dev:.3e} > 1e-10")
+    return S
 
 
 def _coupled_stationarity(s: _BlockSplit, pi_tilde: np.ndarray, tol: float) -> CheckReport:
@@ -252,7 +248,7 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         dev_ldu = _ldu_deviation(split)
         emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
 
-        S = _checked_complement(split)
+        S = split.S
         dev_rows = max(float(np.abs(S.sum(axis=1) - 1.0).max()),
                        float(max(-S.min(), 0.0)))
         emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)

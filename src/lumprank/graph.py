@@ -32,6 +32,8 @@ class WebGraph:
 # The only bytes the fast tokeniser accepts.
 _DATA_BYTES = b"0123456789 \t\n"
 _MAX_LABEL = 2**63 - 1
+# How far a probability vector's sum may stray from 1.
+_SUM_TOL = 1e-12
 
 
 def parse_edge_list(text: str | bytes) -> WebGraph:
@@ -180,7 +182,7 @@ def build_hyperlink_matrix(g: WebGraph) -> HyperlinkMatrix:
                            data=1.0 / np.repeat(degree, degree))
 
 
-def probability_vector(values, tol: float = 1e-12) -> np.ndarray:
+def probability_vector(values) -> np.ndarray:
     """Validate and return a float64 probability vector (nonnegative, 1-norm 1)."""
     x = np.array(values, dtype=np.float64)
     if x.ndim != 1:
@@ -189,7 +191,7 @@ def probability_vector(values, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("probability vector has non-finite entries")
     if np.any(x < 0.0):
         raise ValueError("probability vector has a negative entry")
-    if abs(x.sum() - 1.0) > tol:
+    if abs(x.sum() - 1.0) > _SUM_TOL:
         raise ValueError(f"probability vector sums to {x.sum()!r}, not 1")
     return x
 

@@ -11,24 +11,28 @@ import pytest
 import oracles
 from lumprank import (
     PageRankParams,
-    TransformKind,
-    build_dense_google,
     build_hyperlink_matrix,
-    build_transform,
-    check_spectrum_identity,
     detect_dangling,
     full_operator,
-    ldu_factors,
     lumped_apply,
     parse_edge_list,
     permute_blocks,
     power_method,
     recover_pagerank,
-    similarity_transform,
     solve_lumped,
-    stochastic_complement,
     uniform_vector,
+)
+from lumprank.decomposition import (
+    ldu_factors,
+    stochastic_complement,
     verify_coupled_stationarity,
+)
+from lumprank.transforms import (
+    TransformKind,
+    build_dense_google,
+    build_transform,
+    check_spectrum_identity,
+    similarity_transform,
     verify_transform_condition,
 )
 

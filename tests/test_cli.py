@@ -17,27 +17,31 @@ import oracles
 from lumprank import (
     PageRankParams,
     SolveReport,
-    TransformKind,
-    build_dense_google,
-    build_dense_lumped,
     build_hyperlink_matrix,
-    build_transform,
-    check_lumpable,
-    check_spectrum_identity,
     detect_dangling,
-    ldu_factors,
     load_weight_vector,
     parse_edge_list,
     permute_blocks,
-    similarity_transform,
     solve_lumped,
-    stationary_dense,
-    stochastic_complement,
-    verify_coupled_stationarity,
-    verify_transform_condition,
 )
 from lumprank.cli import generate_edge_list, main
-from lumprank.decomposition import run_checks
+from lumprank.decomposition import (
+    ldu_factors,
+    run_checks,
+    stochastic_complement,
+    verify_coupled_stationarity,
+)
+from lumprank.transforms import (
+    TransformKind,
+    build_dense_google,
+    build_dense_lumped,
+    build_transform,
+    check_lumpable,
+    check_spectrum_identity,
+    similarity_transform,
+    stationary_dense,
+    verify_transform_condition,
+)
 
 TRI_TEXT = "1 2\n1 3\n2 1\n"
 
@@ -356,6 +360,26 @@ class TestRank:
         assert code == 2
         assert len(out.strip().splitlines()) == 4
 
+    def test_closed_stdout_exits_141_silently(self, tmp_path):
+        # `rank FILE | head -n 1`: the TSV is far above a 64 KiB pipe buffer,
+        # so the write meets the closed pipe; that is normal shell use, and
+        # rank exits as a writer killed by SIGPIPE would, with no message
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(20000, 0.5, 4, seed=3))
+        src = Path(__file__).resolve().parents[1] / "src"
+        with open(tmp_path / "err.txt", "wb") as err:
+            rank = subprocess.Popen([sys.executable, "-m", "lumprank.cli", "rank", str(path)],
+                                    stdout=subprocess.PIPE, stderr=err,
+                                    env={**os.environ, "PYTHONPATH": str(src)})
+            head = subprocess.Popen(["head", "-n", "1"], stdin=rank.stdout,
+                                    stdout=subprocess.PIPE)
+            rank.stdout.close()  # head holds the only read end
+            first = head.communicate(timeout=60)[0]
+            code = rank.wait(timeout=60)
+        assert first.startswith(b"# n=") and first.count(b"\n") == 1
+        assert code == 141
+        assert (tmp_path / "err.txt").read_bytes() == b""
+
     def test_deterministic_output(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=13))
@@ -614,6 +638,29 @@ class TestVerifyDifferential:
         assert "ldu_reconstruction" in fails
 
 
+    def test_complement_row_defect_is_a_fail_row(self, capsys, tmp_path, monkeypatch):
+        # S's rows off 1 must reach the check's own FAIL line, with every
+        # other check still printed, and must not abort verify
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
+        _, clean, _ = run(capsys, "verify", str(path))
+        split = lumprank.decomposition._block_split
+
+        def corrupted_split(Gt, k):
+            s = split(Gt, k)
+            S = s.S.copy()
+            S[-1] *= 1 + 1e-6
+            return dataclasses.replace(s, S=S)
+
+        monkeypatch.setattr(lumprank.decomposition, "_block_split", corrupted_split)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "lumprank: error:" not in err
+        rows = [line.split()[:2] for line in out.splitlines()[1:]]
+        assert [name for _, name in rows] == [line.split()[1] for line in clean.splitlines()[1:]]
+        assert ["FAIL", "stochastic_complement_rows"] in rows
+
+
 class TestGen:
     def test_deterministic_for_fixed_seed(self, capsys):
         _, out1, _ = run(capsys, "gen", "--nodes", "10", "--dangling-frac", "0.5",
@@ -685,9 +732,10 @@ for argv in (["gen", "--nodes", "50", "--dangling-frac", "0.4"], ["rank", path],
     with contextlib.redirect_stdout(io.StringIO()):
         code = lumprank.cli.main(argv)
     record(argv[0], code)
-import lumprank
-lumprank.build_dense_google
 from lumprank import *
+record("star import", int(callable(solve_lumped) and "build_dense_google" not in globals()))
+from lumprank.decomposition import ldu_factors
+from lumprank.transforms import build_dense_google
 record("lab names", int(callable(build_dense_google) and callable(ldu_factors)))
 with contextlib.redirect_stdout(io.StringIO()):
     code = lumprank.cli.main(["verify", path])
@@ -705,10 +753,12 @@ class TestScipyFreePath:
                               capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
         steps = json.loads(proc.stdout)
-        for step in ("import lumprank.cli", "gen", "rank", "compare"):
+        for step in ("import lumprank.cli", "gen", "rank", "compare", "star import"):
             assert steps[step]["scipy"] == [], step
         assert [steps[s]["code"] for s in ("gen", "rank", "compare")] == [0, 0, 0]
-        # the lab names still resolve, and the lab then loads scipy
+        # the package root exports the engine alone
+        assert steps["star import"]["code"] == 1
+        # the lab names resolve from their modules, which load scipy
         assert steps["lab names"]["code"] == 1
         assert "scipy.linalg" in steps["lab names"]["scipy"]
         assert steps["verify"]["code"] == 0

@@ -4,18 +4,22 @@ import pytest
 import oracles
 from lumprank import (
     PageRankParams,
-    build_dense_google,
     build_hyperlink_matrix,
     detect_dangling,
-    ldu_factors,
     lumped_apply,
     parse_edge_list,
     permute_blocks,
     power_method,
     recover_pagerank,
-    stochastic_complement,
     uniform_vector,
+)
+from lumprank.decomposition import (
+    ldu_factors,
+    stochastic_complement,
     verify_coupled_stationarity,
+)
+from lumprank.transforms import (
+    build_dense_google,
 )
 
 

@@ -176,24 +176,40 @@ class TestLumpedApply:
 
     def test_matches_dense_lumped_oracle(self):
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            g, edges, params = random_case(rng)
+
+        def cases():
+            for _ in range(10):
+                yield random_case(rng)
+            for n in (5, 17, 40):  # k = n: the lumped state's row is u alone
+                edges = oracles.random_edge_dict(rng, n, 0.0)
+                v, w = rng.random(n) + 0.1, rng.random(n) + 0.1
+                yield oracles.make_webgraph(n, edges), edges, PageRankParams(
+                    alpha=0.85, v=v / v.sum(), w=w / w.sum(), tol=1e-13, max_iter=50_000)
+
+        full = 0
+        for g, edges, params in cases():
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
-            if p.k == g.n:
-                continue  # the lumped chain presumes at least one dangling node
             b = permute_blocks(H, p, params)
-            # dense lumped matrix assembled from the oracle Google matrix
-            Gd = oracles.dense_google(g.n, edges, params.alpha)[np.ix_(p.perm, p.perm)]
+            # dense lumped matrix assembled from the oracle Google matrix; the
+            # lumped state's row is u = alpha w + (1 - alpha) v, the row every
+            # dangling node shares
+            a = params.alpha
+            Gd = oracles.dense_google(g.n, edges, a, v=params.v,
+                                      w=params.w)[np.ix_(p.perm, p.perm)]
+            u = (a * params.w + (1 - a) * params.v)[p.perm]
             k = p.k
+            full += k == g.n
+            assert np.abs(Gd[k:] - u).max(initial=0.0) <= 1e-15
             G1 = np.empty((k + 1, k + 1))
             G1[:k, :k] = Gd[:k, :k]
             G1[:k, k] = Gd[:k, k:].sum(axis=1)
-            G1[k, :k] = Gd[-1, :k]
-            G1[k, k] = Gd[-1, k:].sum()
+            G1[k, :k] = u[:k]
+            G1[k, k] = u[k:].sum()
             sigma = rng.random(k + 1)
             sigma /= sigma.sum()
             assert np.abs(lumped_apply(sigma, b) - sigma @ G1).max() <= 1e-13
+        assert full >= 3
 
     def test_degenerate_all_dangling(self):
         H = build_hyperlink_matrix(oracles.make_webgraph(2, {}))
@@ -291,18 +307,14 @@ def sink_case(rng, n=300, k=120, groups=3, size=16):
 def plain_and_extrapolated(g, params):
     """(plain, extrapolated) power_method results on the operator solve_lumped uses."""
     H = build_hyperlink_matrix(g)
-    p = detect_dangling(H)
-    if p.k == g.n:
-        op, x0 = full_operator(H, params), uniform_vector(g.n)
-    else:
-        b = permute_blocks(H, p, params)
-        op, x0 = (lambda s: lumped_apply(s, b)), uniform_vector(p.k + 1)
+    b = permute_blocks(H, detect_dangling(H), params)
+    op, x0 = (lambda s: lumped_apply(s, b)), uniform_vector(b.k + 1)
     return (power_method(op, x0, params.tol, params.max_iter),
             power_method(op, x0, params.tol, params.max_iter, alpha=params.alpha))
 
 
 class TestExtrapolation:
-    @pytest.mark.parametrize("n, k", [(300, 120), (120, 120)])  # lumped, full path
+    @pytest.mark.parametrize("n, k", [(300, 120), (120, 120)])  # with, without dangling
     def test_rank_sinks_converge_in_a_fifth_of_the_steps(self, n, k):
         rng = np.random.default_rng(13)
         for _ in range(3):

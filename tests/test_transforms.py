@@ -12,25 +12,28 @@ import lumprank.transforms
 import oracles
 from lumprank import (
     PageRankParams,
-    TransformKind,
-    build_dense_google,
-    build_dense_lumped,
     build_hyperlink_matrix,
-    build_transform,
-    check_lumpable,
-    check_spectrum_identity,
     detect_dangling,
     full_operator,
     lumped_apply,
     parse_edge_list,
     permute_blocks,
     power_method,
+    uniform_vector,
+)
+from lumprank.transforms import (
+    TransformKind,
+    _dot,
+    _slogdet,
+    build_dense_google,
+    build_dense_lumped,
+    build_transform,
+    check_lumpable,
+    check_spectrum_identity,
     similarity_transform,
     stationary_dense,
-    uniform_vector,
     verify_transform_condition,
 )
-from lumprank.transforms import _dot, _slogdet
 
 BUILTIN = (TransformKind.AVERAGING, TransformKind.SPARSE_ELIM, TransformKind.JORDAN_DIFF)
 
