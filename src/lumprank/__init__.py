@@ -19,6 +19,7 @@ from .lumping import (
     CooMatrix,
     DanglingPartition,
     SolveReport,
+    bicgstab,
     detect_dangling,
     full_operator,
     lumped_apply,
@@ -40,6 +41,7 @@ __all__ = [
     "PageRankParams",
     "SolveReport",
     "WebGraph",
+    "bicgstab",
     "build_hyperlink_matrix",
     "detect_dangling",
     "full_operator",

@@ -40,15 +40,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="personalization vector: 'uniform' or a file of n floats")
         p.add_argument("--w", dest="w_spec", default="uniform", metavar="SPEC",
                        help="dangling-node vector: 'uniform' or a file of n floats")
-        p.add_argument("--tol", type=float, default=1e-10, help="1-norm stopping tolerance")
-        p.add_argument("--max-iter", type=int, default=1000)
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="1-norm error the lumped solve must bound (compare's "
+                            "full power method: successive-difference stop)")
+        p.add_argument("--max-iter", type=int, default=1000,
+                       help="most operator applications per solve, residual checks included")
 
     p_rank = sub.add_parser("rank", help="rank nodes via the lumped solver (TSV on stdout)")
     add_solver_args(p_rank)
     p_rank.add_argument("--top", type=int, default=None,
                         help="print only the best N rows (N >= 0)")
 
-    p_cmp = sub.add_parser("compare", help="lumped vs full power method, timings and 1-norm gap")
+    p_cmp = sub.add_parser("compare",
+                           help="lumped solver vs full power method, timings and 1-norm gap")
     add_solver_args(p_cmp)
 
     p_ver = sub.add_parser("verify", help="dense identity checks on a small graph")
@@ -103,7 +107,8 @@ def cmd_rank(cfg) -> int:
     params = _load_params(cfg, g.n)
     rep = solve_lumped(g, params)
     print(f"# n={rep.n} k={rep.k} dangling={rep.n - rep.k} alpha={params.alpha:g} "
-          f"iters={rep.iterations} residual={rep.residual:.6e}")
+          f"iters={rep.iterations} residual={rep.residual:.6e} "
+          f"error_bound={rep.error_bound:.6e}")
     sys.stdout.write(_ranking_rows(g.labels, rep.pagerank, cfg.top))
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 
@@ -155,7 +160,7 @@ def cmd_compare(cfg) -> int:
                                                      params.max_iter, alpha=params.alpha)
     full_time = time.perf_counter() - t0
 
-    # both per_iter figures cover the power loop alone; time= keeps the whole solve
+    # both per_iter figures cover the solve loop alone; time= keeps the whole solve
     diff = float(np.abs(rep.pagerank - pi_full).sum())
     print(f"lumped: iters={rep.iterations} time={lumped_time:.6f}s "
           f"per_iter={rep.timings['loop'] / rep.iterations:.3e}s")

@@ -1,12 +1,15 @@
 """Dangling-node lumping: partition, block structure, matrix-free operators,
-power iteration, and recovery of the full ranking.
+the lumped linear solve, and recovery of the full ranking.
 
 The full chain has transition matrix G = alpha*(H + d w^T) + (1-alpha) e v^T.
 Reordering nondangling nodes first turns G into a 2x2 block form whose lower
 blocks are rank one; collapsing the dangling block to one state yields a
-(k+1)-order chain with the same nonzero spectrum.  Its stationary vector is
-found by power iteration, with one extrapolation step at the eigenvalue alpha,
-and expanded back to all n nodes in closed form.
+(k+1)-order chain with the same nonzero spectrum.  Its stationary vector solves
+the linear system (I - alpha*S1^T) sigma = (1-alpha)*v, with S1 = [A; w^T]
+row-stochastic; :func:`solve_lumped` solves it by BiCGSTAB, stops on a
+rigorous 1-norm error bound, and expands sigma back to all n nodes in closed
+form.  :func:`power_method` (with one extrapolation step at the eigenvalue
+alpha) serves the full chain in ``compare``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .graph import (
     PageRankParams,
     WebGraph,
     build_hyperlink_matrix,
-    uniform_vector,
 )
 
 
@@ -79,10 +81,11 @@ class BlockStructure:
     The lumped chain is M = [alpha*A + (1-alpha)*e v^T; u^T] with one sparse
     k x (k+1) part A = [H11 | H12 e]: the nondangling rows of the permuted
     hyperlink matrix, their dangling columns summed into column k.
-    ``v = [v1, sum v2]`` and ``u = [u1, sum u2]`` are (k+1)-vectors, with
-    u = alpha*w + (1-alpha)*v.  ``H12``, ``v2`` and ``u2`` serve only the
-    recovery of the dangling ranks.  No dense block of size k*(n-k) or
-    (n-k)^2 is ever formed.
+    ``v = [v1, sum v2]``, ``w = [w1, sum w2]`` and ``u = [u1, sum u2]`` are
+    (k+1)-vectors, with u = alpha*w + (1-alpha)*v; S1 = [A; w^T] is
+    row-stochastic and M = alpha*S1 + (1-alpha)*e v^T.  ``H12``, ``v2`` and
+    ``u2`` serve only the recovery of the dangling ranks.  No dense block of
+    size k*(n-k) or (n-k)^2 is ever formed.
     """
 
     k: int
@@ -90,6 +93,7 @@ class BlockStructure:
     alpha: float
     A: CooMatrix
     v: np.ndarray
+    w: np.ndarray
     u: np.ndarray
     H12: CooMatrix
     v2: np.ndarray
@@ -100,13 +104,21 @@ class BlockStructure:
 class SolveReport:
     """Outcome of a PageRank solve; scores are in original node order.
 
+    ``iterations`` counts applications of the lumped operator, the
+    true-residual checks included.  ``residual`` is the 1-norm of the true
+    residual of the lumped linear system at the returned lumped vector, and
+    ``error_bound`` = 4*residual/(1-alpha) bounds the 1-norm distance of
+    ``pagerank`` from the exact PageRank vector (derived in
+    :func:`solve_lumped`); ``converged`` means error_bound <= tol.
+
     ``timings`` holds the wall seconds of each stage of :func:`solve_lumped`:
-    hyperlink (matrix build), partition, blocks, loop (power iteration) and
+    hyperlink (matrix build), partition, blocks, loop (the linear solve) and
     recover (expansion to all n nodes).
     """
 
     iterations: int
     residual: float
+    error_bound: float
     converged: bool
     pagerank: np.ndarray
     k: int
@@ -169,11 +181,12 @@ def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition,
     alpha = params.alpha
     nd, dg = p.perm[:k], p.perm[k:]
     v1, v2 = params.v[nd], params.v[dg]
-    u1 = alpha * params.w[nd] + (1.0 - alpha) * v1
-    u2 = alpha * params.w[dg] + (1.0 - alpha) * v2
+    w1, w2 = params.w[nd], params.w[dg]
+    u1 = alpha * w1 + (1.0 - alpha) * v1
+    u2 = alpha * w2 + (1.0 - alpha) * v2
     return BlockStructure(
         k=k, n=n, alpha=alpha, A=A,
-        v=np.append(v1, v2.sum()), u=np.append(u1, u2.sum()),
+        v=np.append(v1, v2.sum()), w=np.append(w1, w2.sum()), u=np.append(u1, u2.sum()),
         H12=CooMatrix(rows=rows12, cols=cols12, data=data12, shape=(k, n - k)),
         v2=v2, u2=u2,
     )
@@ -277,6 +290,84 @@ def power_method(apply_op: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     return x, max_iter, residual, False
 
 
+def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
+             x0: np.ndarray, tol: float, max_iter: int):
+    """Solve apply_op(x) = rhs for a probability vector x by BiCGSTAB
+    (van der Vorst 1992), stopping on the true residual.
+
+    Only checked vectors are returned.  A check clips the iterate to be
+    nonnegative, renormalises it to unit 1-norm and applies apply_op once for
+    its true residual rhs - apply_op(x).  The start x0 is checked first;
+    after that a check runs when the recursive residual (s at the half step,
+    r at the full step) has 1-norm at most tol, when the recurrence breaks
+    down (a zero or non-finite rho, rhat.v, t.t or omega), and when one more
+    step would leave no application for a check.  A check that does not
+    converge restarts the recurrence from the checked vector, its true
+    residual and the shadow vector rhat = r.  A candidate that is not finite
+    is never checked; the recurrence restarts from the best checked vector.
+
+    Returns (x, iterations, residual, converged) for the checked vector with
+    the smallest true residual: ``residual`` is that residual's 1-norm,
+    ``converged`` means residual <= tol, and ``iterations`` counts
+    applications of apply_op, checks included.  It never exceeds max_iter,
+    which must be at least 1.
+    """
+    applied = 0
+    best = None  # (x, r, residual) of the checked vector with the smallest residual
+
+    def check(x):
+        nonlocal applied, best
+        x = np.maximum(x, 0.0)
+        total = x.sum()  # a sum is non-finite if any entry is
+        if not (np.isfinite(total) and total > 0.0):
+            return best
+        x /= total
+        r = rhs - apply_op(x)
+        applied += 1
+        res = float(np.abs(r).sum())
+        if best is None or res < best[2]:
+            best = (x, r, res)
+        return x, r, res
+
+    x, r, res = check(np.asarray(x0, dtype=np.float64))
+    while res > tol and applied + 2 <= max_iter:
+        rhat = p = r  # never updated in place
+        rho = rhat @ r
+        while True:
+            candidate = x
+            v = apply_op(p)
+            applied += 1
+            rhat_v = rhat @ v
+            if not 0.0 < abs(rhat_v) < np.inf:
+                break
+            a = rho / rhat_v
+            candidate = x + a * p
+            s = r - a * v
+            # s before t: a vector solved at the half step stops here, never
+            # reaching t = 0
+            if np.abs(s).sum() <= tol or applied + 2 > max_iter:
+                break
+            t = apply_op(s)
+            applied += 1
+            tt = t @ t
+            if not 0.0 < tt < np.inf:
+                break
+            omega = (t @ s) / tt
+            x = candidate + omega * s
+            candidate = x
+            r = s - omega * t
+            rho_next = rhat @ r
+            # beta divides by rho and omega
+            if (np.abs(r).sum() <= tol or applied + 2 > max_iter
+                    or not 0.0 < abs(rho_next * omega) < np.inf):
+                break
+            p = r + (rho_next / rho) * (a / omega) * (p - omega * v)
+            rho = rho_next
+        x, r, res = check(candidate)
+    x, _, res = best
+    return x, applied, res, res <= tol
+
+
 def recover_pagerank(sigma: np.ndarray, b: BlockStructure) -> np.ndarray:
     """Expand the lumped stationary vector to all n nodes (permuted order).
 
@@ -315,13 +406,49 @@ def _stage(timings: dict, name: str):
     timings[name] = time.perf_counter() - t0
 
 
+def _lumped_system(b: BlockStructure) -> Callable[[np.ndarray], np.ndarray]:
+    """Bind x -> (I - alpha*S1^T) x with S1 = [A; w^T]: one sparse product and
+    two axpys, the operator of the lumped linear system."""
+    k, alpha, w = b.k, b.alpha, b.w
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = b.A.rmatvec(x[:k])
+        y += x[k] * w
+        y *= -alpha
+        y += x
+        return y
+
+    return apply
+
+
 def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
-    """Full pipeline: hyperlink matrix, partition, lumped power iteration,
-    recovery, un-permutation.
+    """Full pipeline: hyperlink matrix, partition, BiCGSTAB on the lumped
+    linear system, recovery, un-permutation.
 
     Every graph runs the (k+1)-order chain.  With no dangling nodes the lumped
-    state gets no inflow and drains after one step; with no nondangling nodes
-    the chain is that one state, whose recovery is u = alpha*w + (1-alpha)*v.
+    state gets no inflow and its entry stays 0; with no nondangling nodes the
+    chain is that one state, whose recovery is u = alpha*w + (1-alpha)*v.
+
+    The lumped stationary vector solves (I - alpha*S1^T) sigma = (1-alpha)*v,
+    with S1 = [A; w^T] (:class:`BlockStructure`).  :func:`bicgstab` solves it
+    from sigma = v and stops when error_bound = 4*||r||_1/(1-alpha) is at
+    most tol, r the true residual of its clipped, renormalised iterate:
+
+    * S1 is row-stochastic, so ||S1^T||_1 = 1 and, by the Neumann series,
+      ||(I - alpha*S1^T)^-1||_1 <= 1/(1-alpha).  Any sigma is therefore within
+      delta = ||r||_1/(1-alpha) of the exact sigma*.
+    * The recovery map R of :func:`recover_pagerank` is linear and
+      nonnegative, with column sums at most 2: 1 + alpha*(row sum of H12) +
+      (1-alpha)*sum(v2) for a nondangling column, sum(u2) for the lumped one.
+      So p = R(sigma) is within 2*delta of the exact PageRank pi* = R(sigma*).
+    * The report is pi = p/s with s = sum(p).  Since sigma >= 0, p >= 0 and
+      ||pi - p||_1 = |1 - s| = |e^T (p - pi*)| <= 2*delta, so
+      ||pi - pi*||_1 <= 4*delta.
+
+    The bound holds in exact arithmetic on the computed sigma; evaluating r
+    and the recovery in floating point adds rounding of order 1e-16.  A tol
+    below that floor is never met: the solve runs out of max_iter and
+    reports not converged.
     """
     timings = {}
     with _stage(timings, "hyperlink"):
@@ -331,13 +458,14 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     with _stage(timings, "blocks"):
         b = permute_blocks(H, p, params)
     with _stage(timings, "loop"):
-        sigma, iters, res, conv = power_method(lambda s: lumped_apply(s, b),
-                                               uniform_vector(p.k + 1), params.tol,
-                                               params.max_iter, alpha=params.alpha)
+        scale = 4.0 / (1.0 - params.alpha)  # error_bound per unit of ||r||_1
+        sigma, iters, res, _ = bicgstab(_lumped_system(b), (1.0 - params.alpha) * b.v,
+                                        b.v, params.tol / scale, params.max_iter)
     with _stage(timings, "recover"):
         pi = unpermute(recover_pagerank(sigma, b), p)
         # exact no-op at stationarity; keeps the report a probability vector
-        # when iteration stopped early or tol was loose
         pi /= pi.sum()
-    return SolveReport(iterations=iters, residual=res, converged=conv,
-                       pagerank=pi, k=p.k, n=H.n, timings=timings)
+    error_bound = scale * res
+    return SolveReport(iterations=iters, residual=res, error_bound=error_bound,
+                       converged=error_bound <= params.tol, pagerank=pi, k=p.k, n=H.n,
+                       timings=timings)

@@ -82,7 +82,7 @@ def rank_fixed_scores(monkeypatch, path, text, scores):
     path.write_text(text)
 
     def fake_solve(g, params):
-        return SolveReport(iterations=1, residual=0.0, converged=True,
+        return SolveReport(iterations=1, residual=0.0, error_bound=0.0, converged=True,
                            pagerank=scores, k=g.n, n=g.n, timings={})
 
     monkeypatch.setattr(lumprank.cli, "solve_lumped", fake_solve)
@@ -359,6 +359,21 @@ class TestRank:
         code, out, _ = run(capsys, "rank", tri_file, "--tol", "1e-16", "--max-iter", "2")
         assert code == 2
         assert len(out.strip().splitlines()) == 4
+
+    def test_header_error_bound_is_honest(self, capsys, tmp_path):
+        # alpha 0.99 on a gen graph: a converged run's bound is within tol;
+        # an unreachable tol exits 2, still printing every row and its bound
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(400, 0.6, 4, seed=9))
+        for tol, max_iter, want in (("1e-12", "1000", 0), ("1e-16", "3", 2)):
+            code, out, _ = run(capsys, "rank", str(path), "--alpha", "0.99",
+                               "--tol", tol, "--max-iter", max_iter)
+            assert code == want
+            header, *rows = out.splitlines()
+            fields = dict(f.split("=") for f in header[2:].split())
+            assert int(fields["iters"]) <= int(max_iter)
+            assert (float(fields["error_bound"]) <= float(tol)) == (want == 0)
+            assert len(rows) == int(fields["n"])
 
     def test_closed_stdout_exits_141_silently(self, tmp_path):
         # `rank FILE | head -n 1`: the TSV is far above a 64 KiB pipe buffer,

@@ -7,6 +7,7 @@ import oracles
 from lumprank import (
     CooMatrix,
     PageRankParams,
+    bicgstab,
     build_hyperlink_matrix,
     detect_dangling,
     full_operator,
@@ -492,6 +493,128 @@ class TestSolveLumped:
         assert all(t >= 0.0 for t in rep.timings.values())
         assert {s for s, t in rep.timings.items() if t > 0.0} == ran
         assert sum(rep.timings.values()) <= wall
+
+
+def honesty_graphs(kind, seed, count=6):
+    """Seeded (n, edges, v) cases: sink graphs (eigenvalue alpha) with n from
+    50 to 400, or random graphs of every dangling share."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(50, 401))
+        if kind == "sink":
+            k = 2 * n // 5
+            edges, v = sink_case(rng, n, k, groups=3, size=min(16, k // 3))
+        else:
+            edges = oracles.random_edge_dict(rng, n, float(rng.choice([0.0, 0.3, 0.7, 0.95])))
+            v = rng.random(n)
+            v /= v.sum()
+        yield n, edges, v
+
+
+class TestHonestStop:
+    """``converged`` means the ranking is within tol of the exact one."""
+
+    @pytest.mark.parametrize("alpha", [0.85, 0.99])
+    @pytest.mark.parametrize("kind, seed", [("sink", 41), ("random", 42)])
+    def test_converged_reports_are_within_tol(self, kind, seed, alpha):
+        for n, edges, v in honesty_graphs(kind, seed):
+            g = oracles.make_webgraph(n, edges)
+            pi_dense = oracles.stationary(oracles.dense_google(n, edges, alpha, v=v))
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+                params = PageRankParams(alpha=alpha, v=v, w=uniform_vector(n), tol=tol,
+                                        max_iter=10_000)
+                rep = solve_lumped(g, params)
+                err = float(np.abs(rep.pagerank - pi_dense).sum())
+                assert rep.converged, (n, tol)
+                assert err <= tol, (n, tol, err)
+                assert rep.error_bound >= err
+                assert rep.error_bound == pytest.approx(4.0 * rep.residual / (1.0 - alpha),
+                                                        rel=1e-15)
+                assert rep.iterations <= params.max_iter
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("case", ["k=0", "two-cycle", "uniform-three-cycle",
+                                      "two-2-cycles-dangling"])
+    def test_edge_cases_stay_finite_within_budget(self, case, max_iter):
+        if case == "k=0":
+            n, edges, v = 4, {}, np.array([0.1, 0.2, 0.3, 0.4])
+        elif case == "two-cycle":
+            n, edges, v = 2, {0: {1}, 1: {0}}, np.array([0.9, 0.1])
+        elif case == "uniform-three-cycle":
+            n, edges, v = 3, {0: {1}, 1: {2}, 2: {0}}, uniform_vector(3)
+        else:
+            n, edges = 5, {0: {1}, 1: {0}, 2: {3}, 3: {2}}
+            v = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
+        params = PageRankParams(alpha=0.85, v=v, w=uniform_vector(n), tol=1e-12,
+                                max_iter=max_iter)
+        rep = solve_lumped(oracles.make_webgraph(n, edges), params)
+        assert 1 <= rep.iterations <= max_iter
+        assert np.isfinite(rep.pagerank).all() and rep.pagerank.min() >= 0.0
+        assert abs(rep.pagerank.sum() - 1.0) <= 1e-12
+        assert np.isfinite(rep.error_bound)
+        err = np.abs(rep.pagerank - oracles.stationary(
+            oracles.dense_google(n, edges, 0.85, v=v))).sum()
+        # the bound is exact arithmetic; the two vectors carry their rounding
+        assert err <= rep.error_bound + 1e-15
+        if max_iter == 1000:
+            assert rep.converged
+        if case in ("k=0", "uniform-three-cycle"):
+            # the start vector is the solution: the first check stops
+            assert rep.converged and rep.iterations == 1
+
+    def test_unreachable_tol_reports_not_converged(self):
+        edges, v = sink_case(np.random.default_rng(43))
+        params = PageRankParams(alpha=0.99, v=v, w=uniform_vector(300), tol=1e-16,
+                                max_iter=3)
+        rep = solve_lumped(oracles.make_webgraph(300, edges), params)
+        assert not rep.converged and rep.iterations == 3
+        assert rep.error_bound > params.tol
+        assert np.isfinite(rep.pagerank).all() and abs(rep.pagerank.sum() - 1.0) <= 1e-12
+
+
+class TestBicgstab:
+    def test_iterations_count_every_application(self):
+        edges, v = sink_case(np.random.default_rng(44))
+        g = oracles.make_webgraph(300, edges)
+        params = PageRankParams(alpha=0.99, v=v, w=uniform_vector(300))
+        H = build_hyperlink_matrix(g)
+        b = permute_blocks(H, detect_dangling(H), params)
+        calls = []
+
+        def op(x):
+            calls.append(1)
+            return x - b.alpha * (b.A.rmatvec(x[:b.k]) + x[b.k] * b.w)
+
+        for max_iter in (1, 2, 3, 4, 5, 10, 1000):
+            calls.clear()
+            x, iters, res, conv = bicgstab(op, (1 - b.alpha) * b.v, b.v, 1e-14, max_iter)
+            assert iters == len(calls) <= max_iter
+            assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-15
+            # the residual reported is the true one of the vector returned
+            assert res == np.abs((1 - b.alpha) * b.v - op(x)).sum()
+            assert conv == (res <= 1e-14)
+        assert conv
+
+    def test_non_finite_candidate_never_returned(self):
+        _, _, _, _, b = tri_setup(alpha=0.85)
+        calls = []
+
+        def op(x):
+            calls.append(1)
+            y = x - b.alpha * (b.A.rmatvec(x[:b.k]) + x[b.k] * b.w)
+            return y * np.inf if len(calls) == 2 else y  # the first direction overflows
+
+        x, iters, res, conv = bicgstab(op, (1 - b.alpha) * b.v, b.v, 1e-15, 100)
+        assert conv and np.isfinite(x).all()
+        # one dangling node, kept in place: the lumped vector is the ranking
+        pi_dense = oracles.stationary(oracles.dense_google(3, TRI_EDGES, 0.85))
+        assert np.abs(x - pi_dense).sum() <= 1e-14
+
+    def test_nan_operator_gives_unconverged_start(self):
+        x0 = np.array([0.5, 0.5])
+        x, iters, res, conv = bicgstab(lambda x: x * np.nan, x0, x0, 1e-12, 10)
+        assert not conv and iters <= 10
+        assert np.array_equal(x, x0)
 
 
 class TestAgreementProperties:
