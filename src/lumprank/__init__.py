@@ -1,6 +1,6 @@
 """PageRank by lumping all dangling nodes into a single state (numpy only).
 
-The dense verification lab, which needs scipy, is imported from its own
+The dense verification lab, numpy only as well, is imported from its own
 modules, :mod:`lumprank.transforms` and :mod:`lumprank.decomposition`."""
 
 from .graph import (

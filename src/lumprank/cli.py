@@ -171,7 +171,7 @@ def cmd_compare(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
-    # the dense lab, and scipy with it, loads only for the command that uses it
+    # the dense lab loads only for the command that uses it
     from .decomposition import run_checks
     from .transforms import DENSE_LIMIT_DEFAULT
 

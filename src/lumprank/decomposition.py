@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg
 
 from .graph import PageRankParams, WebGraph, build_hyperlink_matrix
 from .lumping import detect_dangling, permute_blocks
@@ -16,17 +15,15 @@ from .transforms import (
     DENSE_LIMIT_DEFAULT,
     CheckReport,
     TransformKind,
-    _conjugate,
-    _dot,
-    _lu,
-    _lu_with_pivot_check,
+    _solve,
     _spectrum_check,
-    _transform_condition,
     build_dense_google,
     build_dense_lumped,
     build_transform,
     check_lumpable,
+    similarity_transform,
     stationary_dense,
+    verify_transform_condition,
 )
 
 
@@ -48,9 +45,9 @@ class LduFactors:
 class _BlockSplit:
     """G~ split at k, with the solves every block identity shares.
 
-    D11 = I - G11 is LU-factored once (``lu11``); Y = D11^-1 G12,
-    Z = G21 D11^-1 and the stochastic complement S = G22 + Z G12 come from
-    that one factorization.  G12, G21 and G22 are views of G~.
+    With D11 = I - G11, Y = D11^-1 G12 is one solve with D11 and
+    Z = G21 D11^-1 one solve with D11^T; the stochastic complement is
+    S = G22 + Z G12.  G12, G21 and G22 are views of G~.
     """
 
     k: int
@@ -58,7 +55,6 @@ class _BlockSplit:
     G12: np.ndarray
     G21: np.ndarray
     G22: np.ndarray
-    lu11: tuple
     Y: np.ndarray
     Z: np.ndarray
     S: np.ndarray
@@ -68,14 +64,15 @@ class _BlockSplit:
         return self.k + self.S.shape[0]
 
     @cached_property
-    def lu22(self):
-        """LU of I - G22, or None when a trailing row sums to 1 within 1e-12
-        (I - G22 is then singular).  Factored on first use: only the coupled
-        stationarity identity (c) needs it."""
+    def W(self):
+        """W = G12 (I - G22)^-1, one solve with (I - G22)^T, or None when a
+        trailing row sums to 1 within 1e-12 (I - G22 is then singular).
+        Computed on first use: only the coupled stationarity identity (c)
+        needs it."""
         if self.G22.sum(axis=1).max() >= 1.0 - 1e-12:
             return None
-        return _lu_with_pivot_check(np.eye(self.n - self.k) - self.G22,
-                                    "I minus the trailing block")
+        return _solve((np.eye(self.n - self.k) - self.G22).T, self.G12.T,
+                      "I minus the trailing block").T
 
 
 def _block_split(Gt: np.ndarray, k: int) -> _BlockSplit:
@@ -87,11 +84,10 @@ def _block_split(Gt: np.ndarray, k: int) -> _BlockSplit:
         raise ValueError(f"split point k={k} must leave both blocks nonempty (n={n})")
     G12, G21, G22 = Gt[:k, k:], Gt[k:, :k], Gt[k:, k:]
     D11 = np.eye(k) - Gt[:k, :k]
-    lu11 = _lu_with_pivot_check(D11, "I minus the leading block")
-    Y = linalg.lu_solve(lu11, G12)
-    Z = linalg.lu_solve(lu11, G21.T, trans=1).T
-    return _BlockSplit(k=k, D11=D11, G12=G12, G21=G21, G22=G22, lu11=lu11,
-                       Y=Y, Z=Z, S=G22 + _dot(Z, G12))
+    Y = _solve(D11, G12, "I minus the leading block")
+    Z = _solve(D11.T, G21.T, "I minus the leading block").T
+    return _BlockSplit(k=k, D11=D11, G12=G12, G21=G21, G22=G22, Y=Y, Z=Z,
+                       S=G22 + Z @ G12)
 
 
 def ldu_factors(Gt: np.ndarray, k: int) -> LduFactors:
@@ -122,11 +118,11 @@ def _ldu_deviation(s: _BlockSplit) -> float:
     D11 = I - G11 itself, so the other three blocks hold the whole
     deviation: about 2k(n-k)(n+k) flops instead of the dense 4n^3.
     """
-    D11Y = _dot(s.D11, s.Y)
+    D11Y = s.D11 @ s.Y
     I22 = np.eye(s.n - s.k)
     return max(float(np.abs(D11Y - s.G12).max()),
-               float(np.abs(_dot(s.Z, s.D11) - s.G21).max()),
-               float(np.abs(_dot(s.Z, D11Y) + (I22 - s.S) - (I22 - s.G22)).max()))
+               float(np.abs(s.Z @ s.D11 - s.G21).max()),
+               float(np.abs(s.Z @ D11Y + (I22 - s.S) - (I22 - s.G22)).max()))
 
 
 def stochastic_complement(Gt: np.ndarray, k: int) -> np.ndarray:
@@ -151,19 +147,16 @@ def _coupled_stationarity(s: _BlockSplit, pi_tilde: np.ndarray, tol: float) -> C
         raise ValueError(f"expected stationary vector of length {s.n}, got shape {pi_tilde.shape}")
     pi1, pi2 = pi_tilde[:s.k], pi_tilde[s.k:]
 
-    dev_a = float(np.abs(_dot(pi2, s.S) - pi2).max())
-
-    lhs_b = linalg.lu_solve(s.lu11, _dot(pi2, s.G21), trans=1)
-    dev_b = float(np.abs(lhs_b - pi1).max())
+    dev_a = float(np.abs(pi2 @ s.S - pi2).max())
+    dev_b = float(np.abs(pi2 @ s.Z - pi1).max())
 
     devs = [dev_a, dev_b]
     parts = [f"complement stationarity={dev_a:.3e}",
              f"nondangling from dangling={dev_b:.3e}"]
-    if s.lu22 is None:
+    if s.W is None:
         parts.append("dangling from nondangling skipped (trailing block has unit row sums)")
     else:
-        lhs_c = linalg.lu_solve(s.lu22, _dot(pi1, s.G12), trans=1)
-        dev_c = float(np.abs(lhs_c - pi2).max())
+        dev_c = float(np.abs(pi1 @ s.W - pi2).max())
         devs.append(dev_c)
         parts.append(f"dangling from nondangling={dev_c:.3e}")
 
@@ -224,14 +217,13 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         G1_direct = build_dense_lumped(permute_blocks(H, p, params))
         for kind in TransformKind:
             L = build_transform(kind, m)
-            lu_piv = _lu(L)  # shared by the condition check and the conjugation
-            rep = _transform_condition(L, lu_piv, tol=1e-12)
+            rep = verify_transform_condition(L, tol=1e-12)
             emit(f"transform_condition[{kind.value}]", rep.passed,
                  rep.max_abs_deviation, rep.detail if not rep.passed else "")
-            full, G1, _ = _conjugate(Gt, L, k, lu_piv)
+            full, G1, _ = similarity_transform(Gt, L, k)
             bottom = full[k + 1:, :]
             dev_tri = float(np.abs(bottom).max()) if bottom.size else 0.0
-            del full, bottom, lu_piv  # freed before the next n x n products
+            del full, bottom  # freed before the next n x n products
             note = "degenerate order-1 transform" if m == 1 else ""
             emit(f"block_triangular[{kind.value}]", dev_tri <= 1e-11, dev_tri, note)
             dev_g1 = float(np.abs(G1 - G1_direct).max())

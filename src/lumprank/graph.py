@@ -85,6 +85,14 @@ def _fast_pairs(raw: bytes) -> np.ndarray | None:
     return pairs if pairs.shape[1] == 2 else None
 
 
+def _decimal(token: str) -> int:
+    """int(token) for ASCII decimal text; int() alone also reads ``1_000``
+    and non-ASCII digits such as ``\u0661``."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _checked_pairs(text: str) -> np.ndarray:
     """(m, 2) label pairs read line by line; the first bad line raises
     :class:`EdgeListParseError` with its number."""
@@ -99,7 +107,7 @@ def _checked_pairs(text: str) -> np.ndarray:
                 f"line {lineno}: expected two node labels, got {stripped!r}"
             )
         try:
-            src_label, dst_label = int(tokens[0]), int(tokens[1])
+            src_label, dst_label = _decimal(tokens[0]), _decimal(tokens[1])
         except ValueError:
             raise EdgeListParseError(
                 f"line {lineno}: non-integer node label in {stripped!r}"
@@ -209,6 +217,9 @@ def load_weight_vector(source: str, n: int) -> np.ndarray:
     if source.strip() == "uniform":
         return uniform_vector(n)
     tokens = source.split()
+    # float() alone also reads "0.2_5" and non-ASCII digits
+    if "_" in source or not (source.isascii() or all(tok.isascii() for tok in tokens)):
+        raise ValueError("weight vector: non-numeric entry")
     try:
         entries = np.array([float(tok) for tok in tokens], dtype=np.float64)
     except ValueError:

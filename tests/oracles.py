@@ -6,6 +6,7 @@ sparse machinery, so these values stay valid as a check on it.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -85,9 +86,11 @@ def reference_parse(text):
 
     The package's original parser, kept as the reference its vectorised reader
     must match: labels are interned in first-appearance order, the first bad
-    line raises EdgeListParseError with its number.  One rule was added: a
+    line raises EdgeListParseError with its number.  Two rules were added: a
     label of 2**63 or more is rejected, where the original crashed when it
-    stored the labels as int64.
+    stored the labels as int64; and a label is ASCII digits after an optional
+    sign, where the original's int() also read underscores ("1_000") and
+    non-ASCII digits, so two distinct labels could name one node.
     """
     from lumprank import EdgeListParseError
 
@@ -116,12 +119,11 @@ def reference_parse(text):
             raise EdgeListParseError(
                 f"line {lineno}: expected two node labels, got {stripped!r}"
             )
-        try:
-            src_label, dst_label = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        if not all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
             raise EdgeListParseError(
                 f"line {lineno}: non-integer node label in {stripped!r}"
-            ) from None
+            )
+        src_label, dst_label = int(tokens[0]), int(tokens[1])
         if src_label < 0 or dst_label < 0:
             raise EdgeListParseError(
                 f"line {lineno}: negative node label in {stripped!r}"

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import lumprank.cli
 import lumprank.decomposition
@@ -469,23 +468,30 @@ class TestVerify:
             assert len(others) == 14 and all(l.startswith("PASS ") for l in others)
 
     def test_each_matrix_is_lu_factored_once(self, capsys, tmp_path, monkeypatch):
-        # 29 factorizations, none repeated: three order-(n-k) transforms,
-        # I - G11 and I - G22 (5); the 8 n x n spectrum determinants (8); the
-        # 8 (k+1)-order determinants of the lumped block and 8 of its
-        # corrupted control (16)
-        lu_factor = scipy.linalg.lu_factor
+        # 34 LU factorizations, one per np.linalg.solve or slogdet call, none
+        # of the same matrix: each of the three order-(n-k) transforms L for
+        # its condition check and L^T for its conjugation (6); I - G11 for Y
+        # and its transpose for Z, and (I - G22)^T for W (3); the stationary
+        # system (1); the 8 n x n spectrum determinants (8); the 8
+        # (k+1)-order determinants of the lumped block and 8 of its corrupted
+        # control (16).  The coupled identities and the negative controls
+        # reuse Z and W, with no solve of their own.
         factored = []
 
-        def recording_lu_factor(a, *args, **kwargs):
-            factored.append(np.asarray(a).tobytes())
-            return lu_factor(a, *args, **kwargs)
+        def recording(fn):
+            def record(a, *args, **kwargs):
+                a = np.asarray(a)
+                factored.append((a.shape, a.tobytes()))
+                return fn(a, *args, **kwargs)
+            return record
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", recording_lu_factor)
+        monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "slogdet", recording(np.linalg.slogdet))
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         code, out, _ = run(capsys, "verify", str(path), "--negative-control")
         assert code == 1 and out.count("PASS ") == 14
-        assert len(factored) == len(set(factored)) == 5 + 8 + 2 * 8
+        assert len(factored) == len(set(factored)) == 6 + 3 + 1 + 8 + 2 * 8
 
     def test_dense_limit_exits_3(self, capsys, tri_file):
         code, _, err = run(capsys, "verify", tri_file, "--dense-limit", "2")
@@ -730,7 +736,8 @@ class TestGen:
 
 
 # Runs in a fresh interpreter: which scipy modules are loaded after each
-# step of a session that imports the CLI and runs the sparse commands.
+# step of a session that imports the CLI, runs every command and imports the
+# dense lab's names.
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 path = sys.argv[1]
@@ -760,7 +767,7 @@ print(json.dumps(steps))
 
 
 class TestScipyFreePath:
-    def test_only_verify_loads_scipy(self, tmp_path):
+    def test_no_step_loads_scipy(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         src = Path(__file__).resolve().parents[1] / "src"
@@ -768,12 +775,13 @@ class TestScipyFreePath:
                               capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
         steps = json.loads(proc.stdout)
-        for step in ("import lumprank.cli", "gen", "rank", "compare", "star import"):
+        # the dense lab runs on numpy alone, so no process loads scipy's BLAS
+        for step in ("import lumprank.cli", "gen", "rank", "compare", "star import",
+                     "lab names", "verify"):
             assert steps[step]["scipy"] == [], step
         assert [steps[s]["code"] for s in ("gen", "rank", "compare")] == [0, 0, 0]
         # the package root exports the engine alone
         assert steps["star import"]["code"] == 1
-        # the lab names resolve from their modules, which load scipy
+        # the lab names resolve from their own modules
         assert steps["lab names"]["code"] == 1
-        assert "scipy.linalg" in steps["lab names"]["scipy"]
         assert steps["verify"]["code"] == 0

@@ -14,6 +14,7 @@ from lumprank import (
     uniform_vector,
 )
 from lumprank.decomposition import (
+    _block_split,
     ldu_factors,
     stochastic_complement,
     verify_coupled_stationarity,
@@ -85,6 +86,16 @@ class TestLduFactors:
         with pytest.raises(np.linalg.LinAlgError):
             ldu_factors(M, 1)
 
+    def test_nearly_singular_leading_block_raises(self):
+        # I - G11 = [[1, 1], [1, 1 + 1e-13]]: not exactly singular, but the
+        # solve for Y grows G12 by ~1e13
+        Gt = np.zeros((3, 3))
+        Gt[:2, :2] = np.eye(2) - np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        Gt[0, 2] = 1.0
+        Gt[2] = 1.0 / 3
+        with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+            ldu_factors(Gt, 2)
+
 
 class TestStochasticComplement:
     def test_single_dangling_complement_is_one(self):
@@ -152,6 +163,22 @@ class TestCoupledStationarity:
             pi_tilde = recover_pagerank(sigma, b)
             rep = verify_coupled_stationarity(pi_tilde, Gt, p.k, tol=1e-8)
             assert rep.passed, rep.detail
+
+    def test_identities_through_z_and_w_match_direct_solves(self):
+        # (b) is pi2 Z and (c) is pi1 W, products with the cached blocks;
+        # each must equal the solve it stands for
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            g, params, H, p, Gt = dense_setup(rng)
+            k, n = p.k, g.n
+            s = _block_split(Gt, k)
+            pi = oracles.stationary(Gt)
+            pi1, pi2 = pi[:k], pi[k:]
+            direct_b = np.linalg.solve((np.eye(k) - Gt[:k, :k]).T, Gt[k:, :k].T @ pi2)
+            assert np.abs(pi2 @ s.Z - direct_b).max() <= 1e-12
+            assert s.W is not None  # uniform v and w: every trailing row sums below 1
+            direct_c = np.linalg.solve((np.eye(n - k) - Gt[k:, k:]).T, Gt[:k, k:].T @ pi1)
+            assert np.abs(pi1 @ s.W - direct_c).max() <= 1e-12
 
     def test_perturbed_vector_fails(self):
         rng = np.random.default_rng(46)

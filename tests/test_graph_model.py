@@ -51,6 +51,11 @@ class TestParseEdgeList:
         ("1 2\n3 4.5\n", "line 2"),
         ("1 -2\n", "negative"),
         ("1 2\n9223372036854775808 1\n", "line 2: node label too large"),
+        # labels int() would read: each pair below names two distinct labels
+        # that int() maps to one node
+        ("1000 1\n1_000 2\n", "line 2: non-integer node label"),
+        ("1 2\n\u0661 3\n", "line 2: non-integer node label"),
+        ("7 \uff17\n", "line 1: non-integer node label"),
     ])
     def test_malformed_line_reports_line_number(self, text, fragment):
         with pytest.raises(EdgeListParseError, match=fragment):
@@ -151,6 +156,8 @@ class TestReferenceParity:
         # labels only int() reads
         "1_0 2\n", "+1 2\n", "1 +2\n", "\u0661\u0662 3\n", "\uff11 \uff12\n",
         "-0 1\n", "1 -2\n", "1e3 2\n", "0x1 2\n", "1 2.0\n", "1 2.5\n",
+        "1000 1\n1_000 2\n", "-1_0 2\n", "1 -\u0661\n", "+\u0661 2\n", "1\u00a0\u0662\n",
+        "1 99999999999999999999_9\n",
         # blanks other than space and tab
         "1\u00a02\n", "\u3000 1 2\n", "1\x1f2\n", "\u00a0# c\n1 2\n",
         # the int64 boundary
@@ -238,6 +245,16 @@ class TestLoadWeightVector:
     def test_non_numeric_rejected(self):
         with pytest.raises(ValueError, match="non-numeric"):
             load_weight_vector("1 two 3", 3)
+
+    @pytest.mark.parametrize("text", ["1 0.2_5 3", "1_0 1 1", "1 \u0661 3", "1 \uff12 3",
+                                      "0.\u0665 1 1"])
+    def test_underscores_and_non_ascii_digits_rejected(self, text):
+        # float() reads each of these
+        with pytest.raises(ValueError, match="non-numeric"):
+            load_weight_vector(text, 3)
+
+    def test_non_ascii_blanks_still_separate(self):
+        assert load_weight_vector("2\u00a01\u30001", 3).tolist() == [0.5, 0.25, 0.25]
 
     def test_zero_entries_allowed(self):
         assert load_weight_vector("0 1 0", 3).tolist() == [0.0, 1.0, 0.0]

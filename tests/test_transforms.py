@@ -1,13 +1,10 @@
 import ast
-import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-import lumprank.cli
-import lumprank.decomposition
 import lumprank.transforms
 import oracles
 from lumprank import (
@@ -23,8 +20,6 @@ from lumprank import (
 )
 from lumprank.transforms import (
     TransformKind,
-    _dot,
-    _slogdet,
     build_dense_google,
     build_dense_lumped,
     build_transform,
@@ -95,6 +90,13 @@ class TestTransformCondition:
 
     def test_singular_matrix_reported(self):
         rep = verify_transform_condition(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert not rep.passed
+        assert "singular" in rep.detail
+        assert rep.max_abs_deviation == np.inf
+
+    def test_nearly_singular_matrix_reported(self):
+        # not exactly singular: the solve for L^-1 e1 returns ~1e13 entries
+        rep = verify_transform_condition(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
         assert not rep.passed
         assert "singular" in rep.detail
         assert rep.max_abs_deviation == np.inf
@@ -202,6 +204,14 @@ class TestSimilarityTransform:
         with pytest.raises(np.linalg.LinAlgError):
             similarity_transform(Gt, bad, p.k)
 
+    def test_nearly_singular_transform_raises(self):
+        # L^T X^T = B has a finite solution, but one 1e13 times larger than B
+        Gt = np.random.default_rng(32).random((4, 4))
+        Gt /= Gt.sum(axis=1, keepdims=True)
+        L = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+        with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+            similarity_transform(Gt, L, 2)
+
     def test_wrong_transform_order_raises(self):
         rng = np.random.default_rng(25)
         g, params, H, p, Gt, _ = dense_setup(rng)
@@ -230,6 +240,25 @@ class TestSpectrumIdentity:
         assert abs(np.linalg.det(2 * np.eye(2) - Gt) - 2.0) <= 1e-12
         rep = check_spectrum_identity(Gt, np.array([[1.0]]), 0, tol=1e-8)
         assert rep.passed
+
+    @pytest.mark.parametrize("A", [
+        np.zeros((1, 1)),
+        np.zeros((3, 3)),
+        np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+    ])
+    def test_singular_full_side_reads_zero_sign_and_fails(self, A):
+        # 2 I - Gt = A exactly, so the full side's determinant at lambda = 2
+        # is (0, -inf); the lumped side (the order-n block with k = n - 1) is
+        # shifted off that eigenvalue, so the check must fail, without warnings
+        n = A.shape[0]
+        Gt = 2.0 * np.eye(n) - A
+        assert tuple(np.linalg.slogdet(2.0 * np.eye(n) - Gt)) == (0.0, -np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_spectrum_identity(Gt, Gt + 0.5 * np.eye(n), n - 1)
+        assert not rep.passed
+        assert rep.max_abs_deviation >= 1.0
 
     def test_corrupted_lumped_block_fails(self):
         rng = np.random.default_rng(27)
@@ -307,107 +336,33 @@ class TestStationaryDense:
         assert np.abs(pi @ Gt - pi).max() <= 1e-12
 
 
-class TestLuSlogdet:
-    @pytest.mark.parametrize("n", [1, 2, 50, 300])
-    def test_matches_numpy_slogdet(self, n):
-        rng = np.random.default_rng(60 + n)
-        cases = [rng.standard_normal((n, n)) for _ in range(6)]
-        cases += [A[::-1].copy() for A in cases[:3]]  # rows reversed
-        cases.append(np.diag(-np.arange(1.0, n + 1)))  # det (-1)^n n!, no interchange
-        seen = set()
-        for A in cases:
-            ref_sign, ref_ld = np.linalg.slogdet(A)
-            odd = np.count_nonzero(scipy.linalg.lu_factor(A)[1] != np.arange(n)) % 2
-            seen.add((ref_sign, odd))
-            sign, ld = _slogdet(A.copy())
-            assert sign == ref_sign
-            assert abs(ld - ref_ld) <= 1e-12 * max(1.0, abs(ref_ld))
-        assert -1.0 in {sign for sign, _ in seen}
-        assert n == 1 or 1 in {odd for _, odd in seen}
-
-    @pytest.mark.parametrize("A", [
-        np.zeros((1, 1)),
-        np.zeros((3, 3)),
-        np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]),
-        np.array([[1.0, 2.0], [2.0, 4.0]]),
-    ])
-    def test_singular_gives_zero_sign_and_minus_inf(self, A):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sign, ld = _slogdet(A.copy())
-        assert sign == 0.0 and ld == -np.inf
-        assert np.linalg.slogdet(A)[0] == 0.0
-
-
-def layouts(M):
-    """M as a C-order array, a Fortran-order array and a strided view."""
-    big = np.zeros(tuple(2 * d + 3 for d in M.shape))
-    view = big[tuple(slice(1, 1 + 2 * d, 2) for d in M.shape)]
-    view[...] = M
-    return {"C": np.ascontiguousarray(M), "F": np.asfortranarray(M), "view": view}
-
-
-class TestBlasProduct:
-    @pytest.mark.parametrize("la", ["C", "F", "view"])
-    @pytest.mark.parametrize("lb", ["C", "F", "view"])
-    @pytest.mark.parametrize("shapes", [((7, 5), (5, 9)), ((7, 5), (5,)), ((5,), (5, 9)),
-                                        ((1, 1), (1, 4)), ((6, 1), (1,))])
-    def test_matches_numpy_matmul(self, la, lb, shapes):
-        rng = np.random.default_rng(70)
-        a, b = (rng.standard_normal(shape) for shape in shapes)
-        a, b = layouts(a)[la], layouts(b)[lb]
-        got = _dot(a, b)
-        ref = a @ b
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    def test_blocks_of_a_permuted_google_matrix(self):
-        rng = np.random.default_rng(71)
-        _, _, _, p, Gt, _ = dense_setup(rng, n_max=60)
-        k = p.k
-        x = rng.random(Gt.shape[0])
-        for a, b in [(Gt[k:, :k], Gt[:k, k:]), (Gt[:k, k:], Gt[k:]), (x[:k], Gt[:k, k:]),
-                     (Gt[:k, k:], x[k:]), (x[k:], Gt[k:, :k])]:
-            ref = a @ b
-            assert np.abs(_dot(a, b) - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def numpy_blas_uses(tree):
-    """Source text of every numpy matrix product or numpy.linalg use in tree
-    (raising or catching np.linalg.LinAlgError is allowed)."""
+def scipy_imports(tree):
+    """Source text of every import of scipy or of one of its modules in tree."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append(node)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
-                node.func.attr == "dot"
-                or (isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
-                    and node.func.attr in ("matmul", "vdot", "inner", "tensordot", "einsum"))):
-            found.append(node)
-        elif (isinstance(node, ast.Attribute) and node.attr != "LinAlgError"
-              and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
-              and isinstance(node.value.value, ast.Name) and node.value.value.id == "np"):
-            found.append(node)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-            found.append(node)
-    return [ast.unparse(node) for node in found]
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(ast.unparse(node))
+    return found
 
 
 class TestOneBlasLibrary:
-    """numpy and scipy each load their own OpenBLAS; ``verify`` must call only
-    scipy's, so neither thread pool spins while the other one works."""
+    """numpy and scipy each load their own OpenBLAS, each with a thread pool
+    whose idle workers spin on the cores the other one needs; the lab and the
+    CLI import no scipy, so ``verify`` runs on numpy's BLAS alone."""
 
-    def test_guard_flags_numpy_products_and_linalg(self):
-        tree = ast.parse("x = a @ b\nx @= b\ny = np.linalg.solve(a, b)\nz = a.dot(b)\n"
-                         "w = np.matmul(a, b)\nfrom numpy.linalg import det\n"
-                         "raise np.linalg.LinAlgError('singular')\n")
-        assert len(numpy_blas_uses(tree)) == 6
+    def test_guard_flags_scipy_imports(self):
+        tree = ast.parse("import scipy\nimport numpy, scipy.linalg as sl\n"
+                         "from scipy import linalg\nfrom scipy.linalg import blas\n"
+                         "import scipyx\nfrom numpy import linalg\nfrom .scipy import x\n")
+        assert len(scipy_imports(tree)) == 4
 
-    @pytest.mark.parametrize("where", ["transforms.py", "decomposition.py", "cli.cmd_verify"])
-    def test_dense_lab_calls_no_numpy_blas(self, where):
-        if where == "cli.cmd_verify":
-            source = inspect.getsource(lumprank.cli.cmd_verify)
-        else:
-            module = lumprank.transforms if where == "transforms.py" else lumprank.decomposition
-            source = inspect.getsource(module)
-        assert numpy_blas_uses(ast.parse(source)) == []
+    @pytest.mark.parametrize("module", ["transforms.py", "decomposition.py", "cli.py"])
+    def test_imports_no_scipy(self, module):
+        path = Path(lumprank.transforms.__file__).with_name(module)
+        assert scipy_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
