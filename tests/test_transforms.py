@@ -1,4 +1,5 @@
 import ast
+import math
 import warnings
 from pathlib import Path
 
@@ -241,25 +242,6 @@ class TestSpectrumIdentity:
         rep = check_spectrum_identity(Gt, np.array([[1.0]]), 0, tol=1e-8)
         assert rep.passed
 
-    @pytest.mark.parametrize("A", [
-        np.zeros((1, 1)),
-        np.zeros((3, 3)),
-        np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]),
-        np.array([[1.0, 2.0], [2.0, 4.0]]),
-    ])
-    def test_singular_full_side_reads_zero_sign_and_fails(self, A):
-        # 2 I - Gt = A exactly, so the full side's determinant at lambda = 2
-        # is (0, -inf); the lumped side (the order-n block with k = n - 1) is
-        # shifted off that eigenvalue, so the check must fail, without warnings
-        n = A.shape[0]
-        Gt = 2.0 * np.eye(n) - A
-        assert tuple(np.linalg.slogdet(2.0 * np.eye(n) - Gt)) == (0.0, -np.inf)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = check_spectrum_identity(Gt, Gt + 0.5 * np.eye(n), n - 1)
-        assert not rep.passed
-        assert rep.max_abs_deviation >= 1.0
-
     def test_corrupted_lumped_block_fails(self):
         rng = np.random.default_rng(27)
         g, params, H, p, Gt, b = dense_setup(rng)
@@ -334,6 +316,103 @@ class TestStationaryDense:
         pi_oracle = oracles.stationary(Gt)
         assert np.abs(pi - pi_oracle).max() <= 1e-12
         assert np.abs(pi @ Gt - pi).max() <= 1e-12
+
+
+class TestLuSlogdet:
+    """The spectrum check's determinants: numpy's LU log-determinants of
+    I - Gt/lam, filled for every sample point into one reused n x n buffer."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 300])
+    def test_matches_numpy_slogdet(self, n):
+        # the buffered full side against slogdet of freshly formed matrices,
+        # at the documented sample points, with negative determinants present
+        rng = np.random.default_rng(60 + n)
+        cases = [rng.standard_normal((n, n)) for _ in range(6)]
+        cases += [A[::-1].copy() for A in cases[:3]]  # rows reversed
+        cases.append(np.diag(4.0 * np.arange(1, n + 1)))  # det(I - A/lam) < 0 for n = 1
+        lams = np.concatenate([[1.5, 2.0, 3.0], np.random.default_rng(0).uniform(1.1, 4.0, 5)])
+        signs = set()
+        for i, A in enumerate(cases):
+            B = cases[(i + 1) % len(cases)] if i % 2 else A + 1e-6 * np.outer(A[0], A[:, 0])
+            worst = 0.0
+            for lam in lams:
+                (s1, l1), (s2, l2) = (np.linalg.slogdet(np.eye(n) - M / lam) for M in (A, B))
+                signs.add(s1)
+                top = max(l1, l2)
+                worst = max(worst, abs(s1 * np.exp(l1 - top) - s2 * np.exp(l2 - top)))
+            rep = check_spectrum_identity(A, B, n - 1, tol=1e-8)
+            assert abs(rep.max_abs_deviation - worst) <= 1e-12
+            assert check_spectrum_identity(A, A, n - 1, tol=0.0).max_abs_deviation == 0.0
+        assert -1.0 in signs and 1.0 in signs
+
+    @pytest.mark.parametrize("A", [
+        np.zeros((1, 1)),
+        np.zeros((3, 3)),
+        np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+    ])
+    def test_singular_gives_zero_sign_and_minus_inf(self, A):
+        # 2 I - Gt = A exactly, so the full side's determinant at lambda = 2
+        # is (0, -inf); the lumped side (the order-n block with k = n - 1) is
+        # shifted off that eigenvalue, so the check must fail, without warnings
+        n = A.shape[0]
+        Gt = 2.0 * np.eye(n) - A
+        assert tuple(np.linalg.slogdet(2.0 * np.eye(n) - Gt)) == (0.0, -np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_spectrum_identity(Gt, Gt + 0.5 * np.eye(n), n - 1)
+        assert not rep.passed
+        assert rep.max_abs_deviation >= 1.0
+
+
+def layouts(M):
+    """M as a C-order array, a Fortran-order array and a strided view."""
+    big = np.zeros(tuple(2 * d + 3 for d in M.shape))
+    view = big[tuple(slice(1, 1 + 2 * d, 2) for d in M.shape)]
+    view[...] = M
+    return {"C": np.ascontiguousarray(M), "F": np.asfortranarray(M), "view": view}
+
+
+def reference_product(a, b):
+    """a @ b entry by entry through math.fsum: no BLAS call."""
+    A, B = np.atleast_2d(a), b.reshape(b.shape[0], -1)
+    out = np.array([[math.fsum(row * col) for col in B.T] for row in A])
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+class TestBlasProduct:
+    """Every lab product runs on numpy's BLAS; it must agree with a BLAS-free
+    reference on each layout the lab hands it, written into a strided target
+    too, as similarity_transform writes its conjugated rows."""
+
+    @pytest.mark.parametrize("la", ["C", "F", "view"])
+    @pytest.mark.parametrize("lb", ["C", "F", "view"])
+    @pytest.mark.parametrize("shapes", [((7, 5), (5, 9)), ((7, 5), (5,)), ((5,), (5, 9)),
+                                        ((1, 1), (1, 4)), ((6, 1), (1,))])
+    def test_matches_numpy_matmul(self, la, lb, shapes):
+        rng = np.random.default_rng(70)
+        a, b = (rng.standard_normal(shape) for shape in shapes)
+        a, b = layouts(a)[la], layouts(b)[lb]
+        ref = reference_product(a, b)
+        out = layouts(np.zeros(ref.shape))[la]
+        for got in (a @ b, np.matmul(a, b, out=out)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_blocks_of_a_permuted_google_matrix(self):
+        rng = np.random.default_rng(71)
+        g, _, _, p, Gt, _ = dense_setup(rng, n_max=60)
+        k = p.k
+        x = rng.random(Gt.shape[0])
+        for a, b in [(Gt[k:, :k], Gt[:k, k:]), (Gt[:k, k:], Gt[k:]), (x[:k], Gt[:k, k:]),
+                     (Gt[:k, k:], x[k:]), (x[k:], Gt[k:, :k])]:
+            ref = reference_product(a, b)
+            assert np.abs(a @ b - ref).max() <= 1e-13 * np.abs(ref).max()
+        # the conjugation's first k columns are L @ Gt[k:, :k], untouched by the solve
+        L = build_transform(TransformKind.AVERAGING, g.n - k)
+        full, _, _ = similarity_transform(Gt, L, k)
+        ref = reference_product(L, Gt[k:, :k])
+        assert np.abs(full[k:, :k] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def scipy_imports(tree):
