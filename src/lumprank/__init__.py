@@ -22,7 +22,7 @@ from .lumping import (
     bicgstab,
     detect_dangling,
     full_operator,
-    lumped_apply,
+    full_system,
     permute_blocks,
     power_method,
     recover_pagerank,
@@ -45,8 +45,8 @@ __all__ = [
     "build_hyperlink_matrix",
     "detect_dangling",
     "full_operator",
+    "full_system",
     "load_weight_vector",
-    "lumped_apply",
     "parse_edge_list",
     "permute_blocks",
     "power_method",

@@ -1,15 +1,17 @@
 """Dangling-node lumping: partition, block structure, matrix-free operators,
-the lumped linear solve, and recovery of the full ranking.
+the linear solve, and recovery of the full ranking.
 
 The full chain has transition matrix G = alpha*(H + d w^T) + (1-alpha) e v^T.
 Reordering nondangling nodes first turns G into a 2x2 block form whose lower
 blocks are rank one; collapsing the dangling block to one state yields a
-(k+1)-order chain with the same nonzero spectrum.  Its stationary vector solves
-the linear system (I - alpha*S1^T) sigma = (1-alpha)*v, with S1 = [A; w^T]
-row-stochastic; :func:`solve_lumped` solves it by BiCGSTAB, stops on a
-rigorous 1-norm error bound, and expands sigma back to all n nodes in closed
-form.  :func:`power_method` (with one extrapolation step at the eigenvalue
-alpha) serves the full chain in ``compare``.
+(k+1)-order chain with the same nonzero spectrum.  That chain is itself a
+Google matrix, of a (k+1)-node graph whose only dangling node is the lumped
+state, so both chains' stationary vectors solve a system
+(I - alpha*P^T) x = (1-alpha)*v with P row-stochastic, and one operator
+builder and one solver, :func:`bicgstab`, serve both.  :func:`solve_lumped`
+solves the lumped system, stops on a rigorous 1-norm error bound, and expands
+sigma back to all n nodes in closed form; :func:`full_system` is the full
+chain's operator, which ``compare`` solves the same way.
 """
 
 from __future__ import annotations
@@ -78,14 +80,13 @@ class CooMatrix:
 class BlockStructure:
     """Everything the lumped operator needs, precomputed once.
 
-    The lumped chain is M = [alpha*A + (1-alpha)*e v^T; u^T] with one sparse
-    k x (k+1) part A = [H11 | H12 e]: the nondangling rows of the permuted
-    hyperlink matrix, their dangling columns summed into column k.
-    ``v = [v1, sum v2]``, ``w = [w1, sum w2]`` and ``u = [u1, sum u2]`` are
-    (k+1)-vectors, with u = alpha*w + (1-alpha)*v; S1 = [A; w^T] is
-    row-stochastic and M = alpha*S1 + (1-alpha)*e v^T.  ``H12``, ``v2`` and
-    ``u2`` serve only the recovery of the dangling ranks.  No dense block of
-    size k*(n-k) or (n-k)^2 is ever formed.
+    The lumped chain is M = alpha*S1 + (1-alpha)*e v^T with S1 = [A; w^T]
+    row-stochastic and one sparse k x (k+1) part A = [H11 | H12 e]: the
+    nondangling rows of the permuted hyperlink matrix, their dangling columns
+    summed into column k.  ``v = [v1, sum v2]`` and ``w = [w1, sum w2]`` are
+    (k+1)-vectors.  ``H12``, ``v2`` and ``u2 = alpha*w2 + (1-alpha)*v2``
+    serve only the recovery of the dangling ranks.  No dense block of size
+    k*(n-k) or (n-k)^2 is ever formed.
     """
 
     k: int
@@ -94,7 +95,6 @@ class BlockStructure:
     A: CooMatrix
     v: np.ndarray
     w: np.ndarray
-    u: np.ndarray
     H12: CooMatrix
     v2: np.ndarray
     u2: np.ndarray
@@ -182,35 +182,57 @@ def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition,
     nd, dg = p.perm[:k], p.perm[k:]
     v1, v2 = params.v[nd], params.v[dg]
     w1, w2 = params.w[nd], params.w[dg]
-    u1 = alpha * w1 + (1.0 - alpha) * v1
-    u2 = alpha * w2 + (1.0 - alpha) * v2
     return BlockStructure(
-        k=k, n=n, alpha=alpha, A=A,
-        v=np.append(v1, v2.sum()), w=np.append(w1, w2.sum()), u=np.append(u1, u2.sum()),
+        k=k, n=n, alpha=alpha, A=A, v=np.append(v1, v2.sum()), w=np.append(w1, w2.sum()),
         H12=CooMatrix(rows=rows12, cols=cols12, data=data12, shape=(k, n - k)),
-        v2=v2, u2=u2,
+        v2=v2, u2=alpha * w2 + (1.0 - alpha) * v2,
     )
 
 
-def lumped_apply(sigma: np.ndarray, b: BlockStructure) -> np.ndarray:
-    """One matrix-free step sigma^T -> sigma^T M on the (k+1)-order lumped chain.
+def _system(A: CooMatrix, dangling, w: np.ndarray,
+            alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Bind x -> (I - alpha*P^T) x for P = A + d w^T, with d the indicator of
+    the rows that ``dangling`` indexes: x - alpha*(A^T x + (sum of x over
+    dangling)*w), one sparse product and two axpys.
 
-    With sigma = [sa | sb] (sb the lumped-node mass):
-
-        sigma^T M = alpha*(sa^T [H11 | H12 e]) + (1-alpha)*(sa^T e)*v^T + sb*u^T
-
-    one sparse product and two axpys; the lumped matrix is never
-    materialized.  Cost O(nnz(H11) + k) and only O(nnz(H11) + k) scratch.
+    The lumped chain passes A = [H11 | H12 e] and ``slice(k, None)``, its one
+    lumped state; the full chain passes H and the indices of its dangling
+    nodes.  A reads x only at its stored rows.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != (b.k + 1,):
-        raise ValueError(f"expected vector of length {b.k + 1}, got shape {sigma.shape}")
-    sa = sigma[:b.k]
-    out = b.A.rmatvec(sa)
-    out *= b.alpha
-    out += ((1.0 - b.alpha) * sa.sum()) * b.v
-    out += sigma[b.k] * b.u
-    return out
+    m = A.shape[1]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (m,):
+            raise ValueError(f"expected vector of length {m}, got shape {x.shape}")
+        y = A.rmatvec(x)
+        y += x[dangling].sum() * w
+        y *= -alpha
+        y += x
+        return y
+
+    return apply
+
+
+def full_system(H: HyperlinkMatrix,
+                params: PageRankParams) -> Callable[[np.ndarray], np.ndarray]:
+    """Bind x -> (I - alpha*P^T) x, the operator of the full chain's linear
+    system (I - alpha*P^T) pi = (1-alpha)*v with P = H + d w^T.
+
+    :func:`bicgstab` on it from pi = v, stopped when error_bound =
+    ||r||_1/(1-alpha) is at most tol, r the true residual of its checked
+    iterate, solves the full chain as :func:`solve_lumped` solves the lumped
+    one.  P is row-stochastic, so ||P^T||_1 = 1 and, by the Neumann series,
+    ||(I - alpha*P^T)^-1||_1 <= 1/(1-alpha): any x is within
+    ||r||_1/(1-alpha) of the exact pi*.  The checked iterate is already
+    clipped and renormalised, and it is the answer itself, with no recovery
+    map and no renormalisation after it, so the bound needs none of
+    :func:`solve_lumped`'s factor 4.  Cost O(nnz(H) + n) per application.
+    """
+    if params.n != H.n:
+        raise ValueError("parameter vectors and matrix sizes differ")
+    A = CooMatrix(rows=H.row_index(), cols=H.indices, data=H.data, shape=(H.n, H.n))
+    return _system(A, np.flatnonzero(H.dangling_mask()), params.w, params.alpha)
 
 
 def full_operator(H: HyperlinkMatrix,
@@ -243,50 +265,26 @@ def full_operator(H: HyperlinkMatrix,
 
 
 def power_method(apply_op: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-                 tol: float, max_iter: int, alpha: float | None = None):
+                 tol: float, max_iter: int):
     """Left power iteration with per-step renormalization to unit 1-norm.
 
-    Stops when the 1-norm difference of successive iterates drops below tol;
-    that test runs only on plain steps.  Returns (iterate, iterations,
-    residual, converged), where iterations counts applications of apply_op;
-    with max_iter=0 the start vector comes straight back unconverged.
-
-    Given the damping factor ``alpha``, at most one power-extrapolation step
-    is taken.  On a graph with two or more closed groups (rank sinks) the
-    second eigenvalue of the Google matrix is exactly alpha, and the lumped
-    chain shares its nonzero spectrum, so plain iteration converges at rate
-    alpha.  Once the successive differences d = y - x satisfy
-    ||d - alpha*d_prev||_1 <= 1e-3*||d||_1, the error lies along the
-    eigenvalue-alpha direction, and (y - alpha*x)/(1 - alpha) removes it; the
-    step is taken only if that vector has no negative entry.  The error left
-    then decays at the rate of the next eigenvalue.  With ``alpha=None`` the
-    loop is plain power iteration.
+    Stops when the 1-norm difference of successive iterates drops below tol,
+    which is not an error bound.  Returns (iterate, iterations, residual,
+    converged), where iterations counts applications of apply_op; with
+    max_iter=0 the start vector comes straight back unconverged.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     residual = np.inf
-    d_prev = None
     for t in range(1, max_iter + 1):
         y = apply_op(x)
         total = y.sum()
         if not (np.isfinite(total) and total > 0.0):  # a sum is non-finite if any entry is
             raise FloatingPointError(f"non-finite or degenerate iterate at step {t}")
         y /= total  # exact no-op in exact arithmetic; arrests rounding drift
-        d = y - x
-        residual = float(np.abs(d).sum())
+        residual = float(np.abs(y - x).sum())
         if residual < tol:
             return y, t, residual, True
         x = y
-        if alpha is None:
-            continue
-        if d_prev is not None:
-            d_prev *= -alpha
-            d_prev += d
-            if np.abs(d_prev, out=d_prev).sum() <= 1e-3 * residual:
-                z = y + (alpha / (1.0 - alpha)) * d
-                if z.min() >= 0.0:
-                    x = z / z.sum()
-                    alpha = None  # extrapolate at most once
-        d_prev = d
     return x, max_iter, residual, False
 
 
@@ -406,21 +404,6 @@ def _stage(timings: dict, name: str):
     timings[name] = time.perf_counter() - t0
 
 
-def _lumped_system(b: BlockStructure) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind x -> (I - alpha*S1^T) x with S1 = [A; w^T]: one sparse product and
-    two axpys, the operator of the lumped linear system."""
-    k, alpha, w = b.k, b.alpha, b.w
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = b.A.rmatvec(x[:k])
-        y += x[k] * w
-        y *= -alpha
-        y += x
-        return y
-
-    return apply
-
-
 def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     """Full pipeline: hyperlink matrix, partition, BiCGSTAB on the lumped
     linear system, recovery, un-permutation.
@@ -459,8 +442,9 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
         b = permute_blocks(H, p, params)
     with _stage(timings, "loop"):
         scale = 4.0 / (1.0 - params.alpha)  # error_bound per unit of ||r||_1
-        sigma, iters, res, _ = bicgstab(_lumped_system(b), (1.0 - params.alpha) * b.v,
-                                        b.v, params.tol / scale, params.max_iter)
+        op = _system(b.A, slice(b.k, None), b.w, b.alpha)
+        sigma, iters, res, _ = bicgstab(op, (1.0 - params.alpha) * b.v, b.v,
+                                        params.tol / scale, params.max_iter)
     with _stage(timings, "recover"):
         pi = unpermute(recover_pagerank(sigma, b), p)
         # exact no-op at stationarity; keeps the report a probability vector

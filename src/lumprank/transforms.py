@@ -130,10 +130,11 @@ def build_dense_google(g: WebGraph, params: PageRankParams, p: DanglingPartition
 
 def build_dense_lumped(b: BlockStructure) -> np.ndarray:
     """Explicit (k+1)-order lumped matrix [G11, G12 e; u1^T, u2^T e] from the
-    block data: the dense counterpart of the matrix-free operator."""
+    block data, with u = alpha*w + (1-alpha)*v the row every dangling node
+    shares: the dense counterpart of the matrix-free operator."""
     M = np.empty((b.k + 1, b.k + 1))
     M[:b.k] = b.alpha * b.A.toarray() + (1.0 - b.alpha) * b.v
-    M[b.k] = b.u
+    M[b.k] = b.alpha * b.w + (1.0 - b.alpha) * b.v
     return M
 
 
@@ -208,9 +209,10 @@ def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
         raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
     rng = np.random.default_rng(seed)
     lams = np.concatenate([[1.5, 2.0, 3.0], rng.uniform(1.1, 4.0, size=5)])
+    finite = bool(np.isfinite(Gt).all())
     full = []
     shifted = np.empty((n, n))  # I - Gt/lam, refilled for each lam
-    for lam in lams:
+    for lam in lams if finite else ():
         np.divide(Gt, -lam, out=shifted)
         shifted.flat[::n + 1] += 1.0
         full.append(np.linalg.slogdet(shifted))
@@ -219,13 +221,20 @@ def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
         G1 = np.asarray(G1, dtype=np.float64)
         if G1.shape != (k + 1, k + 1):
             raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
+        if not (finite and np.isfinite(G1).all()):
+            return CheckReport(passed=False, max_abs_deviation=np.inf,
+                               detail=f"seed={seed}; non-finite matrix entries")
         worst = 0.0
         worst_lam = float(lams[0])
         for lam, (s_full, ld_full) in zip(lams, full):
             s_lump, ld_lump = np.linalg.slogdet(np.eye(k + 1) - G1 / lam)
-            # |d1 - d2| / max(|d1|, |d2|) with determinants kept in log space
-            rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))
-            if rel > worst:
+            if s_full == s_lump == 0.0:
+                rel = 0.0  # both sides exactly singular: the determinants agree
+            else:
+                # |d1 - d2| / max(|d1|, |d2|) with determinants kept in log
+                # space; 1 when only one side is singular
+                rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))
+            if rel > worst or np.isnan(rel):  # a NaN deviation stays the worst
                 worst, worst_lam = float(rel), float(lam)
         return CheckReport(
             passed=worst <= tol, max_abs_deviation=worst,
@@ -253,7 +262,7 @@ def check_lumpable(M: np.ndarray, boundaries, tol: float = 1e-10,
     for a, b in zip(cuts, cuts[1:]):
         if not a < b:
             raise ValueError(f"boundaries must be strictly increasing inside (0, {n}): {boundaries}")
-    if np.abs(M.sum(axis=1) - 1.0).max() > tol:
+    if not np.isfinite(M).all() or np.abs(M.sum(axis=1) - 1.0).max() > tol:
         raise ValueError("matrix is not row-stochastic within tol")
 
     nblocks = len(cuts) - 1

@@ -139,3 +139,19 @@ def reference_parse(text):
     if not labels:
         raise EdgeListParseError("empty edge list: no nodes or edges found")
     return labels, {i: sorted(t) for i, t in enumerate(targets)}
+
+
+def sink_case(rng, n=300, k=120, groups=3, size=16):
+    """Graph whose first groups*size nodes form closed groups (rank sinks),
+    so the Google matrix has eigenvalue alpha; nodes >= k are dangling.
+    Returns (edges, heavy-tailed teleport vector)."""
+    edges = {}
+    for s in range(groups * size):
+        base = s - s % size
+        # a cycle keeps each group irreducible; the other links stay inside
+        edges[s] = {base + (s + 1 - base) % size}
+        edges[s] |= {int(t) for t in base + rng.integers(0, size, 3)}
+    for s in range(groups * size, k):
+        edges[s] = {int(t) for t in rng.integers(0, n, int(rng.integers(1, 8)))}
+    v = rng.pareto(1.0, n) + 1e-3
+    return edges, v / v.sum()

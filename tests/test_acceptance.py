@@ -11,10 +11,11 @@ import pytest
 import oracles
 from lumprank import (
     PageRankParams,
+    bicgstab,
     build_hyperlink_matrix,
     detect_dangling,
     full_operator,
-    lumped_apply,
+    full_system,
     parse_edge_list,
     permute_blocks,
     power_method,
@@ -27,9 +28,11 @@ from lumprank.decomposition import (
     stochastic_complement,
     verify_coupled_stationarity,
 )
+from lumprank.lumping import _system
 from lumprank.transforms import (
     TransformKind,
     build_dense_google,
+    build_dense_lumped,
     build_transform,
     check_spectrum_identity,
     similarity_transform,
@@ -151,10 +154,7 @@ def test_c5_recovery_matches_dense_stationary(graph_set):
     worst_sum = 0.0
     for g, params, H, p in graph_set:
         b = permute_blocks(H, p, params)
-        sigma, _, _, conv = power_method(lambda s: lumped_apply(s, b),
-                                         uniform_vector(p.k + 1), 1e-13, 100_000)
-        assert conv
-        pi_rec = recover_pagerank(sigma, b)
+        pi_rec = recover_pagerank(oracles.stationary(build_dense_lumped(b)), b)
         worst_sum = max(worst_sum, abs(float(pi_rec.sum()) - 1.0))
         pi_dense = oracles.stationary(build_dense_google(g, params, p))
         worst_l1 = max(worst_l1, float(np.abs(pi_rec - pi_dense).sum()))
@@ -177,9 +177,7 @@ def test_c6_decomposition_identities_and_negative_controls(graph_set):
         S = stochastic_complement(Gt, k)
         worst_rows = max(worst_rows, float(np.abs(S.sum(axis=1) - 1.0).max()))
         b = permute_blocks(H, p, params)
-        sigma, _, _, conv = power_method(lambda s: lumped_apply(s, b),
-                                         uniform_vector(k + 1), 1e-13, 100_000)
-        assert conv
+        sigma = oracles.stationary(build_dense_lumped(b))
         rep = verify_coupled_stationarity(recover_pagerank(sigma, b), Gt, k, tol=1e-8)
         coupled_ok &= rep.passed
         worst_coupled = max(worst_coupled, rep.max_abs_deviation)
@@ -211,15 +209,22 @@ def test_c7_worked_micro_instance_both_paths():
     assert np.abs(pi_oracle - expected).max() <= 1e-14
     params = PageRankParams.uniform(3, alpha=0.5, tol=1e-13, max_iter=10_000)
     rep = solve_lumped(g, params)
+    # the full chain as compare solves it: BiCGSTAB on (I - alpha*P^T) pi = (1-alpha)*v
     H = build_hyperlink_matrix(g)
-    pi_full, _, _, conv = power_method(full_operator(H, params),
-                                       uniform_vector(3), 1e-13, 10_000)
+    pi_full, _, _, conv = bicgstab(full_system(H, params), 0.5 * params.v, params.v,
+                                   0.5 * 1e-13, 10_000)
     assert rep.converged and conv
     worst = max(float(np.abs(rep.pagerank - expected).max()),
                 float(np.abs(pi_full - expected).max()))
     report("C7", worst <= 1e-10,
            f"3-node instance, both solver paths: max deviation {worst:.2e} "
            f"from (3/8, 5/16, 5/16) (<=1e-10)")
+
+
+def apply_times(op, x, times):
+    """Apply op to x `times` times, as a solve loop does."""
+    for _ in range(times):
+        op(x)
 
 
 def test_c8_performance_shape_100k_nodes():
@@ -236,17 +241,17 @@ def test_c8_performance_shape_100k_nodes():
     p = detect_dangling(H)
     assert p.k == k_target
     b = permute_blocks(H, p, params)
-    lumped_op = lambda s: lumped_apply(s, b)
-    full_op = full_operator(H, params)
+    # the operators of the two linear systems BiCGSTAB solves
+    lumped_op = _system(b.A, slice(b.k, None), b.w, b.alpha)
+    full_op = full_system(H, params)
     x_lumped = uniform_vector(p.k + 1)
     x_full = uniform_vector(n)
 
     def per_iteration_seconds(op, x0, iters=30, reps=3):
-        # tol=0 never triggers, so each run is exactly `iters` power steps
         best = np.inf
         for _ in range(reps):
             t0 = time.perf_counter()
-            power_method(op, x0, 0.0, iters)
+            apply_times(op, x0, iters)
             best = min(best, (time.perf_counter() - t0) / iters)
         return best
 
@@ -258,11 +263,11 @@ def test_c8_performance_shape_100k_nodes():
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    power_method(lumped_op, x_lumped, 0.0, 5)
+    apply_times(lumped_op, x_lumped, 5)
     lumped_peak = tracemalloc.get_traced_memory()[1] - base
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    power_method(full_op, x_full, 0.0, 5)
+    apply_times(full_op, x_full, 5)
     full_peak = tracemalloc.get_traced_memory()[1] - base
     tracemalloc.stop()
 
@@ -292,8 +297,9 @@ def test_c9_performance_shape_200k_nodes():
     p = detect_dangling(H)
     assert p.k == k_target
     b = permute_blocks(H, p, params)
-    lumped_op = lambda s: lumped_apply(s, b)
-    full_op = full_operator(H, params)
+    # the operators of the two linear systems BiCGSTAB solves
+    lumped_op = _system(b.A, slice(b.k, None), b.w, b.alpha)
+    full_op = full_system(H, params)
     x_lumped = uniform_vector(p.k + 1)
     x_full = uniform_vector(n)
 
@@ -301,7 +307,7 @@ def test_c9_performance_shape_200k_nodes():
         best = np.inf
         for _ in range(reps):
             t0 = time.perf_counter()
-            power_method(op, x0, 0.0, iters)
+            apply_times(op, x0, iters)
             best = min(best, (time.perf_counter() - t0) / iters)
         return best
 
@@ -312,11 +318,11 @@ def test_c9_performance_shape_200k_nodes():
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    power_method(lumped_op, x_lumped, 0.0, 5)
+    apply_times(lumped_op, x_lumped, 5)
     lumped_peak = tracemalloc.get_traced_memory()[1] - base
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    power_method(full_op, x_full, 0.0, 5)
+    apply_times(full_op, x_full, 5)
     full_peak = tracemalloc.get_traced_memory()[1] - base
     tracemalloc.stop()
 

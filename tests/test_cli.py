@@ -436,6 +436,25 @@ class TestCompare:
         assert float(re.search(r"time=(\S+)s", line).group(1)) >= rep.timings["loop"]
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_converged_sides_are_within_tol(self, capsys, tmp_path, seed):
+        # rank sinks at alpha 0.99 put the second eigenvalue at alpha; both
+        # sides stop on an error bound, so each is within tol of the exact
+        # ranking and the two are within 2*tol of each other
+        edges, v = oracles.sink_case(np.random.default_rng(seed))
+        path, v_path = tmp_path / "g.txt", tmp_path / "v.txt"
+        path.write_text(oracles.edge_text(edges))
+        labels = parse_edge_list(path.read_text()).labels
+        v_path.write_text(" ".join(repr(x) for x in v[labels].tolist()))
+        for tol in (1e-8, 1e-10, 1e-12):
+            code, out, _ = run(capsys, "compare", str(path), "--alpha", "0.99",
+                               "--v", str(v_path), "--tol", repr(tol))
+            assert code == 0, out
+            bounds = [float(b) for b in re.findall(r"error_bound=(\S+)", out)]
+            assert len(bounds) == 2 and max(bounds) <= tol, out
+            assert float(re.search(r"^l1_diff=(\S+)$", out, re.M).group(1)) <= 2 * tol, out
+
+
 class TestVerify:
     def test_all_checks_pass_on_micro_instance(self, capsys, tri_file):
         code, out, _ = run(capsys, "verify", tri_file, "--alpha", "0.5")

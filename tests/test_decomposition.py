@@ -6,12 +6,8 @@ from lumprank import (
     PageRankParams,
     build_hyperlink_matrix,
     detect_dangling,
-    lumped_apply,
     parse_edge_list,
-    permute_blocks,
-    power_method,
-    recover_pagerank,
-    uniform_vector,
+    solve_lumped,
 )
 from lumprank.decomposition import (
     _block_split,
@@ -156,12 +152,10 @@ class TestCoupledStationarity:
         rng = np.random.default_rng(45)
         for _ in range(6):
             g, params, H, p, Gt = dense_setup(rng)
-            b = permute_blocks(H, p, params)
-            sigma, _, _, conv = power_method(lambda s: lumped_apply(s, b),
-                                             uniform_vector(p.k + 1), 1e-13, 50_000)
-            assert conv
-            pi_tilde = recover_pagerank(sigma, b)
-            rep = verify_coupled_stationarity(pi_tilde, Gt, p.k, tol=1e-8)
+            solved = solve_lumped(g, PageRankParams(alpha=params.alpha, v=params.v,
+                                                    w=params.w, tol=1e-13))
+            assert solved.converged
+            rep = verify_coupled_stationarity(solved.pagerank[p.perm], Gt, p.k, tol=1e-8)
             assert rep.passed, rep.detail
 
     def test_identities_through_z_and_w_match_direct_solves(self):

@@ -11,7 +11,7 @@ from lumprank import (
     build_hyperlink_matrix,
     detect_dangling,
     full_operator,
-    lumped_apply,
+    full_system,
     parse_edge_list,
     permute_blocks,
     power_method,
@@ -21,6 +21,8 @@ from lumprank import (
     unpermute,
 )
 from lumprank.cli import generate_edge_list
+from lumprank.lumping import _system
+from lumprank.transforms import build_dense_lumped
 
 # 3-node micro-instance: internal 0 -> {1,2}, 1 -> {0}, 2 dangling.
 TRI_EDGES = {0: {1, 2}, 1: {0}}
@@ -34,6 +36,12 @@ def tri_setup(alpha=0.5):
     H = build_hyperlink_matrix(g)
     p = detect_dangling(H)
     return g, params, H, p, permute_blocks(H, p, params)
+
+
+def lumped_system(b):
+    """The lumped chain's system operator, x -> (I - alpha*S1^T) x, as
+    solve_lumped binds it."""
+    return _system(b.A, slice(b.k, None), b.w, b.alpha)
 
 
 def random_case(rng, n_max=60, alphas=(0.5, 0.85, 0.99)):
@@ -150,14 +158,16 @@ class TestPermuteBlocks:
             assert np.abs(A.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
             a = params.alpha
             u = a * params.w[p.perm] + (1 - a) * params.v[p.perm]
-            assert np.array_equal(b.u[:k], u[:k]) and np.array_equal(b.u2, u[k:])
-            assert b.u.min() >= 0 and b.u2.min(initial=0.0) >= 0
-            assert abs(b.u.sum() - 1.0) <= 1e-12
+            assert np.array_equal(b.u2, u[k:]) and b.u2.min(initial=0.0) >= 0
             assert b.v[k] == params.v[p.perm[k:]].sum()
+            assert b.w[k] == params.w[p.perm[k:]].sum()
 
 
 class TestLumpedApply:
+    """The lumped chain's system operator x -> (I - alpha*S1^T) x, S1 = [A; w^T]."""
+
     def test_preserves_probability_simplex(self):
+        # S1 is row-stochastic: S1^T x = (x - op(x))/alpha maps the simplex to itself
         rng = np.random.default_rng(3)
         for _ in range(15):
             g, _, params = random_case(rng)
@@ -165,15 +175,15 @@ class TestLumpedApply:
             b = permute_blocks(H, detect_dangling(H), params)
             sigma = rng.random(b.k + 1)
             sigma /= sigma.sum()
-            out = lumped_apply(sigma, b)
+            out = (sigma - lumped_system(b)(sigma)) / b.alpha
             assert abs(out.sum() - 1.0) <= 1e-12
             assert out.min() >= 0.0
 
     def test_micro_instance_value(self):
         _, _, _, _, b = tri_setup()
-        out = lumped_apply(np.full(3, 1 / 3), b)
-        expected = np.array([7 / 18, 11 / 36, 11 / 36])
-        assert np.abs(out - expected).max() <= 1e-15
+        out = lumped_system(b)(np.full(3, 1 / 3))
+        # S1^T x = [4/9, 5/18, 5/18] at alpha 1/2
+        assert np.abs(out - np.array([1 / 9, 7 / 36, 7 / 36])).max() <= 1e-15
 
     def test_matches_dense_lumped_oracle(self):
         rng = np.random.default_rng(4)
@@ -181,46 +191,42 @@ class TestLumpedApply:
         def cases():
             for _ in range(10):
                 yield random_case(rng)
-            for n in (5, 17, 40):  # k = n: the lumped state's row is u alone
-                edges = oracles.random_edge_dict(rng, n, 0.0)
+            for n, frac in ((5, 0.0), (17, 0.0), (40, 0.0), (3, None), (9, None)):
+                # k = n, then k = 0
+                edges = {} if frac is None else oracles.random_edge_dict(rng, n, frac)
                 v, w = rng.random(n) + 0.1, rng.random(n) + 0.1
                 yield oracles.make_webgraph(n, edges), edges, PageRankParams(
                     alpha=0.85, v=v / v.sum(), w=w / w.sum(), tol=1e-13, max_iter=50_000)
 
-        full = 0
+        seen = set()
         for g, edges, params in cases():
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
             b = permute_blocks(H, p, params)
-            # dense lumped matrix assembled from the oracle Google matrix; the
-            # lumped state's row is u = alpha w + (1 - alpha) v, the row every
-            # dangling node shares
-            a = params.alpha
-            Gd = oracles.dense_google(g.n, edges, a, v=params.v,
-                                      w=params.w)[np.ix_(p.perm, p.perm)]
-            u = (a * params.w + (1 - a) * params.v)[p.perm]
+            # dense S1 = [H11, H12 e; w1^T, sum w2] from the oracle hyperlink matrix
+            Hd = oracles.dense_hyperlink(g.n, edges)[np.ix_(p.perm, p.perm)]
+            w = params.w[p.perm]
             k = p.k
-            full += k == g.n
-            assert np.abs(Gd[k:] - u).max(initial=0.0) <= 1e-15
-            G1 = np.empty((k + 1, k + 1))
-            G1[:k, :k] = Gd[:k, :k]
-            G1[:k, k] = Gd[:k, k:].sum(axis=1)
-            G1[k, :k] = u[:k]
-            G1[k, k] = u[k:].sum()
-            sigma = rng.random(k + 1)
-            sigma /= sigma.sum()
-            assert np.abs(lumped_apply(sigma, b) - sigma @ G1).max() <= 1e-13
-        assert full >= 3
+            seen.add({0: "k=0", g.n: "k=n"}.get(k, "mixed"))
+            S1 = np.empty((k + 1, k + 1))
+            S1[:k, :k] = Hd[:k, :k]
+            S1[:k, k] = Hd[:k, k:].sum(axis=1)
+            S1[k, :k] = w[:k]
+            S1[k, k] = w[k:].sum()
+            x = rng.random(k + 1)
+            expected = (np.eye(k + 1) - params.alpha * S1.T) @ x
+            assert np.abs(lumped_system(b)(x) - expected).max() <= 1e-13
+        assert seen == {"k=0", "k=n", "mixed"}
 
     def test_degenerate_all_dangling(self):
         H = build_hyperlink_matrix(oracles.make_webgraph(2, {}))
-        b = permute_blocks(H, detect_dangling(H), PageRankParams.uniform(2))
-        assert lumped_apply(np.array([1.0]), b).tolist() == [1.0]
+        b = permute_blocks(H, detect_dangling(H), PageRankParams.uniform(2, alpha=0.75))
+        assert lumped_system(b)(np.array([1.0])).tolist() == [0.25]
 
     def test_length_mismatch_raises(self):
         _, _, _, _, b = tri_setup()
         with pytest.raises(ValueError, match="length 3"):
-            lumped_apply(np.full(4, 0.25), b)
+            lumped_system(b)(np.full(4, 0.25))
 
 
 class TestFullApply:
@@ -261,6 +267,22 @@ class TestFullApply:
         g, params, H, _, _ = tri_setup()
         with pytest.raises(ValueError, match="length 3"):
             full_operator(H, params)(np.full(5, 0.2))
+        with pytest.raises(ValueError, match="length 3"):
+            full_system(H, params)(np.full(5, 0.2))
+
+    def test_system_matches_dense_oracle(self):
+        # full_system is x -> (I - alpha*P^T) x with P = H + d w^T
+        rng = np.random.default_rng(16)
+        for i in range(12):
+            g, edges, params = random_case(rng) if i < 10 else (
+                oracles.make_webgraph(7, {}), {}, PageRankParams.uniform(7))
+            w = rng.random(g.n) + 0.1
+            params = PageRankParams(alpha=params.alpha, v=params.v, w=w / w.sum())
+            P = oracles.dense_google(g.n, edges, 1.0, w=params.w)
+            x = rng.random(g.n)
+            expected = (np.eye(g.n) - params.alpha * P.T) @ x
+            out = full_system(build_hyperlink_matrix(g), params)(x)
+            assert np.abs(out - expected).max() <= 1e-13
 
 
 class TestPowerMethod:
@@ -271,8 +293,9 @@ class TestPowerMethod:
         assert np.array_equal(x, x0)
 
     def test_micro_instance_stationary(self):
-        _, _, _, _, b = tri_setup()
-        sigma, _, _, converged = power_method(lambda s: lumped_apply(s, b),
+        # one dangling node: the full chain's ranking is the lumped vector
+        _, params, H, _, _ = tri_setup()
+        sigma, _, _, converged = power_method(full_operator(H, params),
                                               uniform_vector(3), 1e-12, 10_000)
         assert converged
         assert np.abs(sigma - TRI_SIGMA).max() <= 1e-11
@@ -289,72 +312,34 @@ class TestPowerMethod:
             power_method(bad, np.array([0.5, 0.5]), 1e-12, 10)
 
 
-def sink_case(rng, n=300, k=120, groups=3, size=16):
-    """Graph whose first groups*size nodes form closed groups (rank sinks),
-    so the Google matrix has eigenvalue alpha; nodes >= k are dangling.
-    Returns (edges, heavy-tailed teleport vector)."""
-    edges = {}
-    for s in range(groups * size):
-        base = s - s % size
-        # a cycle keeps each group irreducible; the other links stay inside
-        edges[s] = {base + (s + 1 - base) % size}
-        edges[s] |= {int(t) for t in base + rng.integers(0, size, 3)}
-    for s in range(groups * size, k):
-        edges[s] = {int(t) for t in rng.integers(0, n, int(rng.integers(1, 8)))}
-    v = rng.pareto(1.0, n) + 1e-3
-    return edges, v / v.sum()
-
-
-def plain_and_extrapolated(g, params):
-    """(plain, extrapolated) power_method results on the operator solve_lumped uses."""
-    H = build_hyperlink_matrix(g)
-    b = permute_blocks(H, detect_dangling(H), params)
-    op, x0 = (lambda s: lumped_apply(s, b)), uniform_vector(b.k + 1)
-    return (power_method(op, x0, params.tol, params.max_iter),
-            power_method(op, x0, params.tol, params.max_iter, alpha=params.alpha))
-
-
 class TestExtrapolation:
+    """Rank sinks put the second eigenvalue at alpha, where power iteration
+    crawls and BiCGSTAB does not."""
+
     @pytest.mark.parametrize("n, k", [(300, 120), (120, 120)])  # with, without dangling
     def test_rank_sinks_converge_in_a_fifth_of_the_steps(self, n, k):
         rng = np.random.default_rng(13)
         for _ in range(3):
-            edges, v = sink_case(rng, n, k)
+            edges, v = oracles.sink_case(rng, n, k)
             g = oracles.make_webgraph(n, edges)
             params = PageRankParams(alpha=0.99, v=v, w=uniform_vector(n), tol=1e-12,
                                     max_iter=50_000)
             rep = solve_lumped(g, params)
-            (_, plain_iters, _, plain_conv), _ = plain_and_extrapolated(g, params)
+            _, plain_iters, _, plain_conv = power_method(
+                full_operator(build_hyperlink_matrix(g), params), uniform_vector(n),
+                params.tol, params.max_iter)
             assert rep.converged and plain_conv
             assert rep.k == k
             assert 5 * rep.iterations <= plain_iters
             pi_dense = oracles.stationary(oracles.dense_google(n, edges, 0.99, v=v))
             assert np.abs(rep.pagerank - pi_dense).sum() <= 1e-10
 
-    @pytest.mark.parametrize("alpha", [0.5, 0.85, 0.99])
-    @pytest.mark.parametrize("case", ["tri", "two-cycle", "two-2-cycles-dangling"])
-    def test_unchanged_where_it_cannot_fire(self, case, alpha):
-        # no closed groups (tri), or an eigenvalue -alpha decaying as fast as
-        # the alpha part (the periodic cases with a skewed v)
-        if case == "tri":
-            g, v = parse_edge_list(TRI_TEXT), uniform_vector(3)
-        elif case == "two-cycle":
-            g, v = parse_edge_list("0 1\n1 0\n"), np.array([0.9, 0.1])
-        else:
-            g = oracles.make_webgraph(5, {0: {1}, 1: {0}, 2: {3}, 3: {2}})
-            v = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
-        params = PageRankParams(alpha=alpha, v=v, w=uniform_vector(g.n), tol=1e-12,
-                                max_iter=50_000)
-        (x0, it0, res0, conv0), (x1, it1, res1, conv1) = plain_and_extrapolated(g, params)
-        assert conv0 and conv1
-        assert np.array_equal(x0, x1) and (it0, res0) == (it1, res1)
-
     def test_zero_teleport_entries_stay_nonnegative(self):
         # the first group gets no in-links from outside and no teleport mass,
-        # so its rank is 0 and an extrapolated iterate can dip below 0 there
+        # so its rank is 0 and an unclipped Krylov iterate can dip below 0 there
         rng = np.random.default_rng(14)
         for _ in range(3):
-            edges, v = sink_case(rng)
+            edges, v = oracles.sink_case(rng)
             for s in range(48, 120):
                 edges[s] = {t for t in edges[s] if t >= 16} or {200}
             v[rng.random(300) < 0.5] = 0.0
@@ -392,9 +377,7 @@ class TestRecoverAndUnpermute:
             if p.k in (0, g.n):
                 continue
             b = permute_blocks(H, p, params)
-            sigma, _, _, _ = power_method(lambda s: lumped_apply(s, b),
-                                          uniform_vector(p.k + 1), 1e-13, 50_000)
-            pi = recover_pagerank(sigma, b)
+            pi = recover_pagerank(oracles.stationary(build_dense_lumped(b)), b)
             assert abs(pi.sum() - 1.0) <= 1e-12
 
     def test_unpermute_examples(self):
@@ -503,7 +486,7 @@ def honesty_graphs(kind, seed, count=6):
         n = int(rng.integers(50, 401))
         if kind == "sink":
             k = 2 * n // 5
-            edges, v = sink_case(rng, n, k, groups=3, size=min(16, k // 3))
+            edges, v = oracles.sink_case(rng, n, k, groups=3, size=min(16, k // 3))
         else:
             edges = oracles.random_edge_dict(rng, n, float(rng.choice([0.0, 0.3, 0.7, 0.95])))
             v = rng.random(n)
@@ -531,6 +514,21 @@ class TestHonestStop:
                 assert rep.error_bound == pytest.approx(4.0 * rep.residual / (1.0 - alpha),
                                                         rel=1e-15)
                 assert rep.iterations <= params.max_iter
+
+    @pytest.mark.parametrize("alpha", [0.85, 0.99])
+    def test_full_chain_bound_has_no_factor_4(self, alpha):
+        # bicgstab on full_system returns its checked iterate as the answer,
+        # so ||r||_1/(1-alpha) bounds the error with no recovery factor
+        for n, edges, v in honesty_graphs("sink", 45):
+            g = oracles.make_webgraph(n, edges)
+            op = full_system(build_hyperlink_matrix(g),
+                             PageRankParams(alpha=alpha, v=v, w=uniform_vector(n)))
+            pi_dense = oracles.stationary(oracles.dense_google(n, edges, alpha, v=v))
+            for tol in (1e-8, 1e-10, 1e-12):
+                x, _, res, conv = bicgstab(op, (1 - alpha) * v, v, tol * (1 - alpha), 10_000)
+                err = float(np.abs(x - pi_dense).sum())
+                assert conv and err <= tol, (n, tol, err)
+                assert err <= res / (1 - alpha) + 1e-15, (n, tol, err)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 1000])
     @pytest.mark.parametrize("case", ["k=0", "two-cycle", "uniform-three-cycle",
@@ -563,7 +561,7 @@ class TestHonestStop:
             assert rep.converged and rep.iterations == 1
 
     def test_unreachable_tol_reports_not_converged(self):
-        edges, v = sink_case(np.random.default_rng(43))
+        edges, v = oracles.sink_case(np.random.default_rng(43))
         params = PageRankParams(alpha=0.99, v=v, w=uniform_vector(300), tol=1e-16,
                                 max_iter=3)
         rep = solve_lumped(oracles.make_webgraph(300, edges), params)
@@ -574,16 +572,16 @@ class TestHonestStop:
 
 class TestBicgstab:
     def test_iterations_count_every_application(self):
-        edges, v = sink_case(np.random.default_rng(44))
+        edges, v = oracles.sink_case(np.random.default_rng(44))
         g = oracles.make_webgraph(300, edges)
         params = PageRankParams(alpha=0.99, v=v, w=uniform_vector(300))
         H = build_hyperlink_matrix(g)
         b = permute_blocks(H, detect_dangling(H), params)
-        calls = []
+        calls, system = [], lumped_system(b)
 
         def op(x):
             calls.append(1)
-            return x - b.alpha * (b.A.rmatvec(x[:b.k]) + x[b.k] * b.w)
+            return system(x)
 
         for max_iter in (1, 2, 3, 4, 5, 10, 1000):
             calls.clear()
@@ -597,11 +595,11 @@ class TestBicgstab:
 
     def test_non_finite_candidate_never_returned(self):
         _, _, _, _, b = tri_setup(alpha=0.85)
-        calls = []
+        calls, system = [], lumped_system(b)
 
         def op(x):
             calls.append(1)
-            y = x - b.alpha * (b.A.rmatvec(x[:b.k]) + x[b.k] * b.w)
+            y = system(x)
             return y * np.inf if len(calls) == 2 else y  # the first direction overflows
 
         x, iters, res, conv = bicgstab(op, (1 - b.alpha) * b.v, b.v, 1e-15, 100)

@@ -13,7 +13,6 @@ from lumprank import (
     build_hyperlink_matrix,
     detect_dangling,
     full_operator,
-    lumped_apply,
     parse_edge_list,
     permute_blocks,
     power_method,
@@ -256,6 +255,28 @@ class TestSpectrumIdentity:
             check_spectrum_identity(Gt, np.eye(p.k + 2), p.k)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_agreeing_singular_points_count_as_zero(self):
+        # at lambda = 2 both I - G/lambda are exactly singular; elsewhere the
+        # determinants agree, so the check passes with no warning
+        rep = check_spectrum_identity(np.diag([2.0, 0, 0]), np.diag([2.0, 0]), 1)
+        assert rep.passed and rep.max_abs_deviation == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_singular_side_fails(self):
+        rep = check_spectrum_identity(np.diag([2.0, 0, 0]), np.diag([2.5, 0]), 1)
+        assert not rep.passed and rep.max_abs_deviation == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["full", "lumped"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_fail(self, side, bad):
+        G, G1 = np.full((3, 3), 1 / 3), np.full((2, 2), 0.5)
+        (G if side == "full" else G1)[1, 1] = bad
+        rep = check_spectrum_identity(G, G1, 1)
+        assert not rep.passed and rep.max_abs_deviation == np.inf
+
+
 class TestLumpable:
     def test_dangling_to_nondangling_block_always_passes(self):
         rng = np.random.default_rng(29)
@@ -295,6 +316,14 @@ class TestLumpable:
         with pytest.raises(ValueError, match="stochastic"):
             check_lumpable(np.eye(3) * 2.0, [1], tol=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0]])
+    def test_non_finite_row_rejected(self, row):
+        M = np.full((3, 3), 1 / 3)
+        M[0] = row
+        with pytest.raises(ValueError, match="not row-stochastic"):
+            check_lumpable(M, [1], tol=1e-10)
+
 
 class TestStationaryDense:
     def test_agrees_with_lumped_power_iteration(self):
@@ -302,9 +331,11 @@ class TestStationaryDense:
         for _ in range(6):
             g, params, H, p, Gt, b = dense_setup(rng)
             sigma_dense = stationary_dense(build_dense_lumped(b))
-            sigma_power, _, _, conv = power_method(
-                lambda s: lumped_apply(s, b), uniform_vector(p.k + 1), 1e-13, 50_000)
+            # the lumped vector aggregates the full chain's: [pi1, sum pi2]
+            pi_power, _, _, conv = power_method(
+                full_operator(H, params), uniform_vector(g.n), 1e-13, 50_000)
             assert conv
+            sigma_power = np.append(pi_power[p.perm[:p.k]], pi_power[p.perm[p.k:]].sum())
             assert np.abs(sigma_dense - sigma_power).max() <= 1e-8
 
     def test_matches_independent_oracle(self):
