@@ -15,6 +15,7 @@ from .graph import (
     build_hyperlink_matrix,
     load_weight_vector,
     parse_edge_list,
+    uniform_vector,
 )
 from .lumping import bicgstab, full_system, solve_lumped
 
@@ -77,7 +78,7 @@ def _load_graph(path: str):
 
 def _load_weight(spec: str, n: int) -> np.ndarray:
     if spec == "uniform":
-        return load_weight_vector("uniform", n)
+        return uniform_vector(n)
     with open(spec, "rb") as fh:
         raw = fh.read()
     try:
@@ -228,7 +229,13 @@ def cmd_gen(cfg) -> int:
 
 
 def main(argv=None) -> int:
-    cfg = build_parser().parse_args(argv)
+    try:
+        cfg = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "not converged" here
+        if exc.code != 2:
+            raise
+        return EXIT_INPUT_ERROR
     handlers = {"rank": cmd_rank, "compare": cmd_compare,
                 "verify": cmd_verify, "gen": cmd_gen}
     try:

@@ -214,7 +214,7 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
             skip(f"transform_condition[{kind.value}]", "no dangling nodes; nothing to lump")
         skip("spectrum_identity", "no dangling nodes")
     else:
-        G1_direct = build_dense_lumped(permute_blocks(H, p, params))
+        G1_direct = build_dense_lumped(permute_blocks(H, p), params)
         for kind in TransformKind:
             L = build_transform(kind, m)
             rep = verify_transform_condition(L, tol=1e-12)

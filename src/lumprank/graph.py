@@ -165,7 +165,8 @@ class HyperlinkMatrix:
     @cached_property
     def csr(self):
         """The same matrix as a ``scipy.sparse.csr_matrix``, built on first
-        access; the solver never touches it, so ranking never imports scipy."""
+        access; it needs scipy, from the ``test`` extra.  The solver never
+        touches it, so ranking never imports scipy."""
         from scipy import sparse
 
         return sparse.csr_matrix((self.data, self.indices, self.indptr),
@@ -209,13 +210,11 @@ def uniform_vector(n: int) -> np.ndarray:
 
 
 def load_weight_vector(source: str, n: int) -> np.ndarray:
-    """Weight vector from the literal ``"uniform"`` or whitespace-separated text.
+    """Weight vector from whitespace-separated decimal text.
 
-    Explicit entries must be nonnegative, exactly ``n`` of them, and are
-    renormalized to sum 1 provided the raw sum lies in [1e-9, 1e9].
+    Entries must be nonnegative, exactly ``n`` of them, and are renormalized
+    to sum 1 provided the raw sum lies in [1e-9, 1e9].
     """
-    if source.strip() == "uniform":
-        return uniform_vector(n)
     tokens = source.split()
     # float() alone also reads "0.2_5" and non-ASCII digits
     if "_" in source or not (source.isascii() or all(tok.isascii() for tok in tokens)):

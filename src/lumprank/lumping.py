@@ -78,26 +78,27 @@ class CooMatrix:
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Everything the lumped operator needs, precomputed once.
+    """The graph-only part of the lumped chain, built once per graph.
 
-    The lumped chain is M = alpha*S1 + (1-alpha)*e v^T with S1 = [A; w^T]
-    row-stochastic and one sparse k x (k+1) part A = [H11 | H12 e]: the
-    nondangling rows of the permuted hyperlink matrix, their dangling columns
-    summed into column k.  ``v = [v1, sum v2]`` and ``w = [w1, sum w2]`` are
-    (k+1)-vectors.  ``H12``, ``v2`` and ``u2 = alpha*w2 + (1-alpha)*v2``
-    serve only the recovery of the dangling ranks.  No dense block of size
-    k*(n-k) or (n-k)^2 is ever formed.
+    ``A = [H11 | H12 e]`` holds the nondangling rows of the permuted hyperlink
+    matrix, their dangling columns summed into column k; ``H12`` serves only
+    the recovery of the dangling ranks.  alpha, v and w enter only through
+    rank-one terms: the lumped chain is M = alpha*S1 + (1-alpha) e lump(v)^T
+    with S1 = [A; lump(w)^T] row-stochastic.  No dense block of size k*(n-k)
+    or (n-k)^2 is ever formed.
     """
 
-    k: int
-    n: int
-    alpha: float
+    p: DanglingPartition
     A: CooMatrix
-    v: np.ndarray
-    w: np.ndarray
     H12: CooMatrix
-    v2: np.ndarray
-    u2: np.ndarray
+
+    def lump(self, x: np.ndarray) -> np.ndarray:
+        """[x1, sum x2]: the nondangling entries of the original-order
+        n-vector x in permuted order, then its dangling entries summed."""
+        x = np.asarray(x)
+        if x.shape != (self.p.n,):
+            raise ValueError(f"expected vector of length {self.p.n}, got shape {x.shape}")
+        return np.append(x[self.p.perm[:self.p.k]], x[self.p.perm[self.p.k:]].sum())
 
 
 @dataclass(frozen=True)
@@ -141,13 +142,10 @@ def detect_dangling(H: HyperlinkMatrix) -> DanglingPartition:
     return DanglingPartition(k=int(nd.size), perm=perm, inv_perm=inv_perm)
 
 
-def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition,
-                   params: PageRankParams) -> BlockStructure:
+def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition) -> BlockStructure:
     """Build the lumped operator's blocks straight from the CSR arrays of H."""
     if p.perm.size != H.n:
         raise ValueError("partition and matrix sizes differ")
-    if params.n != H.n:
-        raise ValueError("parameter vectors and matrix sizes differ")
     k, n = p.k, H.n
     # dangling rows are structurally empty, so every entry lies in the top k
     # rows; CSR order keeps prow ascending, and each row's entries in order
@@ -178,15 +176,8 @@ def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition,
     data[ends] = r12
     A = CooMatrix(rows=np.repeat(np.arange(k), per_row), cols=cols, data=data,
                   shape=(k, k + 1))
-    alpha = params.alpha
-    nd, dg = p.perm[:k], p.perm[k:]
-    v1, v2 = params.v[nd], params.v[dg]
-    w1, w2 = params.w[nd], params.w[dg]
-    return BlockStructure(
-        k=k, n=n, alpha=alpha, A=A, v=np.append(v1, v2.sum()), w=np.append(w1, w2.sum()),
-        H12=CooMatrix(rows=rows12, cols=cols12, data=data12, shape=(k, n - k)),
-        v2=v2, u2=alpha * w2 + (1.0 - alpha) * v2,
-    )
+    return BlockStructure(p=p, A=A, H12=CooMatrix(rows=rows12, cols=cols12, data=data12,
+                                                  shape=(k, n - k)))
 
 
 def _system(A: CooMatrix, dangling, w: np.ndarray,
@@ -239,26 +230,16 @@ def full_operator(H: HyperlinkMatrix,
                   params: PageRankParams) -> Callable[[np.ndarray], np.ndarray]:
     """Bind a matrix-free x^T -> x^T G step over the full n-node chain.
 
-    x^T G = alpha*x^T H + alpha*(x^T d)*w^T + (1-alpha)*(x^T e)*v^T, where
-    x^T d sums x over the dangling indices.  Cost O(nnz(H) + n).
+    x^T G = x - (I - alpha*P^T) x + (1-alpha)*(x^T e)*v^T: x minus
+    :func:`full_system`'s operator, plus the teleport term.  Cost
+    O(nnz(H) + n).
     """
-    if params.n != H.n:
-        raise ValueError("parameter vectors and matrix sizes differ")
-    dangling = np.flatnonzero(H.dangling_mask())
-    A = CooMatrix(rows=H.row_index(), cols=H.indices, data=H.data, shape=(H.n, H.n))
-    alpha, beta = params.alpha, 1.0 - params.alpha
-    v, w = params.v, params.w
-    n = H.n
+    system = full_system(H, params)
 
     def apply(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValueError(f"expected vector of length {n}, got shape {x.shape}")
-        xd = x[dangling].sum()
-        out = A.rmatvec(x)
-        out *= alpha
-        out += (alpha * xd) * w
-        out += (beta * x.sum()) * v
+        out = x - system(x)
+        out += ((1.0 - params.alpha) * x.sum()) * params.v
         return out
 
     return apply
@@ -366,24 +347,31 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     return x, applied, res, res <= tol
 
 
-def recover_pagerank(sigma: np.ndarray, b: BlockStructure) -> np.ndarray:
+def recover_pagerank(sigma: np.ndarray, b: BlockStructure,
+                     params: PageRankParams) -> np.ndarray:
     """Expand the lumped stationary vector to all n nodes (permuted order).
 
     The first k entries are sigma's nondangling entries unchanged; the tail
-    redistributes the lumped node's mass:
+    redistributes the lumped node's mass, with v2 and w2 the dangling entries
+    of v and w in permuted order:
 
-        tail = alpha*(sa^T H12) + (1-alpha)*(sa^T e)*v2^T + sb*u2^T
+        tail = alpha*(sa^T H12) + (1-alpha)*(sa^T e)*v2^T + sb*u2^T,
+        u2 = alpha*w2 + (1-alpha)*v2
 
     No renormalization: stationarity of sigma makes the result sum to 1.
     """
+    k, alpha = b.p.k, params.alpha
     sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != (b.k + 1,):
-        raise ValueError(f"expected vector of length {b.k + 1}, got shape {sigma.shape}")
-    sa = sigma[:b.k]
+    if sigma.shape != (k + 1,):
+        raise ValueError(f"expected vector of length {k + 1}, got shape {sigma.shape}")
+    if params.n != b.p.n:
+        raise ValueError("parameter vectors and partition sizes differ")
+    v2, w2 = params.v[b.p.perm[k:]], params.w[b.p.perm[k:]]
+    sa = sigma[:k]
     tail = b.H12.rmatvec(sa)
-    tail *= b.alpha
-    tail += ((1.0 - b.alpha) * sa.sum()) * b.v2
-    tail += sigma[b.k] * b.u2
+    tail *= alpha
+    tail += ((1.0 - alpha) * sa.sum()) * v2
+    tail += sigma[k] * (alpha * w2 + (1.0 - alpha) * v2)
     return np.concatenate([sa, tail])
 
 
@@ -413,9 +401,10 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     chain is that one state, whose recovery is u = alpha*w + (1-alpha)*v.
 
     The lumped stationary vector solves (I - alpha*S1^T) sigma = (1-alpha)*v,
-    with S1 = [A; w^T] (:class:`BlockStructure`).  :func:`bicgstab` solves it
-    from sigma = v and stops when error_bound = 4*||r||_1/(1-alpha) is at
-    most tol, r the true residual of its clipped, renormalised iterate:
+    with S1 = [A; w^T] and v, w lumped by :meth:`BlockStructure.lump`.
+    :func:`bicgstab` solves it from sigma = v and stops when error_bound =
+    4*||r||_1/(1-alpha) is at most tol, r the true residual of its clipped,
+    renormalised iterate:
 
     * S1 is row-stochastic, so ||S1^T||_1 = 1 and, by the Neumann series,
       ||(I - alpha*S1^T)^-1||_1 <= 1/(1-alpha).  Any sigma is therefore within
@@ -439,14 +428,15 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     with _stage(timings, "partition"):
         p = detect_dangling(H)
     with _stage(timings, "blocks"):
-        b = permute_blocks(H, p, params)
+        b = permute_blocks(H, p)
     with _stage(timings, "loop"):
         scale = 4.0 / (1.0 - params.alpha)  # error_bound per unit of ||r||_1
-        op = _system(b.A, slice(b.k, None), b.w, b.alpha)
-        sigma, iters, res, _ = bicgstab(op, (1.0 - params.alpha) * b.v, b.v,
+        v = b.lump(params.v)
+        op = _system(b.A, slice(p.k, None), b.lump(params.w), params.alpha)
+        sigma, iters, res, _ = bicgstab(op, (1.0 - params.alpha) * v, v,
                                         params.tol / scale, params.max_iter)
     with _stage(timings, "recover"):
-        pi = unpermute(recover_pagerank(sigma, b), p)
+        pi = unpermute(recover_pagerank(sigma, b, params), p)
         # exact no-op at stationarity; keeps the report a probability vector
         pi /= pi.sum()
     error_bound = scale * res

@@ -128,13 +128,16 @@ def build_dense_google(g: WebGraph, params: PageRankParams, p: DanglingPartition
     return G
 
 
-def build_dense_lumped(b: BlockStructure) -> np.ndarray:
+def build_dense_lumped(b: BlockStructure, params: PageRankParams) -> np.ndarray:
     """Explicit (k+1)-order lumped matrix [G11, G12 e; u1^T, u2^T e] from the
     block data, with u = alpha*w + (1-alpha)*v the row every dangling node
-    shares: the dense counterpart of the matrix-free operator."""
-    M = np.empty((b.k + 1, b.k + 1))
-    M[:b.k] = b.alpha * b.A.toarray() + (1.0 - b.alpha) * b.v
-    M[b.k] = b.alpha * b.w + (1.0 - b.alpha) * b.v
+    shares and v, w lumped by :meth:`BlockStructure.lump`: the dense
+    counterpart of the matrix-free operator."""
+    k, alpha = b.p.k, params.alpha
+    v = b.lump(params.v)
+    M = np.empty((k + 1, k + 1))
+    M[:k] = alpha * b.A.toarray() + (1.0 - alpha) * v
+    M[k] = alpha * b.lump(params.w) + (1.0 - alpha) * v
     return M
 
 

@@ -153,8 +153,8 @@ def test_c5_recovery_matches_dense_stationary(graph_set):
     worst_l1 = 0.0
     worst_sum = 0.0
     for g, params, H, p in graph_set:
-        b = permute_blocks(H, p, params)
-        pi_rec = recover_pagerank(oracles.stationary(build_dense_lumped(b)), b)
+        b = permute_blocks(H, p)
+        pi_rec = recover_pagerank(oracles.stationary(build_dense_lumped(b, params)), b, params)
         worst_sum = max(worst_sum, abs(float(pi_rec.sum()) - 1.0))
         pi_dense = oracles.stationary(build_dense_google(g, params, p))
         worst_l1 = max(worst_l1, float(np.abs(pi_rec - pi_dense).sum()))
@@ -176,9 +176,9 @@ def test_c6_decomposition_identities_and_negative_controls(graph_set):
         worst_ldu = max(worst_ldu, dev / (1e-12 * n))
         S = stochastic_complement(Gt, k)
         worst_rows = max(worst_rows, float(np.abs(S.sum(axis=1) - 1.0).max()))
-        b = permute_blocks(H, p, params)
-        sigma = oracles.stationary(build_dense_lumped(b))
-        rep = verify_coupled_stationarity(recover_pagerank(sigma, b), Gt, k, tol=1e-8)
+        b = permute_blocks(H, p)
+        sigma = oracles.stationary(build_dense_lumped(b, params))
+        rep = verify_coupled_stationarity(recover_pagerank(sigma, b, params), Gt, k, tol=1e-8)
         coupled_ok &= rep.passed
         worst_coupled = max(worst_coupled, rep.max_abs_deviation)
 
@@ -240,9 +240,9 @@ def test_c8_performance_shape_100k_nodes():
     H = build_hyperlink_matrix(g)
     p = detect_dangling(H)
     assert p.k == k_target
-    b = permute_blocks(H, p, params)
+    b = permute_blocks(H, p)
     # the operators of the two linear systems BiCGSTAB solves
-    lumped_op = _system(b.A, slice(b.k, None), b.w, b.alpha)
+    lumped_op = _system(b.A, slice(p.k, None), b.lump(params.w), params.alpha)
     full_op = full_system(H, params)
     x_lumped = uniform_vector(p.k + 1)
     x_full = uniform_vector(n)
@@ -296,9 +296,9 @@ def test_c9_performance_shape_200k_nodes():
     H = build_hyperlink_matrix(g)
     p = detect_dangling(H)
     assert p.k == k_target
-    b = permute_blocks(H, p, params)
+    b = permute_blocks(H, p)
     # the operators of the two linear systems BiCGSTAB solves
-    lumped_op = _system(b.A, slice(b.k, None), b.w, b.alpha)
+    lumped_op = _system(b.A, slice(p.k, None), b.lump(params.w), params.alpha)
     full_op = full_system(H, params)
     x_lumped = uniform_vector(p.k + 1)
     x_full = uniform_vector(n)

@@ -174,6 +174,35 @@ class TestRank:
         for i in range(3):
             assert abs(by_label[int(g.labels[i])] - rep.pagerank[i]) <= 1e-12
 
+    def test_uniform_spec_is_the_uniform_vector(self):
+        assert lumprank.cli._load_weight("uniform", 4).tolist() == [0.25] * 4
+
+    def test_weight_file_reading_uniform_exits_1(self, capsys, tri_file, tmp_path):
+        # the literal `uniform` is a CLI spec, not the text of a vector file
+        path = tmp_path / "v.txt"
+        path.write_text("uniform\n")
+        code, out, err = run(capsys, "rank", tri_file, "--v", str(path))
+        assert code == 1 and out == ""
+        assert err == "lumprank: error: weight vector: non-numeric entry\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("rank", "{graph}", "--alpha", "abc"),
+        ("rank",),
+        ("rank", "{graph}", "--no-such-flag"),
+        ("verify", "{graph}", "--seed", "1.5"),
+    ], ids=["bad_alpha_type", "missing_graph", "unknown_flag", "non_integer_seed"])
+    def test_usage_error_exits_1(self, capsys, tri_file, argv):
+        # argparse's own status is 2, which here means "not converged"
+        code, out, err = run(capsys, *(a.format(graph=tri_file) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("usage: lumprank ") and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lumprank rank ")
+
     def test_top_truncates(self, capsys, tri_file):
         code, out, _ = run(capsys, "rank", tri_file, "--top", "1")
         assert code == 0
@@ -567,7 +596,7 @@ def public_path_checks(g, params, seed):
     def emit(name, passed, dev, note=""):
         out.append(("PASS" if passed else "FAIL", name, dev, note))
 
-    G1_direct = build_dense_lumped(permute_blocks(H, p, params))
+    G1_direct = build_dense_lumped(permute_blocks(H, p), params)
     for kind in TransformKind:
         L = build_transform(kind, n - k)
         rep = verify_transform_condition(L, tol=1e-12)

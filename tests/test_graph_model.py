@@ -219,9 +219,6 @@ class TestHyperlinkMatrix:
 
 
 class TestLoadWeightVector:
-    def test_uniform(self):
-        assert load_weight_vector("uniform", 4).tolist() == [0.25] * 4
-
     def test_explicit_entries_renormalized(self):
         assert load_weight_vector("2 1 1", 3).tolist() == [0.5, 0.25, 0.25]
 

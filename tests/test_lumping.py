@@ -22,7 +22,7 @@ from lumprank import (
 )
 from lumprank.cli import generate_edge_list
 from lumprank.lumping import _system
-from lumprank.transforms import build_dense_lumped
+from lumprank.transforms import build_dense_lumped, stationary_dense
 
 # 3-node micro-instance: internal 0 -> {1,2}, 1 -> {0}, 2 dangling.
 TRI_EDGES = {0: {1, 2}, 1: {0}}
@@ -35,13 +35,13 @@ def tri_setup(alpha=0.5):
     params = PageRankParams.uniform(3, alpha=alpha, tol=1e-12, max_iter=10_000)
     H = build_hyperlink_matrix(g)
     p = detect_dangling(H)
-    return g, params, H, p, permute_blocks(H, p, params)
+    return g, params, H, p, permute_blocks(H, p)
 
 
-def lumped_system(b):
+def lumped_system(b, params):
     """The lumped chain's system operator, x -> (I - alpha*S1^T) x, as
     solve_lumped binds it."""
-    return _system(b.A, slice(b.k, None), b.w, b.alpha)
+    return _system(b.A, slice(b.p.k, None), b.lump(params.w), params.alpha)
 
 
 def random_case(rng, n_max=60, alphas=(0.5, 0.85, 0.99)):
@@ -85,7 +85,7 @@ class TestDetectDangling:
 class TestPermuteBlocks:
     def test_micro_instance_blocks(self):
         _, _, _, _, b = tri_setup()
-        assert b.k == 2 and b.n == 3
+        assert b.p.k == 2 and b.p.n == 3
         # the one sparse operator is [H11 | H12 e]
         assert b.A.shape == (2, 3)
         assert b.A.toarray().tolist() == [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]
@@ -95,22 +95,23 @@ class TestPermuteBlocks:
         g = oracles.make_webgraph(3, {0: {1}, 1: {2}, 2: {0}})
         H = build_hyperlink_matrix(g)
         p = detect_dangling(H)
-        b = permute_blocks(H, p, PageRankParams.uniform(3))
+        b = permute_blocks(H, p)
         assert b.H12.shape == (3, 0)
         assert b.A.toarray()[:, 3].tolist() == [0.0, 0.0, 0.0]
 
     def test_uniform_vector_split(self):
         g = oracles.make_webgraph(4, {0: {1}, 1: {0}})
         H = build_hyperlink_matrix(g)
-        b = permute_blocks(H, detect_dangling(H), PageRankParams.uniform(4))
-        assert b.v.tolist() == [0.25, 0.25, 0.5]
-        assert b.v2.tolist() == [0.25, 0.25]
+        params = PageRankParams.uniform(4)
+        b = permute_blocks(H, detect_dangling(H))
+        assert b.lump(params.v).tolist() == [0.25, 0.25, 0.5]
+        assert params.v[b.p.perm[b.p.k:]].tolist() == [0.25, 0.25]
 
     def test_one_column_k_entry_per_row(self):
         # a row's dangling links fold into one entry, never one per link
         g = oracles.make_webgraph(6, {0: {1, 2, 3, 4}, 1: {0, 5}})
         H = build_hyperlink_matrix(g)
-        b = permute_blocks(H, detect_dangling(H), PageRankParams.uniform(6))
+        b = permute_blocks(H, detect_dangling(H))
         assert b.A.rows.size == 2 + 2  # H11 holds 0 -> 1 and 1 -> 0
         assert b.A.toarray().tolist() == [[0.0, 0.25, 0.75], [0.5, 0.0, 0.5]]
         assert b.H12.rows.size == 4
@@ -125,7 +126,7 @@ class TestPermuteBlocks:
         for g in cases:
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
-            b = permute_blocks(H, p, PageRankParams.uniform(g.n))
+            b = permute_blocks(H, p)
             k = p.k
             last = np.cumsum(np.bincount(b.A.rows, minlength=k)) - 1
             assert np.all(np.diff(b.A.rows) >= 0)
@@ -147,7 +148,7 @@ class TestPermuteBlocks:
             g, edges, params = random_case(rng)
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
-            b = permute_blocks(H, p, params)
+            b = permute_blocks(H, p)
             k = p.k
             # dense [H11 | H12 e] from the oracle's hyperlink matrix
             Hd = oracles.dense_hyperlink(g.n, edges)[np.ix_(p.perm, p.perm)]
@@ -158,9 +159,11 @@ class TestPermuteBlocks:
             assert np.abs(A.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
             a = params.alpha
             u = a * params.w[p.perm] + (1 - a) * params.v[p.perm]
-            assert np.array_equal(b.u2, u[k:]) and b.u2.min(initial=0.0) >= 0
-            assert b.v[k] == params.v[p.perm[k:]].sum()
-            assert b.w[k] == params.w[p.perm[k:]].sum()
+            # the recovered tail of the lumped state alone is u2
+            u2 = recover_pagerank(np.eye(k + 1)[k], b, params)[k:]
+            assert np.array_equal(u2, u[k:]) and u2.min(initial=0.0) >= 0
+            assert b.lump(params.v)[k] == params.v[p.perm[k:]].sum()
+            assert b.lump(params.w)[k] == params.w[p.perm[k:]].sum()
 
 
 class TestLumpedApply:
@@ -172,16 +175,16 @@ class TestLumpedApply:
         for _ in range(15):
             g, _, params = random_case(rng)
             H = build_hyperlink_matrix(g)
-            b = permute_blocks(H, detect_dangling(H), params)
-            sigma = rng.random(b.k + 1)
+            b = permute_blocks(H, detect_dangling(H))
+            sigma = rng.random(b.p.k + 1)
             sigma /= sigma.sum()
-            out = (sigma - lumped_system(b)(sigma)) / b.alpha
+            out = (sigma - lumped_system(b, params)(sigma)) / params.alpha
             assert abs(out.sum() - 1.0) <= 1e-12
             assert out.min() >= 0.0
 
     def test_micro_instance_value(self):
-        _, _, _, _, b = tri_setup()
-        out = lumped_system(b)(np.full(3, 1 / 3))
+        _, params, _, _, b = tri_setup()
+        out = lumped_system(b, params)(np.full(3, 1 / 3))
         # S1^T x = [4/9, 5/18, 5/18] at alpha 1/2
         assert np.abs(out - np.array([1 / 9, 7 / 36, 7 / 36])).max() <= 1e-15
 
@@ -202,7 +205,7 @@ class TestLumpedApply:
         for g, edges, params in cases():
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
-            b = permute_blocks(H, p, params)
+            b = permute_blocks(H, p)
             # dense S1 = [H11, H12 e; w1^T, sum w2] from the oracle hyperlink matrix
             Hd = oracles.dense_hyperlink(g.n, edges)[np.ix_(p.perm, p.perm)]
             w = params.w[p.perm]
@@ -215,18 +218,24 @@ class TestLumpedApply:
             S1[k, k] = w[k:].sum()
             x = rng.random(k + 1)
             expected = (np.eye(k + 1) - params.alpha * S1.T) @ x
-            assert np.abs(lumped_system(b)(x) - expected).max() <= 1e-13
+            assert np.abs(lumped_system(b, params)(x) - expected).max() <= 1e-13
         assert seen == {"k=0", "k=n", "mixed"}
 
     def test_degenerate_all_dangling(self):
         H = build_hyperlink_matrix(oracles.make_webgraph(2, {}))
-        b = permute_blocks(H, detect_dangling(H), PageRankParams.uniform(2, alpha=0.75))
-        assert lumped_system(b)(np.array([1.0])).tolist() == [0.25]
+        b = permute_blocks(H, detect_dangling(H))
+        params = PageRankParams.uniform(2, alpha=0.75)
+        assert lumped_system(b, params)(np.array([1.0])).tolist() == [0.25]
 
     def test_length_mismatch_raises(self):
-        _, _, _, _, b = tri_setup()
+        _, params, _, _, b = tri_setup()
         with pytest.raises(ValueError, match="length 3"):
-            lumped_system(b)(np.full(4, 0.25))
+            lumped_system(b, params)(np.full(4, 0.25))
+        # the parameter vectors themselves must match the graph
+        with pytest.raises(ValueError, match="length 3"):
+            b.lump(np.full(4, 0.25))
+        with pytest.raises(ValueError, match="sizes differ"):
+            recover_pagerank(TRI_SIGMA, b, PageRankParams.uniform(4))
 
 
 class TestFullApply:
@@ -355,16 +364,16 @@ class TestExtrapolation:
 
 class TestRecoverAndUnpermute:
     def test_micro_instance_recovery(self):
-        _, _, _, _, b = tri_setup()
-        pi = recover_pagerank(TRI_SIGMA, b)
+        _, params, _, _, b = tri_setup()
+        pi = recover_pagerank(TRI_SIGMA, b, params)
         # single dangling node: the lumped coordinate is that node's rank
         assert np.abs(pi - TRI_SIGMA).max() <= 1e-15
 
     def test_all_dangling_recovery_is_u(self):
         params = PageRankParams.uniform(2, alpha=0.3)
         H = build_hyperlink_matrix(oracles.make_webgraph(2, {}))
-        b = permute_blocks(H, detect_dangling(H), params)
-        pi = recover_pagerank(np.array([1.0]), b)
+        b = permute_blocks(H, detect_dangling(H))
+        pi = recover_pagerank(np.array([1.0]), b, params)
         u = params.alpha * params.w + (1 - params.alpha) * params.v
         assert np.abs(pi - u).max() <= 1e-15
 
@@ -376,9 +385,27 @@ class TestRecoverAndUnpermute:
             p = detect_dangling(H)
             if p.k in (0, g.n):
                 continue
-            b = permute_blocks(H, p, params)
-            pi = recover_pagerank(oracles.stationary(build_dense_lumped(b)), b)
+            b = permute_blocks(H, p)
+            pi = recover_pagerank(oracles.stationary(build_dense_lumped(b, params)), b, params)
             assert abs(pi.sum() - 1.0) <= 1e-12
+
+    def test_one_structure_serves_two_parameter_sets(self):
+        # the blocks are built once; alpha, v and w enter only afterwards
+        rng = np.random.default_rng(17)
+        n = 80
+        edges = oracles.random_edge_dict(rng, n, 0.4)
+        H = build_hyperlink_matrix(oracles.make_webgraph(n, edges))
+        p = detect_dangling(H)
+        assert 1 <= p.k <= n - 1
+        b = permute_blocks(H, p)
+        for alpha in (0.6, 0.97):
+            v = rng.pareto(1.2, n) + 1e-3  # heavy-tailed teleportation
+            w = rng.random(n) + 0.05
+            params = PageRankParams(alpha=alpha, v=v / v.sum(), w=w / w.sum())
+            sigma = stationary_dense(build_dense_lumped(b, params))
+            pi = unpermute(recover_pagerank(sigma, b, params), p)
+            G = oracles.dense_google(n, edges, alpha, v=params.v, w=params.w)
+            assert np.abs(pi - stationary_dense(G)).max() <= 1e-12
 
     def test_unpermute_examples(self):
         p_id = detect_dangling(build_hyperlink_matrix(
@@ -576,8 +603,9 @@ class TestBicgstab:
         g = oracles.make_webgraph(300, edges)
         params = PageRankParams(alpha=0.99, v=v, w=uniform_vector(300))
         H = build_hyperlink_matrix(g)
-        b = permute_blocks(H, detect_dangling(H), params)
-        calls, system = [], lumped_system(b)
+        b = permute_blocks(H, detect_dangling(H))
+        calls, system = [], lumped_system(b, params)
+        v = b.lump(params.v)
 
         def op(x):
             calls.append(1)
@@ -585,24 +613,25 @@ class TestBicgstab:
 
         for max_iter in (1, 2, 3, 4, 5, 10, 1000):
             calls.clear()
-            x, iters, res, conv = bicgstab(op, (1 - b.alpha) * b.v, b.v, 1e-14, max_iter)
+            x, iters, res, conv = bicgstab(op, (1 - params.alpha) * v, v, 1e-14, max_iter)
             assert iters == len(calls) <= max_iter
             assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-15
             # the residual reported is the true one of the vector returned
-            assert res == np.abs((1 - b.alpha) * b.v - op(x)).sum()
+            assert res == np.abs((1 - params.alpha) * v - op(x)).sum()
             assert conv == (res <= 1e-14)
         assert conv
 
     def test_non_finite_candidate_never_returned(self):
-        _, _, _, _, b = tri_setup(alpha=0.85)
-        calls, system = [], lumped_system(b)
+        _, params, _, _, b = tri_setup(alpha=0.85)
+        calls, system = [], lumped_system(b, params)
+        v = b.lump(params.v)
 
         def op(x):
             calls.append(1)
             y = system(x)
             return y * np.inf if len(calls) == 2 else y  # the first direction overflows
 
-        x, iters, res, conv = bicgstab(op, (1 - b.alpha) * b.v, b.v, 1e-15, 100)
+        x, iters, res, conv = bicgstab(op, (1 - params.alpha) * v, v, 1e-15, 100)
         assert conv and np.isfinite(x).all()
         # one dangling node, kept in place: the lumped vector is the ranking
         pi_dense = oracles.stationary(oracles.dense_google(3, TRI_EDGES, 0.85))

@@ -46,7 +46,7 @@ def dense_setup(rng, n_max=40, alphas=(0.5, 0.85, 0.99)):
             break
     params = PageRankParams.uniform(n, alpha=float(rng.choice(alphas)))
     Gt = build_dense_google(g, params, p)
-    b = permute_blocks(H, p, params)
+    b = permute_blocks(H, p)
     return g, params, H, p, Gt, b
 
 
@@ -147,7 +147,7 @@ class TestSimilarityTransform:
         for _ in range(6):
             g, params, H, p, Gt, b = dense_setup(rng)
             k, n = p.k, g.n
-            direct = build_dense_lumped(b)
+            direct = build_dense_lumped(b, params)
             blocks = []
             for kind in BUILTIN:
                 L = build_transform(kind, n - k)
@@ -244,7 +244,7 @@ class TestSpectrumIdentity:
     def test_corrupted_lumped_block_fails(self):
         rng = np.random.default_rng(27)
         g, params, H, p, Gt, b = dense_setup(rng)
-        bad = build_dense_lumped(b)
+        bad = build_dense_lumped(b, params)
         bad[0, 0] += 0.1
         assert not check_spectrum_identity(Gt, bad, p.k, tol=1e-8).passed
 
@@ -330,7 +330,7 @@ class TestStationaryDense:
         rng = np.random.default_rng(30)
         for _ in range(6):
             g, params, H, p, Gt, b = dense_setup(rng)
-            sigma_dense = stationary_dense(build_dense_lumped(b))
+            sigma_dense = stationary_dense(build_dense_lumped(b, params))
             # the lumped vector aggregates the full chain's: [pi1, sum pi2]
             pi_power, _, _, conv = power_method(
                 full_operator(H, params), uniform_vector(g.n), 1e-13, 50_000)
