@@ -15,6 +15,7 @@ from .transforms import (
     DENSE_LIMIT_DEFAULT,
     CheckReport,
     TransformKind,
+    _absmax,
     _solve,
     _spectrum_check,
     build_dense_google,
@@ -71,8 +72,9 @@ class _BlockSplit:
         needs it."""
         if self.G22.sum(axis=1).max() >= 1.0 - 1e-12:
             return None
-        return _solve((np.eye(self.n - self.k) - self.G22).T, self.G12.T,
-                      "I minus the trailing block").T
+        A = -self.G22.T
+        A.flat[::A.shape[0] + 1] += 1.0  # (I - G22)^T, the identity added in place
+        return _solve(A, self.G12.T, "I minus the trailing block").T
 
 
 def _block_split(Gt: np.ndarray, k: int) -> _BlockSplit:
@@ -83,11 +85,13 @@ def _block_split(Gt: np.ndarray, k: int) -> _BlockSplit:
     if not 1 <= k <= n - 1:
         raise ValueError(f"split point k={k} must leave both blocks nonempty (n={n})")
     G12, G21, G22 = Gt[:k, k:], Gt[k:, :k], Gt[k:, k:]
-    D11 = np.eye(k) - Gt[:k, :k]
+    D11 = -Gt[:k, :k]
+    D11.flat[::k + 1] += 1.0  # I - G11, the identity added in place
     Y = _solve(D11, G12, "I minus the leading block")
     Z = _solve(D11.T, G21.T, "I minus the leading block").T
-    return _BlockSplit(k=k, D11=D11, G12=G12, G21=G21, G22=G22, Y=Y, Z=Z,
-                       S=G22 + Z @ G12)
+    S = Z @ G12
+    S += G22
+    return _BlockSplit(k=k, D11=D11, G12=G12, G21=G21, G22=G22, Y=Y, Z=Z, S=S)
 
 
 def ldu_factors(Gt: np.ndarray, k: int) -> LduFactors:
@@ -116,13 +120,20 @@ def _ldu_deviation(s: _BlockSplit) -> float:
     [[D11, -D11 Y], [-Z D11, Z D11 Y + I - S]].  The unit and zero blocks
     of L and U are exact by this construction, and the leading block is
     D11 = I - G11 itself, so the other three blocks hold the whole
-    deviation: about 2k(n-k)(n+k) flops instead of the dense 4n^3.
+    deviation: about 2k(n-k)(n+k) flops instead of the dense 4n^3.  The
+    identities in the trailing block cancel, so it is compared as
+    Z D11 Y - S + G22 in one (n-k)-order buffer.
     """
     D11Y = s.D11 @ s.Y
-    I22 = np.eye(s.n - s.k)
-    return max(float(np.abs(D11Y - s.G12).max()),
-               float(np.abs(s.Z @ s.D11 - s.G21).max()),
-               float(np.abs(s.Z @ D11Y + (I22 - s.S) - (I22 - s.G22)).max()))
+    trailing = s.Z @ D11Y
+    trailing -= s.S
+    trailing += s.G22
+    dev_trailing = _absmax(trailing)
+    del trailing
+    D11Y -= s.G12
+    ZD11 = s.Z @ s.D11
+    ZD11 -= s.G21
+    return max(_absmax(D11Y), _absmax(ZD11), dev_trailing)
 
 
 def stochastic_complement(Gt: np.ndarray, k: int) -> np.ndarray:
@@ -220,13 +231,15 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
             rep = verify_transform_condition(L, tol=1e-12)
             emit(f"transform_condition[{kind.value}]", rep.passed,
                  rep.max_abs_deviation, rep.detail if not rep.passed else "")
-            full, G1, _ = similarity_transform(Gt, L, k)
-            bottom = full[k + 1:, :]
-            dev_tri = float(np.abs(bottom).max()) if bottom.size else 0.0
-            del full, bottom  # freed before the next n x n products
+            lower, G1 = similarity_transform(Gt, L, k)
+            del L  # each transform's arrays are freed before the next one's
+            dev_tri = _absmax(lower[1:]) if m > 1 else 0.0
+            del lower
             note = "degenerate order-1 transform" if m == 1 else ""
             emit(f"block_triangular[{kind.value}]", dev_tri <= 1e-11, dev_tri, note)
-            dev_g1 = float(np.abs(G1 - G1_direct).max())
+            G1 -= G1_direct
+            dev_g1 = _absmax(G1)
+            del G1
             emit(f"lumped_block_formula[{kind.value}]", dev_g1 <= 1e-12, dev_g1)
         spectrum = _spectrum_check(Gt, k, seed)
         rep = spectrum(G1_direct, tol=1e-8)
@@ -236,6 +249,7 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         rep = check_lumpable(Gt, [k], tol=1e-10, blocks=[(1, 0)])
         emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
 
+        pi_t = stationary_dense(Gt)  # solved before the split's blocks exist
         split = _block_split(Gt, k)
         dev_ldu = _ldu_deviation(split)
         emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
@@ -245,7 +259,6 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
                        float(max(-S.min(), 0.0)))
         emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
 
-        pi_t = stationary_dense(Gt)
         rep = _coupled_stationarity(split, pi_t, tol=1e-8)
         emit("coupled_stationarity", rep.passed, rep.max_abs_deviation, rep.detail)
     else:

@@ -76,7 +76,7 @@ def _fast_pairs(raw: bytes) -> np.ndarray | None:
     else (comments and ``\\r\\n`` included), valid or not, is left to the
     checked reader.
     """
-    if raw.translate(None, _DATA_BYTES) or not raw.strip():
+    if raw.translate(None, _DATA_BYTES) or not raw or raw.isspace():  # strip() would copy raw
         return None
     try:
         pairs = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)

@@ -61,6 +61,11 @@ def build_transform(kind: TransformKind, m: int) -> np.ndarray:
     return L
 
 
+def _absmax(X: np.ndarray) -> float:
+    """max|X| without an |X| temporary; NaN when X holds a NaN."""
+    return float(max(X.max(), -X.min()))
+
+
 def _solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
     """X with A X = B, raising LinAlgError when A is singular to working
     precision: the solve raises, X is not finite, or
@@ -70,8 +75,8 @@ def _solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
         X = np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
         raise singular from None
-    if not np.isfinite(X).all() or (
-            np.abs(X).max() * np.abs(A).max() > _GROWTH_LIMIT * np.abs(B).max()):
+    growth = _absmax(X)
+    if not np.isfinite(growth) or growth * _absmax(A) > _GROWTH_LIMIT * _absmax(B):
         raise singular
     return X
 
@@ -118,11 +123,10 @@ def build_dense_google(g: WebGraph, params: PageRankParams, p: DanglingPartition
     if params.n != g.n or p.perm.size != g.n:
         raise ValueError("graph, params, and partition sizes differ")
     H = build_hyperlink_matrix(g)
-    Ht = np.zeros((g.n, g.n))
-    Ht[p.inv_perm[H.row_index()], p.inv_perm[H.indices]] = H.data
+    G = np.zeros((g.n, g.n))
+    G[p.inv_perm[H.row_index()], p.inv_perm[H.indices]] = params.alpha * H.data
     v = params.v[p.perm]
     w = params.w[p.perm]
-    G = params.alpha * Ht
     G[p.k:, :] += params.alpha * w
     G += (1.0 - params.alpha) * v
     return G
@@ -145,7 +149,8 @@ def stationary_dense(M: np.ndarray) -> np.ndarray:
     """Stationary row vector of a stochastic matrix by direct linear solve."""
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
-    A = np.eye(n) - M.T
+    A = -M.T
+    A.flat[::n + 1] += 1.0  # I - M^T, the identity added in place
     A[-1, :] = 1.0  # replace one redundant equation by the normalization
     rhs = np.zeros(n)
     rhs[-1] = 1.0
@@ -153,12 +158,15 @@ def stationary_dense(M: np.ndarray) -> np.ndarray:
 
 
 def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int):
-    """Conjugate the permuted matrix by blockdiag(I_k, L) and split the result.
+    """Conjugate the permuted matrix by blockdiag(I_k, L) and return the parts
+    the lab reads.
 
-    Returns (full, lumped_block, coupling_block): the conjugated n x n matrix,
-    its leading (k+1) x (k+1) block, and the (k+1) x (n-k-1) block to its
-    right.  The inverse is applied through a solve with L^T, never formed; a
-    singular L raises LinAlgError.
+    Returns (lower, lumped_block): the conjugated rows k..n-1, that is
+    [L G21 | L G22 L^-1], and the leading (k+1) x (k+1) block, whose first k
+    rows are [G11 | G12 L^-1 e1] and whose last row is the first row of
+    ``lower``.  The conjugated first k rows are never formed.  L^-1 comes from
+    one solve with L^T against the order-(n-k) identity; a singular L raises
+    LinAlgError.
     """
     Gt = np.asarray(Gt, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
@@ -171,14 +179,17 @@ def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int):
     if L.shape != (m, m):
         raise ValueError(f"transform must have order {m}, got shape {L.shape}")
 
-    full = np.empty_like(Gt)
-    full[:k] = Gt[:k]
-    np.matmul(L, Gt[k:], out=full[k:])
-    # right-multiplying by L^-1 == solving L^T X^T = right^T
-    full[:, k:] = _solve(L.T, full[:, k:].T, "transform").T
-    G1 = full[:k + 1, :k + 1].copy()
-    G2 = full[:k + 1, k + 1:].copy()
-    return full, G1, G2
+    Linv = _solve(L.T, np.eye(m), "transform").T  # L^T X = I gives X = L^-T
+    G1 = np.empty((k + 1, k + 1))
+    G1[:k, :k] = Gt[:k, :k]
+    np.matmul(Gt[:k, k:], Linv[:, 0], out=G1[:k, k])
+    right = Gt[k:, k:] @ Linv  # G22 L^-1
+    del Linv
+    lower = np.empty((m, n))
+    np.matmul(L, Gt[k:, :k], out=lower[:, :k])
+    np.matmul(L, right, out=lower[:, k:])
+    G1[k] = lower[0, :k + 1]
+    return lower, G1
 
 
 def check_spectrum_identity(Gt: np.ndarray, G1: np.ndarray, k: int,

@@ -23,8 +23,10 @@ from lumprank import (
     solve_lumped,
     uniform_vector,
 )
+from lumprank.cli import generate_edge_list
 from lumprank.decomposition import (
     ldu_factors,
+    run_checks,
     stochastic_complement,
     verify_coupled_stationarity,
 )
@@ -126,8 +128,8 @@ def test_c3_block_triangularity_and_lumped_block(graph_set):
         direct = direct_lumped_from_dense(Gt, k)
         for kind in BUILTIN:
             L = build_transform(kind, g.n - k)
-            full, G1, _ = similarity_transform(Gt, L, k)
-            bottom = full[k + 1:, :]
+            lower, G1 = similarity_transform(Gt, L, k)
+            bottom = lower[1:]
             if bottom.size:
                 worst_bottom = max(worst_bottom, float(np.abs(bottom).max()))
             worst_block = max(worst_block, float(np.abs(G1 - direct).max()))
@@ -333,3 +335,31 @@ def test_c9_performance_shape_200k_nodes():
            f"per-iteration wall time lumped {t_lumped * 1e3:.3f}ms (<=0.5ms) < full "
            f"{t_full * 1e3:.3f}ms; lumped peak alloc {lumped_peak}B < {budget}B, "
            f"full peak {full_peak}B")
+
+
+def test_c10_dense_lab_memory_shape():
+    # the check sequence of verify keeps G~ and at most a few order-(n-k)
+    # blocks at once: it never forms the conjugated n x n matrix, nor an
+    # identity or |.| temporary of order n.  tracemalloc sees numpy's arrays,
+    # not LAPACK's work copies or OpenBLAS's buffers, so the bound holds on
+    # every platform.
+    g = parse_edge_list(generate_edge_list(600, 0.7, 4, seed=3))
+    n = g.n
+    assert n == 477
+    params = PageRankParams.uniform(n)
+
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    rows = run_checks(g, params, seed=0, negative_control=True)
+    peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
+
+    budget = 3.75 * 8 * n * n
+    statuses = [status for status, _, _, _ in rows]
+    ok = statuses.count("PASS") == 14 and statuses.count("FAIL") == 2 and peak <= budget
+    report("C10", ok,
+           f"run_checks at n={n}: peak alloc {peak / (8 * n * n):.2f} n^2 doubles "
+           f"(<=3.75); {statuses.count('PASS')} PASS, {statuses.count('FAIL')} FAIL "
+           f"(14 and the 2 negative controls)")

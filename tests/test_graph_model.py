@@ -61,7 +61,11 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListParseError, match=fragment):
             parse_edge_list(text)
 
-    @pytest.mark.parametrize("text", ["", "   \n", "# only a comment\n\n"])
+    @pytest.mark.parametrize("text", [
+        "", "   \n", "# only a comment\n\n",
+        # bytes take the fast reader's emptiness test
+        pytest.param(b"", id="bytes-empty"), pytest.param(b" \t\n", id="bytes-blank-line"),
+        pytest.param(b"\t\t", id="bytes-tabs")])
     def test_empty_input_rejected(self, text):
         with pytest.raises(EdgeListParseError, match="empty"):
             parse_edge_list(text)

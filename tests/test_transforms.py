@@ -133,6 +133,21 @@ class TestDenseGoogle:
             rhs = full_operator(H, params)(x)[p.perm]
             assert np.abs(lhs - rhs).max() <= 1e-12
 
+    def test_equals_two_array_formula(self):
+        # alpha*H.data scattered into one array, bit for bit the matrix of
+        # scattering H into Ht and scaling a second array alpha*Ht
+        rng = np.random.default_rng(27)
+        for _ in range(8):
+            g, params, H, p, _, _ = dense_setup(rng)
+            v, w = rng.pareto(1.5, g.n) + 1e-3, rng.random(g.n)
+            params = PageRankParams(alpha=params.alpha, v=v / v.sum(), w=w / w.sum())
+            Ht = np.zeros((g.n, g.n))
+            Ht[p.inv_perm[H.row_index()], p.inv_perm[H.indices]] = H.data
+            expected = params.alpha * Ht
+            expected[p.k:, :] += params.alpha * params.w[p.perm]
+            expected += (1.0 - params.alpha) * params.v[p.perm]
+            assert np.array_equal(build_dense_google(g, params, p), expected)
+
     def test_size_cap_enforced(self):
         g = parse_edge_list("1 2\n1 3\n2 1\n")
         params = PageRankParams.uniform(3)
@@ -151,10 +166,10 @@ class TestSimilarityTransform:
             blocks = []
             for kind in BUILTIN:
                 L = build_transform(kind, n - k)
-                full, G1, G2 = similarity_transform(Gt, L, k)
+                lower, G1 = similarity_transform(Gt, L, k)
                 assert np.abs(G1 - direct).max() <= 1e-12
-                assert G2.shape == (k + 1, n - k - 1)
-                bottom = full[k + 1:, :]
+                assert lower.shape == (n - k, n)
+                bottom = lower[1:]
                 if bottom.size:
                     assert np.abs(bottom).max() <= 1e-12
                 blocks.append(G1)
@@ -162,14 +177,31 @@ class TestSimilarityTransform:
             for other in blocks[1:]:
                 assert np.abs(blocks[0] - other).max() <= 1e-12
 
+    def test_matches_explicit_conjugation(self):
+        # the returned parts of B Gt B^-1 with B = blockdiag(I, L) formed
+        # densely, for each built-in L and a generic one
+        rng = np.random.default_rng(28)
+        for _ in range(4):
+            g, params, H, p, Gt, b = dense_setup(rng)
+            k, n = p.k, g.n
+            m = n - k
+            # a perturbation of norm ~0.5 keeps the generic L well conditioned
+            generic = np.eye(m) + rng.standard_normal((m, m)) / (4 * np.sqrt(m))
+            for L in [*(build_transform(kind, m) for kind in BUILTIN), generic]:
+                B = np.eye(n)
+                B[k:, k:] = L
+                expected = B @ Gt @ np.linalg.inv(B)
+                lower, G1 = similarity_transform(Gt, L, k)
+                assert np.abs(lower - expected[k:]).max() <= 1e-12
+                assert np.abs(G1 - expected[:k + 1, :k + 1]).max() <= 1e-12
+
     def test_single_dangling_node_degenerate(self):
         g = parse_edge_list("1 2\n1 3\n2 1\n")
         params = PageRankParams.uniform(3, alpha=0.5)
         p = detect_dangling(build_hyperlink_matrix(g))
         Gt = build_dense_google(g, params, p)
-        full, G1, G2 = similarity_transform(Gt, build_transform(TransformKind.AVERAGING, 1), 2)
-        assert np.array_equal(G1, Gt) and np.array_equal(full, Gt)
-        assert G2.shape == (3, 0)
+        lower, G1 = similarity_transform(Gt, build_transform(TransformKind.AVERAGING, 1), 2)
+        assert np.array_equal(G1, Gt) and np.array_equal(lower, Gt[2:])
 
     def test_first_column_elimination_closed_form(self):
         # the sparse-elim conjugation has an explicit entrywise form built from
@@ -192,8 +224,11 @@ class TestSimilarityTransform:
             expected[:k, k:] = G12 @ Linv
             expected[k:, :k] = np.outer(L @ e, u1)
             expected[k:, k:] = np.outer(L @ e, u2 @ Linv)
-            full, _, _ = similarity_transform(Gt, L, k)
-            assert np.abs(full - expected).max() <= 1e-12
+            # the conjugated rows k.. and the leading (k+1)-block, whose column k
+            # is the first column of G12 L^-1
+            lower, G1 = similarity_transform(Gt, L, k)
+            assert np.abs(lower - expected[k:]).max() <= 1e-12
+            assert np.abs(G1 - expected[:k + 1, :k + 1]).max() <= 1e-12
 
     def test_singular_transform_raises(self):
         rng = np.random.default_rng(24)
@@ -226,7 +261,7 @@ class TestSpectrumIdentity:
             g, params, H, p, Gt, b = dense_setup(rng)
             for kind in BUILTIN:
                 L = build_transform(kind, g.n - p.k)
-                _, G1, _ = similarity_transform(Gt, L, p.k)
+                _, G1 = similarity_transform(Gt, L, p.k)
                 rep = check_spectrum_identity(Gt, G1, p.k, tol=1e-8, seed=42)
                 assert rep.passed, rep.detail
                 assert "seed=42" in rep.detail
@@ -441,9 +476,9 @@ class TestBlasProduct:
             assert np.abs(a @ b - ref).max() <= 1e-13 * np.abs(ref).max()
         # the conjugation's first k columns are L @ Gt[k:, :k], untouched by the solve
         L = build_transform(TransformKind.AVERAGING, g.n - k)
-        full, _, _ = similarity_transform(Gt, L, k)
+        lower, _ = similarity_transform(Gt, L, k)
         ref = reference_product(L, Gt[k:, :k])
-        assert np.abs(full[k:, :k] - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(lower[:, :k] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def scipy_imports(tree):
