@@ -1,7 +1,11 @@
 """PageRank by lumping all dangling nodes into a single state (numpy only).
 
-The dense verification lab, numpy only as well, is imported from its own
-modules, :mod:`lumprank.transforms` and :mod:`lumprank.decomposition`."""
+The lumped chain is the Google matrix of a (k+1)-node graph whose one
+dangling node is the lumped state, so the link matrix of either chain is a
+:class:`HyperlinkMatrix` (:func:`permute_blocks` builds the lumped one), and
+one product kernel and one operator builder serve both.  The dense
+verification lab, numpy only as well, is imported from its own modules,
+:mod:`lumprank.transforms` and :mod:`lumprank.decomposition`."""
 
 from .graph import (
     EdgeListParseError,
@@ -15,8 +19,6 @@ from .graph import (
     uniform_vector,
 )
 from .lumping import (
-    BlockStructure,
-    CooMatrix,
     DanglingPartition,
     SolveReport,
     bicgstab,
@@ -33,8 +35,6 @@ from .lumping import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockStructure",
-    "CooMatrix",
     "DanglingPartition",
     "EdgeListParseError",
     "HyperlinkMatrix",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -148,19 +148,28 @@ def _build_graph(pairs: np.ndarray) -> WebGraph:
 
 @dataclass(frozen=True)
 class HyperlinkMatrix:
-    """Row-normalized link matrix as numpy CSR arrays.
+    """Square sparse matrix as numpy CSR arrays, every row either empty or
+    summing to 1: the link matrix of a graph.
 
-    A row with out-links holds 1/out_degree at each out-neighbor column; a
-    dangling row stores no entries at all, so danglingness is a structural
-    property of the storage, never a floating-point comparison.  Row ``i``
-    stores ``data[indptr[i]:indptr[i + 1]]`` at columns
-    ``indices[indptr[i]:indptr[i + 1]]``.
+    Row ``i`` stores ``data[indptr[i]:indptr[i + 1]]`` at columns
+    ``indices[indptr[i]:indptr[i + 1]]``, each column at most once; ``rows``,
+    built with the matrix, holds the row of each stored entry.  A dangling row
+    stores no entries at all, so danglingness is a structural property of the
+    storage, never a floating-point comparison.  From
+    :func:`build_hyperlink_matrix` a row with out-links holds 1/out_degree at
+    each out-neighbor column; the lumped chain's matrix of
+    :func:`~lumprank.lumping.permute_blocks` carries other weights and may
+    store explicit zeros.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", np.repeat(np.arange(self.n), self.row_nnz()))
 
     @cached_property
     def csr(self):
@@ -175,13 +184,23 @@ class HyperlinkMatrix:
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def row_index(self) -> np.ndarray:
-        """Row of each stored entry (the COO row array of the CSR storage)."""
-        return np.repeat(np.arange(self.n), self.row_nnz())
-
     def dangling_mask(self) -> np.ndarray:
         """Boolean mask of rows with zero stored entries."""
         return self.row_nnz() == 0
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """x^T H as a 1-D array of length n: a gather and a weighted
+        ``np.bincount``, one pass over the entries, no BLAS call and no scipy."""
+        weights = x[self.rows]
+        weights *= self.data
+        out = np.bincount(self.indices, weights=weights, minlength=self.n)
+        # bincount of no entries returns int64 zeros, weights or not
+        return out.astype(np.float64, copy=False)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((self.n, self.n))
+        dense[self.rows, self.indices] = self.data
+        return dense
 
 
 def build_hyperlink_matrix(g: WebGraph) -> HyperlinkMatrix:

@@ -1,5 +1,5 @@
-"""Dangling-node lumping: partition, block structure, matrix-free operators,
-the linear solve, and recovery of the full ranking.
+"""Dangling-node lumping: partition, the lumped chain's matrix, matrix-free
+operators, the linear solve, and recovery of the full ranking.
 
 The full chain has transition matrix G = alpha*(H + d w^T) + (1-alpha) e v^T.
 Reordering nondangling nodes first turns G into a 2x2 block form whose lower
@@ -7,8 +7,9 @@ blocks are rank one; collapsing the dangling block to one state yields a
 (k+1)-order chain with the same nonzero spectrum.  That chain is itself a
 Google matrix, of a (k+1)-node graph whose only dangling node is the lumped
 state, so both chains' stationary vectors solve a system
-(I - alpha*P^T) x = (1-alpha)*v with P row-stochastic, and one operator
-builder and one solver, :func:`bicgstab`, serve both.  :func:`solve_lumped`
+(I - alpha*P^T) x = (1-alpha)*v with P row-stochastic, and one sparse type,
+:class:`~lumprank.graph.HyperlinkMatrix`, one operator builder and one
+solver, :func:`bicgstab`, serve both.  :func:`solve_lumped`
 solves the lumped system, stops on a rigorous 1-norm error bound, and expands
 sigma back to all n nodes in closed form; :func:`full_system` is the full
 chain's operator, which ``compare`` solves the same way.
@@ -47,58 +48,13 @@ class DanglingPartition:
     def n(self) -> int:
         return self.perm.size
 
-
-@dataclass(frozen=True)
-class CooMatrix:
-    """Sparse matrix as coordinate arrays: ``data[t]`` sits at ``(rows[t], cols[t])``.
-
-    It exists for one product, ``x^T A``, which :meth:`rmatvec` computes as a
-    gather and a weighted ``np.bincount``: one pass over the entries, no BLAS
-    call and no scipy.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    data: np.ndarray
-    shape: tuple
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """x^T A as a 1-D array of length ``shape[1]``."""
-        weights = x[self.rows]
-        weights *= self.data
-        out = np.bincount(self.cols, weights=weights, minlength=self.shape[1])
-        # bincount of no entries returns int64 zeros, weights or not
-        return out.astype(np.float64, copy=False)
-
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        np.add.at(dense, (self.rows, self.cols), self.data)
-        return dense
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """The graph-only part of the lumped chain, built once per graph.
-
-    ``A = [H11 | H12 e]`` holds the nondangling rows of the permuted hyperlink
-    matrix, their dangling columns summed into column k; ``H12`` serves only
-    the recovery of the dangling ranks.  alpha, v and w enter only through
-    rank-one terms: the lumped chain is M = alpha*S1 + (1-alpha) e lump(v)^T
-    with S1 = [A; lump(w)^T] row-stochastic.  No dense block of size k*(n-k)
-    or (n-k)^2 is ever formed.
-    """
-
-    p: DanglingPartition
-    A: CooMatrix
-    H12: CooMatrix
-
     def lump(self, x: np.ndarray) -> np.ndarray:
         """[x1, sum x2]: the nondangling entries of the original-order
         n-vector x in permuted order, then its dangling entries summed."""
         x = np.asarray(x)
-        if x.shape != (self.p.n,):
-            raise ValueError(f"expected vector of length {self.p.n}, got shape {x.shape}")
-        return np.append(x[self.p.perm[:self.p.k]], x[self.p.perm[self.p.k:]].sum())
+        if x.shape != (self.n,):
+            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
+        return np.append(x[self.perm[:self.k]], x[self.perm[self.k:]].sum())
 
 
 @dataclass(frozen=True)
@@ -142,61 +98,69 @@ def detect_dangling(H: HyperlinkMatrix) -> DanglingPartition:
     return DanglingPartition(k=int(nd.size), perm=perm, inv_perm=inv_perm)
 
 
-def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition) -> BlockStructure:
-    """Build the lumped operator's blocks straight from the CSR arrays of H."""
+def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition) -> HyperlinkMatrix:
+    """The lumped chain's graph, built straight from the CSR arrays of H.
+
+    It is the (k+1)-order hyperlink matrix whose rows 0..k-1 are
+    A = [H11 | H12 e], the nondangling rows of the permuted H with each row's
+    links to dangling nodes summed into one entry of column k, and whose row
+    k, the lumped state, is its one dangling row.  Every row of A stores its
+    column-k entry, a 0.0 for a row with no dangling links.  alpha, v and w
+    enter only through rank-one terms: the lumped chain is
+    M = alpha*S1 + (1-alpha) e lump(v)^T with S1 = [A; lump(w)^T]
+    row-stochastic.  No dense block of size k*(n-k) or (n-k)^2 is ever formed.
+    """
     if p.perm.size != H.n:
         raise ValueError("partition and matrix sizes differ")
-    k, n = p.k, H.n
+    k = p.k
     # dangling rows are structurally empty, so every entry lies in the top k
     # rows; CSR order keeps prow ascending, and each row's entries in order
-    prow = p.inv_perm[H.row_index()]
+    prow = p.inv_perm[H.rows]
     pcol = p.inv_perm[H.indices]
-    # entry positions of each block; three gathers by integer positions cost
-    # less than three boolean-mask selections
+    # entry positions of each block; gathers by integer positions cost less
+    # than boolean-mask selections
     in11, in12 = np.flatnonzero(pcol < k), np.flatnonzero(pcol >= k)
-    rows12, cols12, data12 = prow[in12], pcol[in12] - k, H.data[in12]
     # H12 e: each row with dangling links reduced on its own, in storage order
+    rows12 = prow[in12]
     starts = np.flatnonzero(np.diff(rows12, prepend=-1))
     r12 = np.zeros(k)
-    r12[rows12[starts]] = np.add.reduceat(data12, starts)
+    r12[rows12[starts]] = np.add.reduceat(H.data[in12], starts)
     # A in row order: each row's H11 entries, then its H12 e entry.  Stored
     # after all of H11, the k column-k terms form one serial add chain in
     # bincount's bin k; interleaved, they overlap with the other bins' adds.
     # Every bin still sums its terms in the same order, so rmatvec is
     # bitwise unchanged.
     rows11 = prow[in11]
-    per_row = np.bincount(rows11, minlength=k) + 1
-    ends = np.cumsum(per_row) - 1  # position of each row's H12 e entry
+    indptr = np.zeros(k + 2, dtype=np.int64)
+    np.cumsum(np.bincount(rows11, minlength=k) + 1, out=indptr[1:k + 1])
+    indptr[k + 1] = indptr[k]  # the lumped state's empty row
     # H11 entry t follows t H11 entries and one H12 e entry per earlier row
     pos11 = rows11 + np.arange(in11.size)
     cols = np.full(in11.size + k, k)
     cols[pos11] = pcol[in11]
     data = np.empty(in11.size + k)
     data[pos11] = H.data[in11]
-    data[ends] = r12
-    A = CooMatrix(rows=np.repeat(np.arange(k), per_row), cols=cols, data=data,
-                  shape=(k, k + 1))
-    return BlockStructure(p=p, A=A, H12=CooMatrix(rows=rows12, cols=cols12, data=data12,
-                                                  shape=(k, n - k)))
+    data[indptr[1:k + 1] - 1] = r12
+    return HyperlinkMatrix(n=k + 1, indptr=indptr, indices=cols, data=data)
 
 
-def _system(A: CooMatrix, dangling, w: np.ndarray,
+def _system(H: HyperlinkMatrix, w: np.ndarray,
             alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind x -> (I - alpha*P^T) x for P = A + d w^T, with d the indicator of
-    the rows that ``dangling`` indexes: x - alpha*(A^T x + (sum of x over
-    dangling)*w), one sparse product and two axpys.
+    """Bind x -> (I - alpha*P^T) x for P = H + d w^T, with d the indicator of
+    H's dangling rows: x - alpha*(H^T x + (sum of x over dangling)*w), one
+    sparse product and two axpys.
 
-    The lumped chain passes A = [H11 | H12 e] and ``slice(k, None)``, its one
-    lumped state; the full chain passes H and the indices of its dangling
-    nodes.  A reads x only at its stored rows.
+    The full chain passes its hyperlink matrix, the lumped chain the matrix
+    of :func:`permute_blocks`, whose one dangling row is the lumped state.
     """
-    m = A.shape[1]
+    m = H.n
+    dangling = np.flatnonzero(H.dangling_mask())
 
     def apply(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (m,):
             raise ValueError(f"expected vector of length {m}, got shape {x.shape}")
-        y = A.rmatvec(x)
+        y = H.rmatvec(x)
         y += x[dangling].sum() * w
         y *= -alpha
         y += x
@@ -222,8 +186,7 @@ def full_system(H: HyperlinkMatrix,
     """
     if params.n != H.n:
         raise ValueError("parameter vectors and matrix sizes differ")
-    A = CooMatrix(rows=H.row_index(), cols=H.indices, data=H.data, shape=(H.n, H.n))
-    return _system(A, np.flatnonzero(H.dangling_mask()), params.w, params.alpha)
+    return _system(H, params.w, params.alpha)
 
 
 def full_operator(H: HyperlinkMatrix,
@@ -347,7 +310,7 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     return x, applied, res, res <= tol
 
 
-def recover_pagerank(sigma: np.ndarray, b: BlockStructure,
+def recover_pagerank(sigma: np.ndarray, H: HyperlinkMatrix, p: DanglingPartition,
                      params: PageRankParams) -> np.ndarray:
     """Expand the lumped stationary vector to all n nodes (permuted order).
 
@@ -358,17 +321,21 @@ def recover_pagerank(sigma: np.ndarray, b: BlockStructure,
         tail = alpha*(sa^T H12) + (1-alpha)*(sa^T e)*v2^T + sb*u2^T,
         u2 = alpha*w2 + (1-alpha)*v2
 
-    No renormalization: stationarity of sigma makes the result sum to 1.
+    sa^T H12 is the dangling part of x^T H, x being sa on the nondangling
+    nodes and 0 elsewhere.  No renormalization: stationarity of sigma makes
+    the result sum to 1.
     """
-    k, alpha = b.p.k, params.alpha
+    k, alpha = p.k, params.alpha
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (k + 1,):
         raise ValueError(f"expected vector of length {k + 1}, got shape {sigma.shape}")
-    if params.n != b.p.n:
-        raise ValueError("parameter vectors and partition sizes differ")
-    v2, w2 = params.v[b.p.perm[k:]], params.w[b.p.perm[k:]]
+    if not params.n == p.n == H.n:
+        raise ValueError("matrix, partition and parameter vector sizes differ")
+    v2, w2 = params.v[p.perm[k:]], params.w[p.perm[k:]]
     sa = sigma[:k]
-    tail = b.H12.rmatvec(sa)
+    x = np.zeros(p.n)
+    x[p.perm[:k]] = sa
+    tail = H.rmatvec(x)[p.perm[k:]]
     tail *= alpha
     tail += ((1.0 - alpha) * sa.sum()) * v2
     tail += sigma[k] * (alpha * w2 + (1.0 - alpha) * v2)
@@ -401,7 +368,8 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     chain is that one state, whose recovery is u = alpha*w + (1-alpha)*v.
 
     The lumped stationary vector solves (I - alpha*S1^T) sigma = (1-alpha)*v,
-    with S1 = [A; w^T] and v, w lumped by :meth:`BlockStructure.lump`.
+    with S1 = [A; w^T], A the matrix of :func:`permute_blocks`, and v, w
+    lumped by :meth:`DanglingPartition.lump`.
     :func:`bicgstab` solves it from sigma = v and stops when error_bound =
     4*||r||_1/(1-alpha) is at most tol, r the true residual of its clipped,
     renormalised iterate:
@@ -428,15 +396,15 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     with _stage(timings, "partition"):
         p = detect_dangling(H)
     with _stage(timings, "blocks"):
-        b = permute_blocks(H, p)
+        A = permute_blocks(H, p)
     with _stage(timings, "loop"):
         scale = 4.0 / (1.0 - params.alpha)  # error_bound per unit of ||r||_1
-        v = b.lump(params.v)
-        op = _system(b.A, slice(p.k, None), b.lump(params.w), params.alpha)
+        v = p.lump(params.v)
+        op = _system(A, p.lump(params.w), params.alpha)
         sigma, iters, res, _ = bicgstab(op, (1.0 - params.alpha) * v, v,
                                         params.tol / scale, params.max_iter)
     with _stage(timings, "recover"):
-        pi = unpermute(recover_pagerank(sigma, b, params), p)
+        pi = unpermute(recover_pagerank(sigma, H, p, params), p)
         # exact no-op at stationarity; keeps the report a probability vector
         pi /= pi.sum()
     error_bound = scale * res

@@ -597,7 +597,7 @@ def public_path_checks(g, params, seed):
     def emit(name, passed, dev, note=""):
         out.append(("PASS" if passed else "FAIL", name, dev, note))
 
-    G1_direct = build_dense_lumped(permute_blocks(H, p), params)
+    G1_direct = build_dense_lumped(permute_blocks(H, p), p, params)
     for kind in TransformKind:
         L = build_transform(kind, n - k)
         rep = verify_transform_condition(L, tol=1e-12)

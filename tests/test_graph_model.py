@@ -180,6 +180,17 @@ class TestReferenceParity:
         assert_parses_like_reference(text)
         assert_parses_like_reference(text.encode("utf-8"))
 
+    @pytest.mark.parametrize("text, fast", [
+        ("05 1\n5 2\n", True), ("+5 1\n5 2\n", False), ("-0 1\n0 2\n", False)])
+    def test_spellings_of_one_integer_name_one_node(self, text, fast):
+        # both readers compare labels as integers
+        from lumprank.graph import _fast_pairs
+
+        assert (_fast_pairs(text.encode("ascii")) is not None) == fast
+        assert_parses_like_reference(text)
+        assert_parses_like_reference(text.encode("utf-8"))
+        assert parse_edge_list(text).n == 3
+
 
 class TestHyperlinkMatrix:
     def test_two_outlinks_share_weight(self):
@@ -220,6 +231,27 @@ class TestHyperlinkMatrix:
         assert np.array_equal(H1.csr.indptr, H2.csr.indptr)
         assert np.array_equal(H1.csr.indices, H2.csr.indices)
         assert np.array_equal(H1.csr.data, H2.csr.data)
+
+    def test_rmatvec_and_toarray_match_dense_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(2, 50))
+            edges = oracles.random_edge_dict(rng, n, float(rng.uniform(0.0, 0.9)))
+            H = build_hyperlink_matrix(oracles.make_webgraph(n, edges))
+            Hd = oracles.dense_hyperlink(n, edges)
+            assert np.array_equal(H.toarray(), Hd)
+            assert H.rows.tolist() == [i for i in range(n) for _ in sorted(edges.get(i, ()))]
+            x = rng.random(n)
+            out = H.rmatvec(x)
+            assert out.dtype == np.float64 and out.shape == (n,)
+            assert np.abs(out - x @ Hd).max() <= 1e-14
+
+    def test_edgeless_rmatvec_is_float_zeros(self):
+        # bincount of no entries returns int64 zeros; the kernel returns floats
+        H = build_hyperlink_matrix(oracles.make_webgraph(4, {}))
+        out = H.rmatvec(np.full(4, 0.25))
+        assert out.dtype == np.float64 and out.tolist() == [0.0] * 4
+        assert H.toarray().tolist() == [[0.0] * 4] * 4
 
 
 class TestLoadWeightVector:
@@ -285,3 +317,26 @@ class TestParams:
         x = probability_vector([0.25, 0.75])
         assert x.dtype == np.float64
         assert x.tolist() == [0.25, 0.75]
+
+
+class TestPackageRoot:
+    ENGINE = {
+        "DanglingPartition", "EdgeListParseError", "HyperlinkMatrix", "PageRankParams",
+        "SolveReport", "WebGraph", "bicgstab", "build_hyperlink_matrix", "detect_dangling",
+        "full_operator", "full_system", "load_weight_vector", "parse_edge_list",
+        "permute_blocks", "power_method", "probability_vector", "recover_pagerank",
+        "solve_lumped", "uniform_vector", "unpermute",
+    }
+
+    def test_exports_exactly_the_engine_names(self):
+        import lumprank
+
+        assert len(lumprank.__all__) == len(set(lumprank.__all__)) == 20
+        assert set(lumprank.__all__) == self.ENGINE
+
+    def test_each_export_resolves_to_an_engine_module(self):
+        import lumprank
+
+        for name in lumprank.__all__:
+            obj = getattr(lumprank, name)
+            assert obj.__module__ in ("lumprank.graph", "lumprank.lumping"), name

@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from lumprank import (
-    CooMatrix,
     PageRankParams,
     bicgstab,
     build_hyperlink_matrix,
@@ -38,10 +37,10 @@ def tri_setup(alpha=0.5):
     return g, params, H, p, permute_blocks(H, p)
 
 
-def lumped_system(b, params):
+def lumped_system(A, p, params):
     """The lumped chain's system operator, x -> (I - alpha*S1^T) x, as
     solve_lumped binds it."""
-    return _system(b.A, slice(b.p.k, None), b.lump(params.w), params.alpha)
+    return _system(A, p.lump(params.w), params.alpha)
 
 
 def random_case(rng, n_max=60, alphas=(0.5, 0.85, 0.99)):
@@ -82,39 +81,53 @@ class TestDetectDangling:
             assert sorted(p.perm.tolist()) == list(range(g.n))
 
 
+def dangling_rows_of_product(H, p, x1):
+    """The dangling part of x^T H, in permuted order, for x = x1 on the
+    nondangling nodes and 0 elsewhere: x1^T H12, as recovery computes it."""
+    x = np.zeros(p.n)
+    x[p.perm[:p.k]] = x1
+    return H.rmatvec(x)[p.perm[p.k:]]
+
+
 class TestPermuteBlocks:
     def test_micro_instance_blocks(self):
-        _, _, _, _, b = tri_setup()
-        assert b.p.k == 2 and b.p.n == 3
-        # the one sparse operator is [H11 | H12 e]
-        assert b.A.shape == (2, 3)
-        assert b.A.toarray().tolist() == [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]
-        assert b.H12.toarray().tolist() == [[0.5], [0.0]]
+        _, _, H, p, A = tri_setup()
+        assert p.k == 2 and p.n == 3
+        # the lumped chain's matrix: [H11 | H12 e], then the lumped state's empty row
+        assert A.n == 3
+        assert A.toarray().tolist() == [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert A.dangling_mask().tolist() == [False, False, True]
+        # H12, read through H
+        assert [dangling_rows_of_product(H, p, x1).tolist() for x1 in np.eye(2)] == [
+            [0.5], [0.0]]
 
     def test_no_dangling_gives_empty_trailing_block(self):
         g = oracles.make_webgraph(3, {0: {1}, 1: {2}, 2: {0}})
         H = build_hyperlink_matrix(g)
         p = detect_dangling(H)
-        b = permute_blocks(H, p)
-        assert b.H12.shape == (3, 0)
-        assert b.A.toarray()[:, 3].tolist() == [0.0, 0.0, 0.0]
+        A = permute_blocks(H, p)
+        assert dangling_rows_of_product(H, p, np.ones(3)).shape == (0,)
+        # each row stores its column-k entry, an explicit 0.0
+        assert A.row_nnz().tolist() == [2, 2, 2, 0]
+        assert A.toarray()[:3, 3].tolist() == [0.0, 0.0, 0.0]
 
     def test_uniform_vector_split(self):
         g = oracles.make_webgraph(4, {0: {1}, 1: {0}})
         H = build_hyperlink_matrix(g)
         params = PageRankParams.uniform(4)
-        b = permute_blocks(H, detect_dangling(H))
-        assert b.lump(params.v).tolist() == [0.25, 0.25, 0.5]
-        assert params.v[b.p.perm[b.p.k:]].tolist() == [0.25, 0.25]
+        p = detect_dangling(H)
+        assert p.lump(params.v).tolist() == [0.25, 0.25, 0.5]
+        assert params.v[p.perm[p.k:]].tolist() == [0.25, 0.25]
 
     def test_one_column_k_entry_per_row(self):
         # a row's dangling links fold into one entry, never one per link
         g = oracles.make_webgraph(6, {0: {1, 2, 3, 4}, 1: {0, 5}})
         H = build_hyperlink_matrix(g)
-        b = permute_blocks(H, detect_dangling(H))
-        assert b.A.rows.size == 2 + 2  # H11 holds 0 -> 1 and 1 -> 0
-        assert b.A.toarray().tolist() == [[0.0, 0.25, 0.75], [0.5, 0.0, 0.5]]
-        assert b.H12.rows.size == 4
+        p = detect_dangling(H)
+        A = permute_blocks(H, p)
+        assert A.data.size == 2 + 2  # H11 holds 0 -> 1 and 1 -> 0
+        assert A.toarray().tolist() == [[0.0, 0.25, 0.75], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]]
+        assert np.count_nonzero(p.inv_perm[H.indices] >= p.k) == 4
 
     def test_row_ordered_layout_sums_like_concatenated(self):
         # A stores each row's H12 e entry right after that row's H11 entries;
@@ -126,44 +139,81 @@ class TestPermuteBlocks:
         for g in cases:
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
-            b = permute_blocks(H, p)
+            A = permute_blocks(H, p)
             k = p.k
-            last = np.cumsum(np.bincount(b.A.rows, minlength=k)) - 1
-            assert np.all(np.diff(b.A.rows) >= 0)
-            assert np.flatnonzero(b.A.cols == k).tolist() == last.tolist()
-            prow, pcol = p.inv_perm[H.row_index()], p.inv_perm[H.indices]
+            last = A.indptr[1:k + 1] - 1
+            assert np.all(np.diff(A.rows) >= 0)
+            assert np.flatnonzero(A.indices == k).tolist() == last.tolist()
+            prow, pcol = p.inv_perm[H.rows], p.inv_perm[H.indices]
             in11 = pcol < k
-            concatenated = CooMatrix(
-                rows=np.concatenate([prow[in11], np.arange(k)]),
-                cols=np.concatenate([pcol[in11], np.full(k, k)]),
-                data=np.concatenate([H.data[in11], b.A.toarray()[:, k]]),
-                shape=(k, k + 1))
+            rows = np.concatenate([prow[in11], np.arange(k)])
+            cols = np.concatenate([pcol[in11], np.full(k, k)])
+            data = np.concatenate([H.data[in11], A.toarray()[:k, k]])
             for _ in range(3):
-                x = rng.random(k)
-                assert np.array_equal(b.A.rmatvec(x), concatenated.rmatvec(x))
+                x = rng.random(k + 1)
+                concatenated = np.bincount(cols, weights=x[rows] * data, minlength=k + 1)
+                assert np.array_equal(A.rmatvec(x), concatenated)
+
+    def test_kernel_on_lumped_matrix(self):
+        # weighted rows and explicit 0.0 entries in column k: the product and
+        # the dense form agree with the dense [H11 | H12 e] over an empty row
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            g, edges, _ = random_case(rng)
+            H = build_hyperlink_matrix(g)
+            p = detect_dangling(H)
+            A = permute_blocks(H, p)
+            k = p.k
+            Hd = oracles.dense_hyperlink(g.n, edges)[np.ix_(p.perm, p.perm)]
+            expected = np.zeros((k + 1, k + 1))
+            expected[:k, :k] = Hd[:k, :k]
+            expected[:k, k] = Hd[:k, k:].sum(axis=1)
+            Ad = A.toarray()
+            assert np.abs(Ad - expected).max() <= 1e-15
+            assert np.count_nonzero(A.data == 0.0) == np.count_nonzero(expected[:k, k] == 0.0)
+            x = rng.random(k + 1)
+            out = A.rmatvec(x)
+            assert out.dtype == np.float64 and out.shape == (k + 1,)
+            assert np.abs(out - x @ Ad).max() <= 1e-14
 
     def test_block_invariants_random(self):
         rng = np.random.default_rng(2)
-        for _ in range(15):
-            g, edges, params = random_case(rng)
+
+        def cases():
+            for _ in range(15):
+                yield random_case(rng)
+            for n, edges in ((7, {}), (9, {i: {(i + 1) % 9, (i + 4) % 9} for i in range(9)})):
+                yield oracles.make_webgraph(n, edges), edges, PageRankParams.uniform(n)
+
+        seen = set()
+        for g, edges, params in cases():
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
-            b = permute_blocks(H, p)
+            A = permute_blocks(H, p)
             k = p.k
+            seen.add({0: "k=0", g.n: "k=n"}.get(k, "mixed"))
             # dense [H11 | H12 e] from the oracle's hyperlink matrix
             Hd = oracles.dense_hyperlink(g.n, edges)[np.ix_(p.perm, p.perm)]
-            A = b.A.toarray()
-            assert np.array_equal(A[:, :k], Hd[:k, :k])
-            assert np.abs(A[:, k] - Hd[:k, k:].sum(axis=1)).max(initial=0.0) <= 1e-15
-            assert np.array_equal(b.H12.toarray(), Hd[:k, k:])
-            assert np.abs(A.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
+            Ad = A.toarray()
+            assert np.array_equal(Ad[:k, :k], Hd[:k, :k])
+            assert np.abs(Ad[:k, k] - Hd[:k, k:].sum(axis=1)).max(initial=0.0) <= 1e-15
+            assert np.abs(Ad[:k].sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
+            # the lumped state is the one dangling row
+            assert A.dangling_mask().tolist() == [False] * k + [True]
+            # recovery reads H12 through H: row by row exactly, and for any x1
+            for i in range(k):
+                assert np.array_equal(dangling_rows_of_product(H, p, np.eye(k)[i]), Hd[i, k:])
+            x1 = rng.random(k)
+            assert np.abs(dangling_rows_of_product(H, p, x1)
+                          - x1 @ Hd[:k, k:]).max(initial=0.0) <= 1e-15
             a = params.alpha
             u = a * params.w[p.perm] + (1 - a) * params.v[p.perm]
             # the recovered tail of the lumped state alone is u2
-            u2 = recover_pagerank(np.eye(k + 1)[k], b, params)[k:]
+            u2 = recover_pagerank(np.eye(k + 1)[k], H, p, params)[k:]
             assert np.array_equal(u2, u[k:]) and u2.min(initial=0.0) >= 0
-            assert b.lump(params.v)[k] == params.v[p.perm[k:]].sum()
-            assert b.lump(params.w)[k] == params.w[p.perm[k:]].sum()
+            assert p.lump(params.v)[k] == params.v[p.perm[k:]].sum()
+            assert p.lump(params.w)[k] == params.w[p.perm[k:]].sum()
+        assert seen == {"k=0", "k=n", "mixed"}
 
 
 class TestLumpedApply:
@@ -175,16 +225,16 @@ class TestLumpedApply:
         for _ in range(15):
             g, _, params = random_case(rng)
             H = build_hyperlink_matrix(g)
-            b = permute_blocks(H, detect_dangling(H))
-            sigma = rng.random(b.p.k + 1)
+            p = detect_dangling(H)
+            sigma = rng.random(p.k + 1)
             sigma /= sigma.sum()
-            out = (sigma - lumped_system(b, params)(sigma)) / params.alpha
+            out = (sigma - lumped_system(permute_blocks(H, p), p, params)(sigma)) / params.alpha
             assert abs(out.sum() - 1.0) <= 1e-12
             assert out.min() >= 0.0
 
     def test_micro_instance_value(self):
-        _, params, _, _, b = tri_setup()
-        out = lumped_system(b, params)(np.full(3, 1 / 3))
+        _, params, _, p, A = tri_setup()
+        out = lumped_system(A, p, params)(np.full(3, 1 / 3))
         # S1^T x = [4/9, 5/18, 5/18] at alpha 1/2
         assert np.abs(out - np.array([1 / 9, 7 / 36, 7 / 36])).max() <= 1e-15
 
@@ -205,7 +255,7 @@ class TestLumpedApply:
         for g, edges, params in cases():
             H = build_hyperlink_matrix(g)
             p = detect_dangling(H)
-            b = permute_blocks(H, p)
+            A = permute_blocks(H, p)
             # dense S1 = [H11, H12 e; w1^T, sum w2] from the oracle hyperlink matrix
             Hd = oracles.dense_hyperlink(g.n, edges)[np.ix_(p.perm, p.perm)]
             w = params.w[p.perm]
@@ -218,24 +268,24 @@ class TestLumpedApply:
             S1[k, k] = w[k:].sum()
             x = rng.random(k + 1)
             expected = (np.eye(k + 1) - params.alpha * S1.T) @ x
-            assert np.abs(lumped_system(b, params)(x) - expected).max() <= 1e-13
+            assert np.abs(lumped_system(A, p, params)(x) - expected).max() <= 1e-13
         assert seen == {"k=0", "k=n", "mixed"}
 
     def test_degenerate_all_dangling(self):
         H = build_hyperlink_matrix(oracles.make_webgraph(2, {}))
-        b = permute_blocks(H, detect_dangling(H))
+        p = detect_dangling(H)
         params = PageRankParams.uniform(2, alpha=0.75)
-        assert lumped_system(b, params)(np.array([1.0])).tolist() == [0.25]
+        assert lumped_system(permute_blocks(H, p), p, params)(np.array([1.0])).tolist() == [0.25]
 
     def test_length_mismatch_raises(self):
-        _, params, _, _, b = tri_setup()
+        _, params, H, p, A = tri_setup()
         with pytest.raises(ValueError, match="length 3"):
-            lumped_system(b, params)(np.full(4, 0.25))
+            lumped_system(A, p, params)(np.full(4, 0.25))
         # the parameter vectors themselves must match the graph
         with pytest.raises(ValueError, match="length 3"):
-            b.lump(np.full(4, 0.25))
+            p.lump(np.full(4, 0.25))
         with pytest.raises(ValueError, match="sizes differ"):
-            recover_pagerank(TRI_SIGMA, b, PageRankParams.uniform(4))
+            recover_pagerank(TRI_SIGMA, H, p, PageRankParams.uniform(4))
 
 
 class TestFullApply:
@@ -364,16 +414,15 @@ class TestExtrapolation:
 
 class TestRecoverAndUnpermute:
     def test_micro_instance_recovery(self):
-        _, params, _, _, b = tri_setup()
-        pi = recover_pagerank(TRI_SIGMA, b, params)
+        _, params, H, p, _ = tri_setup()
+        pi = recover_pagerank(TRI_SIGMA, H, p, params)
         # single dangling node: the lumped coordinate is that node's rank
         assert np.abs(pi - TRI_SIGMA).max() <= 1e-15
 
     def test_all_dangling_recovery_is_u(self):
         params = PageRankParams.uniform(2, alpha=0.3)
         H = build_hyperlink_matrix(oracles.make_webgraph(2, {}))
-        b = permute_blocks(H, detect_dangling(H))
-        pi = recover_pagerank(np.array([1.0]), b, params)
+        pi = recover_pagerank(np.array([1.0]), H, detect_dangling(H), params)
         u = params.alpha * params.w + (1 - params.alpha) * params.v
         assert np.abs(pi - u).max() <= 1e-15
 
@@ -385,8 +434,8 @@ class TestRecoverAndUnpermute:
             p = detect_dangling(H)
             if p.k in (0, g.n):
                 continue
-            b = permute_blocks(H, p)
-            pi = recover_pagerank(oracles.stationary(build_dense_lumped(b, params)), b, params)
+            sigma = oracles.stationary(build_dense_lumped(permute_blocks(H, p), p, params))
+            pi = recover_pagerank(sigma, H, p, params)
             assert abs(pi.sum() - 1.0) <= 1e-12
 
     def test_one_structure_serves_two_parameter_sets(self):
@@ -397,13 +446,13 @@ class TestRecoverAndUnpermute:
         H = build_hyperlink_matrix(oracles.make_webgraph(n, edges))
         p = detect_dangling(H)
         assert 1 <= p.k <= n - 1
-        b = permute_blocks(H, p)
+        A = permute_blocks(H, p)
         for alpha in (0.6, 0.97):
             v = rng.pareto(1.2, n) + 1e-3  # heavy-tailed teleportation
             w = rng.random(n) + 0.05
             params = PageRankParams(alpha=alpha, v=v / v.sum(), w=w / w.sum())
-            sigma = stationary_dense(build_dense_lumped(b, params))
-            pi = unpermute(recover_pagerank(sigma, b, params), p)
+            sigma = stationary_dense(build_dense_lumped(A, p, params))
+            pi = unpermute(recover_pagerank(sigma, H, p, params), p)
             G = oracles.dense_google(n, edges, alpha, v=params.v, w=params.w)
             assert np.abs(pi - stationary_dense(G)).max() <= 1e-12
 
@@ -603,9 +652,9 @@ class TestBicgstab:
         g = oracles.make_webgraph(300, edges)
         params = PageRankParams(alpha=0.99, v=v, w=uniform_vector(300))
         H = build_hyperlink_matrix(g)
-        b = permute_blocks(H, detect_dangling(H))
-        calls, system = [], lumped_system(b, params)
-        v = b.lump(params.v)
+        p = detect_dangling(H)
+        calls, system = [], lumped_system(permute_blocks(H, p), p, params)
+        v = p.lump(params.v)
 
         def op(x):
             calls.append(1)
@@ -622,9 +671,9 @@ class TestBicgstab:
         assert conv
 
     def test_non_finite_candidate_never_returned(self):
-        _, params, _, _, b = tri_setup(alpha=0.85)
-        calls, system = [], lumped_system(b, params)
-        v = b.lump(params.v)
+        _, params, _, p, A = tri_setup(alpha=0.85)
+        calls, system = [], lumped_system(A, p, params)
+        v = p.lump(params.v)
 
         def op(x):
             calls.append(1)

@@ -46,8 +46,7 @@ def dense_setup(rng, n_max=40, alphas=(0.5, 0.85, 0.99)):
             break
     params = PageRankParams.uniform(n, alpha=float(rng.choice(alphas)))
     Gt = build_dense_google(g, params, p)
-    b = permute_blocks(H, p)
-    return g, params, H, p, Gt, b
+    return g, params, H, p, Gt, permute_blocks(H, p)
 
 
 class TestBuildTransform:
@@ -142,7 +141,7 @@ class TestDenseGoogle:
             v, w = rng.pareto(1.5, g.n) + 1e-3, rng.random(g.n)
             params = PageRankParams(alpha=params.alpha, v=v / v.sum(), w=w / w.sum())
             Ht = np.zeros((g.n, g.n))
-            Ht[p.inv_perm[H.row_index()], p.inv_perm[H.indices]] = H.data
+            Ht[p.inv_perm[H.rows], p.inv_perm[H.indices]] = H.data
             expected = params.alpha * Ht
             expected[p.k:, :] += params.alpha * params.w[p.perm]
             expected += (1.0 - params.alpha) * params.v[p.perm]
@@ -160,9 +159,9 @@ class TestSimilarityTransform:
     def test_lumped_block_matches_direct_formula_all_kinds(self):
         rng = np.random.default_rng(22)
         for _ in range(6):
-            g, params, H, p, Gt, b = dense_setup(rng)
+            g, params, H, p, Gt, A = dense_setup(rng)
             k, n = p.k, g.n
-            direct = build_dense_lumped(b, params)
+            direct = build_dense_lumped(A, p, params)
             blocks = []
             for kind in BUILTIN:
                 L = build_transform(kind, n - k)
@@ -182,7 +181,7 @@ class TestSimilarityTransform:
         # densely, for each built-in L and a generic one
         rng = np.random.default_rng(28)
         for _ in range(4):
-            g, params, H, p, Gt, b = dense_setup(rng)
+            g, params, H, p, Gt, _ = dense_setup(rng)
             k, n = p.k, g.n
             m = n - k
             # a perturbation of norm ~0.5 keeps the generic L well conditioned
@@ -208,7 +207,7 @@ class TestSimilarityTransform:
         # the rank-one inverse I + (e - e1) e1^T
         rng = np.random.default_rng(23)
         for _ in range(6):
-            g, params, H, p, Gt, b = dense_setup(rng)
+            g, params, H, p, Gt, _ = dense_setup(rng)
             k, n = p.k, g.n
             m = n - k
             L = build_transform(TransformKind.SPARSE_ELIM, m)
@@ -258,7 +257,7 @@ class TestSpectrumIdentity:
     def test_passes_for_random_graphs_all_kinds(self):
         rng = np.random.default_rng(26)
         for _ in range(6):
-            g, params, H, p, Gt, b = dense_setup(rng)
+            g, params, H, p, Gt, _ = dense_setup(rng)
             for kind in BUILTIN:
                 L = build_transform(kind, g.n - p.k)
                 _, G1 = similarity_transform(Gt, L, p.k)
@@ -278,14 +277,14 @@ class TestSpectrumIdentity:
 
     def test_corrupted_lumped_block_fails(self):
         rng = np.random.default_rng(27)
-        g, params, H, p, Gt, b = dense_setup(rng)
-        bad = build_dense_lumped(b, params)
+        g, params, H, p, Gt, A = dense_setup(rng)
+        bad = build_dense_lumped(A, p, params)
         bad[0, 0] += 0.1
         assert not check_spectrum_identity(Gt, bad, p.k, tol=1e-8).passed
 
     def test_size_mismatch_raises(self):
         rng = np.random.default_rng(28)
-        g, params, H, p, Gt, b = dense_setup(rng)
+        g, params, H, p, Gt, _ = dense_setup(rng)
         with pytest.raises(ValueError, match="inconsistent"):
             check_spectrum_identity(Gt, np.eye(p.k + 2), p.k)
 
@@ -364,8 +363,8 @@ class TestStationaryDense:
     def test_agrees_with_lumped_power_iteration(self):
         rng = np.random.default_rng(30)
         for _ in range(6):
-            g, params, H, p, Gt, b = dense_setup(rng)
-            sigma_dense = stationary_dense(build_dense_lumped(b, params))
+            g, params, H, p, Gt, A = dense_setup(rng)
+            sigma_dense = stationary_dense(build_dense_lumped(A, p, params))
             # the lumped vector aggregates the full chain's: [pi1, sum pi2]
             pi_power, _, _, conv = power_method(
                 full_operator(H, params), uniform_vector(g.n), 1e-13, 50_000)
