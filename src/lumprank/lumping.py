@@ -232,6 +232,13 @@ def power_method(apply_op: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     return x, max_iter, residual, False
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by numpy's own einsum loop, never BLAS: handing a long dot to
+    OpenBLAS's threads stalled for up to 100 ms on a 2-vCPU host with
+    hypervisor steal, against microseconds for the loop."""
+    return np.einsum("i,i->", a, b)
+
+
 def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
              x0: np.ndarray, tol: float, max_iter: int):
     """Solve apply_op(x) = rhs for a probability vector x by BiCGSTAB
@@ -274,12 +281,12 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     x, r, res = check(np.asarray(x0, dtype=np.float64))
     while res > tol and applied + 2 <= max_iter:
         rhat = p = r  # never updated in place
-        rho = rhat @ r
+        rho = _dot(rhat, r)
         while True:
             candidate = x
             v = apply_op(p)
             applied += 1
-            rhat_v = rhat @ v
+            rhat_v = _dot(rhat, v)
             if not 0.0 < abs(rhat_v) < np.inf:
                 break
             a = rho / rhat_v
@@ -291,14 +298,14 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
                 break
             t = apply_op(s)
             applied += 1
-            tt = t @ t
+            tt = _dot(t, t)
             if not 0.0 < tt < np.inf:
                 break
-            omega = (t @ s) / tt
+            omega = _dot(t, s) / tt
             x = candidate + omega * s
             candidate = x
             r = s - omega * t
-            rho_next = rhat @ r
+            rho_next = _dot(rhat, r)
             # beta divides by rho and omega
             if (np.abs(r).sum() <= tol or applied + 2 > max_iter
                     or not 0.0 < abs(rho_next * omega) < np.inf):

@@ -21,6 +21,9 @@ DENSE_LIMIT_DEFAULT = 2000
 # both measured against the matrix's largest entry, counts as singular
 _GROWTH_LIMIT = 1e10
 
+# rows of L G22 multiplied by L^-1 at a time in similarity_transform
+_ROW_BLOCK = 128
+
 
 class TransformKind(Enum):
     """Families of order-m matrices with L @ ones = e1."""
@@ -66,39 +69,48 @@ def _absmax(X: np.ndarray) -> float:
     return float(max(X.max(), -X.min()))
 
 
-def _solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+def _solve(A: np.ndarray, B: np.ndarray | None, what: str) -> np.ndarray:
     """X with A X = B, raising LinAlgError when A is singular to working
     precision: the solve raises, X is not finite, or
-    max|X| max|A| > 1e10 max|B|."""
+    max|X| max|A| > 1e10 max|B|.  B=None gives A^-1 from ``np.linalg.inv``,
+    with max|B| = 1 and no identity operand."""
     singular = np.linalg.LinAlgError(f"{what} is singular to working precision")
     try:
-        X = np.linalg.solve(A, B)
+        X = np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
         raise singular from None
     growth = _absmax(X)
-    if not np.isfinite(growth) or growth * _absmax(A) > _GROWTH_LIMIT * _absmax(B):
+    scale = 1.0 if B is None else _absmax(B)
+    if not np.isfinite(growth) or growth * _absmax(A) > _GROWTH_LIMIT * scale:
         raise singular
     return X
 
 
-def verify_transform_condition(L: np.ndarray, tol: float = 1e-12) -> CheckReport:
+def verify_transform_condition(L: np.ndarray, tol: float = 1e-12,
+                               Linv: np.ndarray | None = None) -> CheckReport:
     """Check L @ ones == e1, invertibility, and L^-1 @ e1 == ones.
 
-    L counts as singular when the solve for L^-1 @ e1 fails, or its result is
-    not finite or exceeds 1e10 / max|L|; the report then says ``singular``
-    with an infinite deviation.  Failures are reported, never raised.
+    L^-1 @ e1 is the first column of L^-1: ``Linv`` when given (a caller that
+    also conjugates by L inverts it once), else ``np.linalg.inv(L)``.  L
+    counts as singular when that inverse fails, or is not finite or exceeds
+    1e10 / max|L|; the report then says ``singular`` with an infinite
+    deviation.  Failures are reported, never raised.
     """
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"transform must be square, got shape {L.shape}")
     m = L.shape[0]
+    if Linv is None:
+        try:
+            Linv = _solve(L, None, "transform")
+        except np.linalg.LinAlgError as exc:
+            return CheckReport(passed=False, max_abs_deviation=np.inf, detail=str(exc))
+    elif Linv.shape != L.shape:
+        raise ValueError(f"inverse must have the transform's shape {L.shape}, got {Linv.shape}")
     e1 = np.zeros(m)
     e1[0] = 1.0
     dev_fwd = float(np.abs(L @ np.ones(m) - e1).max())
-    try:
-        dev_inv = float(np.abs(_solve(L, e1, "transform") - 1.0).max())
-    except np.linalg.LinAlgError as exc:
-        return CheckReport(passed=False, max_abs_deviation=np.inf, detail=str(exc))
+    dev_inv = float(np.abs(Linv[:, 0] - 1.0).max())
 
     max_dev = max(dev_fwd, dev_inv)
     passed = max_dev <= tol
@@ -162,16 +174,19 @@ def stationary_dense(M: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int):
+def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int,
+                         Linv: np.ndarray | None = None):
     """Conjugate the permuted matrix by blockdiag(I_k, L) and return the parts
     the lab reads.
 
     Returns (lower, lumped_block): the conjugated rows k..n-1, that is
     [L G21 | L G22 L^-1], and the leading (k+1) x (k+1) block, whose first k
     rows are [G11 | G12 L^-1 e1] and whose last row is the first row of
-    ``lower``.  The conjugated first k rows are never formed.  L^-1 comes from
-    one solve with L^T against the order-(n-k) identity; a singular L raises
-    LinAlgError.
+    ``lower``.  The conjugated first k rows are never formed.  L^-1 is
+    ``Linv`` when given, else ``np.linalg.inv(L)``; a singular L raises
+    LinAlgError.  L G22 L^-1 is formed in ``lower`` itself, L G22 first and
+    then a block of rows at a time times L^-1, so no order-(n-k) product is
+    held beside L^-1.
     """
     Gt = np.asarray(Gt, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
@@ -183,16 +198,21 @@ def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int):
         raise ValueError(f"split point k={k} out of range for order {n}")
     if L.shape != (m, m):
         raise ValueError(f"transform must have order {m}, got shape {L.shape}")
+    if Linv is None:
+        Linv = _solve(L, None, "transform")
+    elif Linv.shape != L.shape:
+        raise ValueError(f"inverse must have the transform's shape {L.shape}, got {Linv.shape}")
 
-    Linv = _solve(L.T, np.eye(m), "transform").T  # L^T X = I gives X = L^-T
     G1 = np.empty((k + 1, k + 1))
     G1[:k, :k] = Gt[:k, :k]
     np.matmul(Gt[:k, k:], Linv[:, 0], out=G1[:k, k])
-    right = Gt[k:, k:] @ Linv  # G22 L^-1
-    del Linv
     lower = np.empty((m, n))
     np.matmul(L, Gt[k:, :k], out=lower[:, :k])
-    np.matmul(L, right, out=lower[:, k:])
+    right = lower[:, k:]
+    np.matmul(L, Gt[k:, k:], out=right)
+    for i in range(0, m, _ROW_BLOCK):
+        rows = right[i:i + _ROW_BLOCK]
+        rows[...] = rows @ Linv
     G1[k] = lower[0, :k + 1]
     return lower, G1
 

@@ -516,15 +516,15 @@ class TestVerify:
             assert len(others) == 14 and all(l.startswith("PASS ") for l in others)
 
     def test_each_matrix_is_lu_factored_once(self, capsys, tmp_path, monkeypatch):
-        # 34 LU factorizations, one per np.linalg.solve or slogdet call, none
-        # of the same matrix: each of the three order-(n-k) transforms L for
-        # its condition check, and L^T, solved against the order-(n-k)
-        # identity, for the L^-1 of its conjugation (6); I - G11 for Y
-        # and its transpose for Z, and (I - G22)^T for W (3); the stationary
-        # system (1); the 8 n x n spectrum determinants (8); the 8
-        # (k+1)-order determinants of the lumped block and 8 of its corrupted
-        # control (16).  The coupled identities and the negative controls
-        # reuse Z and W, with no solve of their own.
+        # 31 LU factorizations, one per np.linalg.inv, solve or slogdet call,
+        # none of the same matrix: each of the three order-(n-k) transforms L,
+        # inverted once for both its condition check (the first column of
+        # L^-1) and its conjugation (3); I - G11 for Y and its transpose for
+        # Z, and (I - G22)^T for W (3); the stationary system (1); the 8
+        # n x n spectrum determinants (8); the 8 (k+1)-order determinants of
+        # the lumped block and 8 of its corrupted control (16).  The coupled
+        # identities and the negative controls reuse Z and W, with no solve
+        # of their own.
         factored = []
 
         def recording(fn):
@@ -534,13 +534,14 @@ class TestVerify:
                 return fn(a, *args, **kwargs)
             return record
 
+        monkeypatch.setattr(np.linalg, "inv", recording(np.linalg.inv))
         monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
         monkeypatch.setattr(np.linalg, "slogdet", recording(np.linalg.slogdet))
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         code, out, _ = run(capsys, "verify", str(path), "--negative-control")
         assert code == 1 and out.count("PASS ") == 14
-        assert len(factored) == len(set(factored)) == 6 + 3 + 1 + 8 + 2 * 8
+        assert len(factored) == len(set(factored)) == 3 + 3 + 1 + 8 + 2 * 8
 
     def test_dense_limit_exits_3(self, capsys, tri_file):
         code, _, err = run(capsys, "verify", tri_file, "--dense-limit", "2")
@@ -687,6 +688,20 @@ class TestVerifyDifferential:
         for (_, name, dev, _), (_, _, ref_dev, _) in zip(rows, expected):
             assert abs(dev - ref_dev) <= 1e-12, name
 
+    def test_transform_condition_rows_match_the_check_alone(self):
+        # run_checks inverts each transform once for the condition check and
+        # the conjugation; its rows equal the check called on its own
+        g = parse_edge_list(generate_edge_list(400, 0.7, 4, seed=5))
+        m = g.n - detect_dangling(build_hyperlink_matrix(g)).k
+        assert m == 197
+        rows = {name: (status, dev, note) for status, name, dev, note
+                in run_checks(g, PageRankParams.uniform(g.n))}
+        for kind in TransformKind:
+            rep = verify_transform_condition(build_transform(kind, m), tol=1e-12)
+            status, dev, note = rows[f"transform_condition[{kind.value}]"]
+            assert (status, note) == ("PASS" if rep.passed else "FAIL", "")
+            assert abs(dev - rep.max_abs_deviation) <= 1e-12
+
     # the factor blocks, and the blocks of G~ that only one block of the
     # blockwise check compares against
     @pytest.mark.parametrize("block", ["Y", "Z", "D11", "S", "G12", "G21"])
@@ -694,10 +709,13 @@ class TestVerifyDifferential:
         split = lumprank.decomposition._block_split
 
         def corrupted_split(Gt, k):
-            s = split(Gt, k)
-            bad = getattr(s, block).copy()
+            s, D11, Y = split(Gt, k)
+            parts = dict(D11=D11, Y=Y, Z=s.Z, S=s.S, G12=s.G12, G21=s.G21)
+            bad = parts[block].copy()
             bad[-1, :2] += [1e-6, -1e-6]  # row sums kept: S stays stochastic
-            return dataclasses.replace(s, **{block: bad})
+            parts[block] = bad
+            D11, Y = parts.pop("D11"), parts.pop("Y")
+            return dataclasses.replace(s, **parts), D11, Y
 
         monkeypatch.setattr(lumprank.decomposition, "_block_split", corrupted_split)
         path = tmp_path / "g.txt"
@@ -717,10 +735,10 @@ class TestVerifyDifferential:
         split = lumprank.decomposition._block_split
 
         def corrupted_split(Gt, k):
-            s = split(Gt, k)
+            s, D11, Y = split(Gt, k)
             S = s.S.copy()
             S[-1] *= 1 + 1e-6
-            return dataclasses.replace(s, S=S)
+            return dataclasses.replace(s, S=S), D11, Y
 
         monkeypatch.setattr(lumprank.decomposition, "_block_split", corrupted_split)
         code, out, err = run(capsys, "verify", str(path))

@@ -165,7 +165,7 @@ class TestCoupledStationarity:
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
             k, n = p.k, g.n
-            s = _block_split(Gt, k)
+            s, _, _ = _block_split(Gt, k)
             pi = oracles.stationary(Gt)
             pi1, pi2 = pi[:k], pi[k:]
             direct_b = np.linalg.solve((np.eye(k) - Gt[:k, :k]).T, Gt[k:, :k].T @ pi2)

@@ -1,8 +1,13 @@
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lumprank.cli
+import lumprank.graph
+import lumprank.lumping
 import oracles
 from lumprank import (
     PageRankParams,
@@ -691,6 +696,20 @@ class TestBicgstab:
         x, iters, res, conv = bicgstab(lambda x: x * np.nan, x0, x0, 1e-12, 10)
         assert not conv and iters <= 10
         assert np.array_equal(x, x0)
+
+
+    @pytest.mark.parametrize("module", [lumprank.graph, lumprank.lumping, lumprank.cli])
+    def test_rank_path_calls_no_blas(self, module):
+        # a long dot handed to OpenBLAS's threads can stall on a loaded host,
+        # so rank and compare compute their products with numpy's own loops
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        blas = {"dot", "inner", "vdot", "matmul", "tensordot"}
+        found = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                 or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in blas
+                 or isinstance(node, ast.Attribute) and node.attr == "linalg"]
+        assert found == []
 
 
 class TestAgreementProperties:

@@ -94,7 +94,7 @@ class TestTransformCondition:
         assert rep.max_abs_deviation == np.inf
 
     def test_nearly_singular_matrix_reported(self):
-        # not exactly singular: the solve for L^-1 e1 returns ~1e13 entries
+        # not exactly singular: L^-1 has ~1e13 entries
         rep = verify_transform_condition(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
         assert not rep.passed
         assert "singular" in rep.detail
@@ -103,6 +103,34 @@ class TestTransformCondition:
     def test_non_square_raises(self):
         with pytest.raises(ValueError, match="square"):
             verify_transform_condition(np.ones((2, 3)))
+
+    def test_nearly_singular_transform_of_order_60_reported(self):
+        # two rows equal up to one unit in the last place: no traceback, no
+        # warning, and the singular report
+        L = build_transform(TransformKind.AVERAGING, 60)
+        L[-1] = L[-2]
+        L[-1, 0] = np.nextafter(L[-1, 0], 0.0)
+        rep = verify_transform_condition(L)
+        assert not rep.passed
+        assert "singular" in rep.detail
+        assert rep.max_abs_deviation == np.inf
+
+    def test_shared_inverse_gives_the_same_report(self):
+        # the inverse a caller shares with the conjugation, against the one
+        # the check computes on its own, for each built-in and a generic L
+        rng = np.random.default_rng(29)
+        m = 300
+        generic = np.eye(m) + rng.standard_normal((m, m)) / (4 * np.sqrt(m))
+        for L in [*(build_transform(kind, m) for kind in BUILTIN), generic]:
+            own = verify_transform_condition(L)
+            shared = verify_transform_condition(L, Linv=np.linalg.inv(L))
+            assert shared.passed == own.passed
+            assert abs(shared.max_abs_deviation - own.max_abs_deviation) <= 1e-12
+
+    def test_inverse_of_wrong_shape_raises(self):
+        L = build_transform(TransformKind.SPARSE_ELIM, 3)
+        with pytest.raises(ValueError, match="shape"):
+            verify_transform_condition(L, Linv=np.eye(4))
 
 
 class TestDenseGoogle:
@@ -193,6 +221,18 @@ class TestSimilarityTransform:
                 lower, G1 = similarity_transform(Gt, L, k)
                 assert np.abs(lower - expected[k:]).max() <= 1e-12
                 assert np.abs(G1 - expected[:k + 1, :k + 1]).max() <= 1e-12
+
+    def test_shared_inverse_gives_the_same_parts(self):
+        rng = np.random.default_rng(30)
+        for _ in range(4):
+            g, params, H, p, Gt, _ = dense_setup(rng)
+            k, m = p.k, g.n - p.k
+            for kind in BUILTIN:
+                L = build_transform(kind, m)
+                lower, G1 = similarity_transform(Gt, L, k)
+                lower_s, G1_s = similarity_transform(Gt, L, k, Linv=np.linalg.inv(L))
+                assert np.abs(lower_s - lower).max() <= 1e-12
+                assert np.abs(G1_s - G1).max() <= 1e-12
 
     def test_single_dangling_node_degenerate(self):
         g = parse_edge_list("1 2\n1 3\n2 1\n")
