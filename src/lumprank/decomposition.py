@@ -18,6 +18,7 @@ from .transforms import (
     _absmax,
     _solve,
     _spectrum_check,
+    _transform_inverse,
     build_dense_google,
     build_dense_lumped,
     build_transform,
@@ -229,9 +230,10 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         G1_direct = build_dense_lumped(permute_blocks(H, p), p, params)
         for kind in TransformKind:
             L = build_transform(kind, m)
-            # one inverse per transform, read by both the condition check
-            # (its first column) and the conjugation
-            Linv = _solve(L, None, "transform")
+            # one exact inverse per transform, in closed form: the condition
+            # check proves it by its residual L L^-1 - I and reads L^-1 e1 as
+            # its first column, then the conjugation trusts it
+            Linv = _transform_inverse(kind, m)
             rep = verify_transform_condition(L, tol=1e-12, Linv=Linv)
             emit(f"transform_condition[{kind.value}]", rep.passed,
                  rep.max_abs_deviation, rep.detail if not rep.passed else "")

@@ -21,7 +21,8 @@ DENSE_LIMIT_DEFAULT = 2000
 # both measured against the matrix's largest entry, counts as singular
 _GROWTH_LIMIT = 1e10
 
-# rows of L G22 multiplied by L^-1 at a time in similarity_transform
+# rows multiplied by L^-1 at a time: of L G22 in similarity_transform, of
+# L in verify_transform_condition's residual
 _ROW_BLOCK = 128
 
 
@@ -64,6 +65,24 @@ def build_transform(kind: TransformKind, m: int) -> np.ndarray:
     return L
 
 
+def _transform_inverse(kind: TransformKind, m: int) -> np.ndarray:
+    """The exact inverse of ``build_transform(kind, m)``.
+
+    averaging: I + (e - e1) e^T; sparse-elim: I + (e - e1) e1^T;
+    jordan-diff: the lower triangle of ones.  Each has first column e.
+    """
+    if kind is TransformKind.JORDAN_DIFF:
+        return np.tri(m)
+    Linv = np.eye(m)
+    if kind is TransformKind.AVERAGING:
+        Linv[1:] += 1.0
+    elif kind is TransformKind.SPARSE_ELIM:
+        Linv[1:, 0] = 1.0
+    else:
+        raise ValueError(f"unknown transform kind: {kind!r}")
+    return Linv
+
+
 def _absmax(X: np.ndarray) -> float:
     """max|X| without an |X| temporary; NaN when X holds a NaN."""
     return float(max(X.max(), -X.min()))
@@ -90,9 +109,12 @@ def verify_transform_condition(L: np.ndarray, tol: float = 1e-12,
                                Linv: np.ndarray | None = None) -> CheckReport:
     """Check L @ ones == e1, invertibility, and L^-1 @ e1 == ones.
 
-    L^-1 @ e1 is the first column of L^-1: ``Linv`` when given (a caller that
-    also conjugates by L inverts it once), else ``np.linalg.inv(L)``.  L
-    counts as singular when that inverse fails, or is not finite or exceeds
+    L^-1 is ``Linv`` when given (a caller that also conjugates by L shares
+    one inverse), else ``np.linalg.inv(L)``.  Either way it is proven, not
+    trusted: the deviation includes the residual max|L L^-1 - I|, formed
+    ``_ROW_BLOCK`` rows at a time so no order-m temporary appears, and
+    L^-1 @ e1 is read as its first column.  L counts as singular when
+    ``np.linalg.inv`` fails, or its result is not finite or exceeds
     1e10 / max|L|; the report then says ``singular`` with an infinite
     deviation.  Failures are reported, never raised.
     """
@@ -111,12 +133,20 @@ def verify_transform_condition(L: np.ndarray, tol: float = 1e-12,
     e1[0] = 1.0
     dev_fwd = float(np.abs(L @ np.ones(m) - e1).max())
     dev_inv = float(np.abs(Linv[:, 0] - 1.0).max())
+    block_devs = []
+    for i in range(0, m, _ROW_BLOCK):
+        R = L[i:i + _ROW_BLOCK] @ Linv
+        R.flat[i::m + 1] -= 1.0  # the identity's entries (j, i + j)
+        block_devs.append(_absmax(R))
+    dev_res = float(np.max(block_devs))  # NaN when any block holds one
 
-    max_dev = max(dev_fwd, dev_inv)
+    max_dev = float(np.max([dev_fwd, dev_inv, dev_res]))
     passed = max_dev <= tol
-    detail = f"|L e - e1|={dev_fwd:.3e}, |L^-1 e1 - e|={dev_inv:.3e}"
+    detail = (f"|L e - e1|={dev_fwd:.3e}, |L^-1 e1 - e|={dev_inv:.3e}, "
+              f"|L L^-1 - I|={dev_res:.3e}")
     if not passed:
-        which = "forward map" if dev_fwd > tol else "inverse map"
+        which = ("forward map" if dev_fwd > tol else
+                 "inverse map" if dev_inv > tol else "inverse residual")
         detail = f"{which} off: " + detail
     return CheckReport(passed=passed, max_abs_deviation=max_dev, detail=detail)
 
@@ -184,9 +214,12 @@ def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int,
     rows are [G11 | G12 L^-1 e1] and whose last row is the first row of
     ``lower``.  The conjugated first k rows are never formed.  L^-1 is
     ``Linv`` when given, else ``np.linalg.inv(L)``; a singular L raises
-    LinAlgError.  L G22 L^-1 is formed in ``lower`` itself, L G22 first and
-    then a block of rows at a time times L^-1, so no order-(n-k) product is
-    held beside L^-1.
+    LinAlgError.  A supplied ``Linv`` is trusted, not checked: ``run_checks``
+    proves it first by its residual max|L L^-1 - I| in
+    :func:`verify_transform_condition`, the condition row of the same
+    transform.  ``lower`` is L times the rows k..n-1 of ``Gt``, one
+    product; L G22 L^-1 is then formed in it a block of rows at a time
+    times L^-1, so no order-(n-k) product is held beside L^-1.
     """
     Gt = np.asarray(Gt, dtype=np.float64)
     L = np.asarray(L, dtype=np.float64)
@@ -206,10 +239,8 @@ def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int,
     G1 = np.empty((k + 1, k + 1))
     G1[:k, :k] = Gt[:k, :k]
     np.matmul(Gt[:k, k:], Linv[:, 0], out=G1[:k, k])
-    lower = np.empty((m, n))
-    np.matmul(L, Gt[k:, :k], out=lower[:, :k])
+    lower = L @ Gt[k:]
     right = lower[:, k:]
-    np.matmul(L, Gt[k:, k:], out=right)
     for i in range(0, m, _ROW_BLOCK):
         rows = right[i:i + _ROW_BLOCK]
         rows[...] = rows @ Linv

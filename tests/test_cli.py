@@ -516,32 +516,34 @@ class TestVerify:
             assert len(others) == 14 and all(l.startswith("PASS ") for l in others)
 
     def test_each_matrix_is_lu_factored_once(self, capsys, tmp_path, monkeypatch):
-        # 31 LU factorizations, one per np.linalg.inv, solve or slogdet call,
-        # none of the same matrix: each of the three order-(n-k) transforms L,
-        # inverted once for both its condition check (the first column of
-        # L^-1) and its conjugation (3); I - G11 for Y and its transpose for
+        # 28 LU factorizations, one per np.linalg.solve or slogdet call, none
+        # of the same matrix, and no np.linalg.inv: the three order-(n-k)
+        # transforms L come with their exact inverses, each proven by its
+        # residual L L^-1 - I, a product; I - G11 for Y and its transpose for
         # Z, and (I - G22)^T for W (3); the stationary system (1); the 8
         # n x n spectrum determinants (8); the 8 (k+1)-order determinants of
         # the lumped block and 8 of its corrupted control (16).  The coupled
         # identities and the negative controls reuse Z and W, with no solve
         # of their own.
         factored = []
+        inverted = []
 
-        def recording(fn):
+        def recording(fn, calls):
             def record(a, *args, **kwargs):
                 a = np.asarray(a)
-                factored.append((a.shape, a.tobytes()))
+                calls.append((a.shape, a.tobytes()))
                 return fn(a, *args, **kwargs)
             return record
 
-        monkeypatch.setattr(np.linalg, "inv", recording(np.linalg.inv))
-        monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
-        monkeypatch.setattr(np.linalg, "slogdet", recording(np.linalg.slogdet))
+        monkeypatch.setattr(np.linalg, "inv", recording(np.linalg.inv, inverted))
+        monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve, factored))
+        monkeypatch.setattr(np.linalg, "slogdet", recording(np.linalg.slogdet, factored))
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         code, out, _ = run(capsys, "verify", str(path), "--negative-control")
         assert code == 1 and out.count("PASS ") == 14
-        assert len(factored) == len(set(factored)) == 3 + 3 + 1 + 8 + 2 * 8
+        assert len(factored) == len(set(factored)) == 3 + 1 + 8 + 2 * 8
+        assert inverted == []
 
     def test_dense_limit_exits_3(self, capsys, tri_file):
         code, _, err = run(capsys, "verify", tri_file, "--dense-limit", "2")

@@ -20,6 +20,7 @@ from lumprank import (
 )
 from lumprank.transforms import (
     TransformKind,
+    _transform_inverse,
     build_dense_google,
     build_dense_lumped,
     build_transform,
@@ -74,6 +75,15 @@ class TestBuildTransform:
         with pytest.raises(ValueError, match=">= 1"):
             build_transform(TransformKind.AVERAGING, 0)
 
+    @pytest.mark.parametrize("kind", BUILTIN)
+    @pytest.mark.parametrize("m", [1, 2, 3, 300])
+    def test_closed_form_inverse(self, kind, m):
+        Linv = _transform_inverse(kind, m)
+        assert np.abs(Linv - np.linalg.inv(build_transform(kind, m))).max() <= 1e-12
+        assert np.array_equal(Linv[:, 0], np.ones(m))
+        if m == 1:
+            assert Linv.tolist() == [[1.0]]
+
 
 class TestTransformCondition:
     @pytest.mark.parametrize("kind", BUILTIN)
@@ -126,6 +136,29 @@ class TestTransformCondition:
             shared = verify_transform_condition(L, Linv=np.linalg.inv(L))
             assert shared.passed == own.passed
             assert abs(shared.max_abs_deviation - own.max_abs_deviation) <= 1e-12
+
+    def test_supplied_inverse_is_proven_by_its_residual(self):
+        # sparse-elim's inverse has the right first column e but is not the
+        # averaging transform's inverse: max|L Linv - I| = 1/4
+        L = build_transform(TransformKind.AVERAGING, 4)
+        rep = verify_transform_condition(L, Linv=_transform_inverse(TransformKind.SPARSE_ELIM, 4))
+        assert not rep.passed
+        assert rep.max_abs_deviation == pytest.approx(0.25, abs=1e-15)
+        assert rep.detail.startswith("inverse residual off")
+
+    def test_non_finite_supplied_inverse_fails(self):
+        L = build_transform(TransformKind.JORDAN_DIFF, 200)
+        Linv = _transform_inverse(TransformKind.JORDAN_DIFF, 200)
+        Linv[150, 7] = np.nan
+        rep = verify_transform_condition(L, Linv=Linv)
+        assert not rep.passed and np.isnan(rep.max_abs_deviation)
+
+    @pytest.mark.parametrize("kind", BUILTIN)
+    def test_closed_form_inverse_passes(self, kind):
+        for m in (1, 2, 127, 128, 129, 300):
+            rep = verify_transform_condition(build_transform(kind, m),
+                                             Linv=_transform_inverse(kind, m))
+            assert rep.passed and rep.max_abs_deviation <= 1e-13, (m, rep.detail)
 
     def test_inverse_of_wrong_shape_raises(self):
         L = build_transform(TransformKind.SPARSE_ELIM, 3)
