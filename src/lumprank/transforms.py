@@ -17,14 +17,6 @@ from .lumping import DanglingPartition
 
 DENSE_LIMIT_DEFAULT = 2000
 
-# a solve whose result outgrows its right-hand side by more than this factor,
-# both measured against the matrix's largest entry, counts as singular
-_GROWTH_LIMIT = 1e10
-
-# rows multiplied by L^-1 at a time: of L G22 in similarity_transform, of
-# L in verify_transform_condition's residual
-_ROW_BLOCK = 128
-
 
 class TransformKind(Enum):
     """Families of order-m matrices with L @ ones = e1."""
@@ -47,8 +39,10 @@ def build_transform(kind: TransformKind, m: int) -> np.ndarray:
     """Build the m-by-m transform of the chosen family.
 
     Every kind is invertible, maps the all-ones vector to the first
-    coordinate vector, and collapses to [[1]] for m == 1.  Any other matrix
-    L can be passed to the lab functions directly.
+    coordinate vector, and collapses to [[1]] for m == 1.  This dense
+    matrix is the definition: the lab itself applies L and L^-1 by row and
+    column operations, which :func:`verify_transform_condition` proves
+    against it.
     """
     if m < 1:
         raise ValueError(f"transform order must be >= 1, got {m}")
@@ -65,22 +59,39 @@ def build_transform(kind: TransformKind, m: int) -> np.ndarray:
     return L
 
 
-def _transform_inverse(kind: TransformKind, m: int) -> np.ndarray:
-    """The exact inverse of ``build_transform(kind, m)``.
-
-    averaging: I + (e - e1) e^T; sparse-elim: I + (e - e1) e1^T;
-    jordan-diff: the lower triangle of ones.  Each has first column e.
-    """
-    if kind is TransformKind.JORDAN_DIFF:
-        return np.tri(m)
-    Linv = np.eye(m)
+def _apply_left(kind: TransformKind, X: np.ndarray) -> np.ndarray:
+    """L X for the transform of ``kind`` whose order is X's row count, by
+    row operations: row 1 is kept, and from each later row averaging
+    subtracts the column means, sparse-elim row 1 and jordan-diff the row
+    above it.  O(m n) for an m x n X; returns a new array."""
+    out = np.empty(X.shape)
+    out[0] = X[0]
     if kind is TransformKind.AVERAGING:
-        Linv[1:] += 1.0
+        np.subtract(X[1:], X.mean(axis=0), out=out[1:])
     elif kind is TransformKind.SPARSE_ELIM:
-        Linv[1:, 0] = 1.0
+        np.subtract(X[1:], X[0], out=out[1:])
+    elif kind is TransformKind.JORDAN_DIFF:
+        np.subtract(X[1:], X[:-1], out=out[1:])
     else:
         raise ValueError(f"unknown transform kind: {kind!r}")
-    return Linv
+    return out
+
+
+def _apply_right_inverse(kind: TransformKind, X: np.ndarray) -> None:
+    """X L^-1 in place, for the transform of ``kind`` whose order is X's
+    column count, by column operations.  The inverses are
+    averaging: I + (e - e1) e^T, which adds the sum of columns 2..m to
+    every column; sparse-elim: I + (e - e1) e1^T, which adds it to column 1
+    only; jordan-diff: the lower triangle of ones, a reverse cumulative
+    sum along each row.  O(m n) for an n x m X, with no order-m temporary."""
+    if kind is TransformKind.AVERAGING:
+        X += X[:, 1:].sum(axis=1, keepdims=True)
+    elif kind is TransformKind.SPARSE_ELIM:
+        X[:, 0] += X[:, 1:].sum(axis=1)
+    elif kind is TransformKind.JORDAN_DIFF:
+        np.cumsum(X[:, ::-1], axis=1, out=X[:, ::-1])
+    else:
+        raise ValueError(f"unknown transform kind: {kind!r}")
 
 
 def _absmax(X: np.ndarray) -> float:
@@ -88,65 +99,40 @@ def _absmax(X: np.ndarray) -> float:
     return float(max(X.max(), -X.min()))
 
 
-def _solve(A: np.ndarray, B: np.ndarray | None, what: str) -> np.ndarray:
-    """X with A X = B, raising LinAlgError when A is singular to working
-    precision: the solve raises, X is not finite, or
-    max|X| max|A| > 1e10 max|B|.  B=None gives A^-1 from ``np.linalg.inv``,
-    with max|B| = 1 and no identity operand."""
-    singular = np.linalg.LinAlgError(f"{what} is singular to working precision")
-    try:
-        X = np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        raise singular from None
-    growth = _absmax(X)
-    scale = 1.0 if B is None else _absmax(B)
-    if not np.isfinite(growth) or growth * _absmax(A) > _GROWTH_LIMIT * scale:
-        raise singular
-    return X
+def verify_transform_condition(kind: TransformKind, m: int,
+                               tol: float = 1e-12) -> CheckReport:
+    """Prove the closed forms of the order-m transform of ``kind`` against
+    its dense definition L = ``build_transform(kind, m)``.
 
-
-def verify_transform_condition(L: np.ndarray, tol: float = 1e-12,
-                               Linv: np.ndarray | None = None) -> CheckReport:
-    """Check L @ ones == e1, invertibility, and L^-1 @ e1 == ones.
-
-    L^-1 is ``Linv`` when given (a caller that also conjugates by L shares
-    one inverse), else ``np.linalg.inv(L)``.  Either way it is proven, not
-    trusted: the deviation includes the residual max|L L^-1 - I|, formed
-    ``_ROW_BLOCK`` rows at a time so no order-m temporary appears, and
-    L^-1 @ e1 is read as its first column.  L counts as singular when
-    ``np.linalg.inv`` fails, or its result is not finite or exceeds
-    1e10 / max|L|; the report then says ``singular`` with an infinite
-    deviation.  Failures are reported, never raised.
+    Three deviations, each O(m^2) with no matrix product: the forward map
+    max|L e - e1| (row sums of L); the left operation max|left(I) - L|, the
+    row operations of :func:`similarity_transform` applied to the identity;
+    and the inverse residual max|right_inv(L) - I|, its column operations
+    applied to L.  Row operations act on each column alike, so left(I) = L
+    shows that they compute L X for every X; column operations act on each
+    row alike, so right_inv(L) = I shows that L is invertible and that they
+    compute X L^-1.  L^-1 e1 = e follows from L e = e1.  A NaN anywhere
+    makes the deviation NaN.  Failures are reported, never raised.
     """
-    L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValueError(f"transform must be square, got shape {L.shape}")
-    m = L.shape[0]
-    if Linv is None:
-        try:
-            Linv = _solve(L, None, "transform")
-        except np.linalg.LinAlgError as exc:
-            return CheckReport(passed=False, max_abs_deviation=np.inf, detail=str(exc))
-    elif Linv.shape != L.shape:
-        raise ValueError(f"inverse must have the transform's shape {L.shape}, got {Linv.shape}")
+    L = build_transform(kind, m)
+    left = _apply_left(kind, np.eye(m))
+    left -= L
+    dev_left = _absmax(left)
+    del left
     e1 = np.zeros(m)
     e1[0] = 1.0
-    dev_fwd = float(np.abs(L @ np.ones(m) - e1).max())
-    dev_inv = float(np.abs(Linv[:, 0] - 1.0).max())
-    block_devs = []
-    for i in range(0, m, _ROW_BLOCK):
-        R = L[i:i + _ROW_BLOCK] @ Linv
-        R.flat[i::m + 1] -= 1.0  # the identity's entries (j, i + j)
-        block_devs.append(_absmax(R))
-    dev_res = float(np.max(block_devs))  # NaN when any block holds one
+    dev_fwd = _absmax(L.sum(axis=1) - e1)
+    _apply_right_inverse(kind, L)
+    L.flat[::m + 1] -= 1.0
+    dev_res = _absmax(L)
 
-    max_dev = float(np.max([dev_fwd, dev_inv, dev_res]))
+    max_dev = float(np.max([dev_fwd, dev_left, dev_res]))  # NaN when any is NaN
     passed = max_dev <= tol
-    detail = (f"|L e - e1|={dev_fwd:.3e}, |L^-1 e1 - e|={dev_inv:.3e}, "
-              f"|L L^-1 - I|={dev_res:.3e}")
+    detail = (f"|L e - e1|={dev_fwd:.3e}, |left(I) - L|={dev_left:.3e}, "
+              f"|right_inv(L) - I|={dev_res:.3e}")
     if not passed:
-        which = ("forward map" if dev_fwd > tol else
-                 "inverse map" if dev_inv > tol else "inverse residual")
+        which = ("forward map" if not dev_fwd <= tol else
+                 "left operation" if not dev_left <= tol else "inverse residual")
         detail = f"{which} off: " + detail
     return CheckReport(passed=passed, max_abs_deviation=max_dev, detail=detail)
 
@@ -204,46 +190,35 @@ def stationary_dense(M: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def similarity_transform(Gt: np.ndarray, L: np.ndarray, k: int,
-                         Linv: np.ndarray | None = None):
-    """Conjugate the permuted matrix by blockdiag(I_k, L) and return the parts
-    the lab reads.
+def similarity_transform(Gt: np.ndarray, kind: TransformKind, k: int):
+    """Conjugate the permuted matrix by blockdiag(I_k, L), L the order-(n-k)
+    transform of ``kind``, and return the parts the lab reads.
 
     Returns (lower, lumped_block): the conjugated rows k..n-1, that is
     [L G21 | L G22 L^-1], and the leading (k+1) x (k+1) block, whose first k
     rows are [G11 | G12 L^-1 e1] and whose last row is the first row of
-    ``lower``.  The conjugated first k rows are never formed.  L^-1 is
-    ``Linv`` when given, else ``np.linalg.inv(L)``; a singular L raises
-    LinAlgError.  A supplied ``Linv`` is trusted, not checked: ``run_checks``
-    proves it first by its residual max|L L^-1 - I| in
-    :func:`verify_transform_condition`, the condition row of the same
-    transform.  ``lower`` is L times the rows k..n-1 of ``Gt``, one
-    product; L G22 L^-1 is then formed in it a block of rows at a time
-    times L^-1, so no order-(n-k) product is held beside L^-1.
+    ``lower``.  The conjugated first k rows are never formed.  L and L^-1
+    are applied in closed form, O((n-k) n) in all: ``lower`` is the row
+    operations of L on rows k..n-1 of ``Gt``, then the column operations of
+    L^-1 on its last n-k columns, and column k of the leading block is the
+    first column of G12 L^-1, by the same column operations on a copy of
+    G12.  :func:`verify_transform_condition` proves both operations against
+    the dense L of :func:`build_transform`.
     """
     Gt = np.asarray(Gt, dtype=np.float64)
-    L = np.asarray(L, dtype=np.float64)
     n = Gt.shape[0]
     if Gt.ndim != 2 or Gt.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {Gt.shape}")
-    m = n - k
     if not 0 <= k < n:
         raise ValueError(f"split point k={k} out of range for order {n}")
-    if L.shape != (m, m):
-        raise ValueError(f"transform must have order {m}, got shape {L.shape}")
-    if Linv is None:
-        Linv = _solve(L, None, "transform")
-    elif Linv.shape != L.shape:
-        raise ValueError(f"inverse must have the transform's shape {L.shape}, got {Linv.shape}")
 
+    lower = _apply_left(kind, Gt[k:])
+    _apply_right_inverse(kind, lower[:, k:])
+    top = Gt[:k, k:].copy()  # G12, then G12 L^-1
+    _apply_right_inverse(kind, top)
     G1 = np.empty((k + 1, k + 1))
     G1[:k, :k] = Gt[:k, :k]
-    np.matmul(Gt[:k, k:], Linv[:, 0], out=G1[:k, k])
-    lower = L @ Gt[k:]
-    right = lower[:, k:]
-    for i in range(0, m, _ROW_BLOCK):
-        rows = right[i:i + _ROW_BLOCK]
-        rows[...] = rows @ Linv
+    G1[:k, k] = top[:, 0]
     G1[k] = lower[0, :k + 1]
     return lower, G1
 
@@ -296,8 +271,11 @@ def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
                                detail=f"seed={seed}; non-finite matrix entries")
         worst = 0.0
         worst_lam = float(lams[0])
+        shifted = np.empty((k + 1, k + 1))  # I - G1/lam, refilled for each lam
         for lam, (s_full, ld_full) in zip(lams, full):
-            s_lump, ld_lump = np.linalg.slogdet(np.eye(k + 1) - G1 / lam)
+            np.divide(G1, -lam, out=shifted)
+            shifted.flat[::k + 2] += 1.0
+            s_lump, ld_lump = np.linalg.slogdet(shifted)
             if s_full == s_lump == 0.0:
                 rel = 0.0  # both sides exactly singular: the determinants agree
             else:

@@ -43,6 +43,32 @@ def stationary(M):
     return np.linalg.solve(A, rhs)
 
 
+def conjugate(Gt, L, k):
+    """The parts of blockdiag(I, L) Gt blockdiag(I, L)^-1 that the lab's
+    similarity form returns, for any invertible L of order n - k, by dense
+    products with L and np.linalg.inv(L): the conjugated rows k..n-1,
+    [L G21 | L G22 L^-1], and the leading (k+1)-block, whose first k rows
+    are [G11 | G12 L^-1 e1] and whose last row is the first row of the
+    conjugated rows."""
+    Linv = np.linalg.inv(L)
+    lower = L @ Gt[k:]
+    lower[:, k:] = lower[:, k:] @ Linv
+    G1 = np.empty((k + 1, k + 1))
+    G1[:k, :k] = Gt[:k, :k]
+    G1[:k, k] = (Gt[:k, k:] @ Linv)[:, 0]
+    G1[k] = lower[0, :k + 1]
+    return lower, G1
+
+
+def transform_condition(L):
+    """max(|L e - e1|, |L L^-1 - I|) with L^-1 from np.linalg.inv."""
+    m = L.shape[0]
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    return max(float(np.abs(L @ np.ones(m) - e1).max()),
+               float(np.abs(L @ np.linalg.inv(L) - np.eye(m)).max()))
+
+
 def out_edges(g, i):
     """Out-neighbours of internal node i of a WebGraph, as a list."""
     return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()

@@ -12,6 +12,7 @@ import pytest
 
 import lumprank.cli
 import lumprank.decomposition
+import lumprank.transforms
 import oracles
 from lumprank import (
     PageRankParams,
@@ -37,7 +38,6 @@ from lumprank.transforms import (
     build_transform,
     check_lumpable,
     check_spectrum_identity,
-    similarity_transform,
     stationary_dense,
     verify_transform_condition,
 )
@@ -518,8 +518,8 @@ class TestVerify:
     def test_each_matrix_is_lu_factored_once(self, capsys, tmp_path, monkeypatch):
         # 28 LU factorizations, one per np.linalg.solve or slogdet call, none
         # of the same matrix, and no np.linalg.inv: the three order-(n-k)
-        # transforms L come with their exact inverses, each proven by its
-        # residual L L^-1 - I, a product; I - G11 for Y and its transpose for
+        # transforms L and their inverses are row and column operations,
+        # with no factorization; I - G11 for Y and its transpose for
         # Z, and (I - G22)^T for W (3); the stationary system (1); the 8
         # n x n spectrum determinants (8); the 8 (k+1)-order determinants of
         # the lumped block and 8 of its corrupted control (16).  The coupled
@@ -589,8 +589,10 @@ LINE = re.compile(r"(PASS|FAIL|SKIP) (\S+)(?: max_dev=(\S+))?(?:  \((.*)\))?$")
 
 def public_path_checks(g, params, seed):
     """The checks of ``verify --negative-control``, each made by calling the
-    public lab functions on its own, L*D*U formed as a dense product.
-    Returns (status, name, max_dev, note) tuples in output order."""
+    public lab functions on its own, L*D*U formed as a dense product, and
+    the transform rows from the dense oracle, products with each L and
+    np.linalg.inv(L).  Returns (status, name, max_dev, note) tuples in
+    output order."""
     H = build_hyperlink_matrix(g)
     p = detect_dangling(H)
     n, k = g.n, p.k
@@ -603,9 +605,9 @@ def public_path_checks(g, params, seed):
     G1_direct = build_dense_lumped(permute_blocks(H, p), p, params)
     for kind in TransformKind:
         L = build_transform(kind, n - k)
-        rep = verify_transform_condition(L, tol=1e-12)
-        emit(f"transform_condition[{kind.value}]", rep.passed, rep.max_abs_deviation)
-        lower, G1 = similarity_transform(Gt, L, k)
+        dev = oracles.transform_condition(L)
+        emit(f"transform_condition[{kind.value}]", dev <= 1e-12, dev)
+        lower, G1 = oracles.conjugate(Gt, L, k)
         dev_tri = float(np.abs(lower[1:]).max()) if n - k > 1 else 0.0
         emit(f"block_triangular[{kind.value}]", dev_tri <= 1e-11, dev_tri,
              "degenerate order-1 transform" if n - k == 1 else "")
@@ -691,18 +693,40 @@ class TestVerifyDifferential:
             assert abs(dev - ref_dev) <= 1e-12, name
 
     def test_transform_condition_rows_match_the_check_alone(self):
-        # run_checks inverts each transform once for the condition check and
-        # the conjugation; its rows equal the check called on its own
+        # run_checks's condition rows equal the check called on its own
         g = parse_edge_list(generate_edge_list(400, 0.7, 4, seed=5))
         m = g.n - detect_dangling(build_hyperlink_matrix(g)).k
         assert m == 197
         rows = {name: (status, dev, note) for status, name, dev, note
                 in run_checks(g, PageRankParams.uniform(g.n))}
         for kind in TransformKind:
-            rep = verify_transform_condition(build_transform(kind, m), tol=1e-12)
+            rep = verify_transform_condition(kind, m, tol=1e-12)
             status, dev, note = rows[f"transform_condition[{kind.value}]"]
             assert (status, note) == ("PASS" if rep.passed else "FAIL", "")
             assert abs(dev - rep.max_abs_deviation) <= 1e-12
+
+    def test_definition_off_by_1e_9_fails_its_condition_row(self, monkeypatch):
+        # one entry of one kind's dense L off by 1e-9: that kind's condition
+        # row, and only it, fails, since the closed forms no longer compute it
+        g = parse_edge_list(generate_edge_list(60, 0.5, 4, seed=11))
+        define = lumprank.transforms.build_transform
+        for bad in TransformKind:
+            def off(kind, m, bad=bad):
+                L = define(kind, m)
+                if kind is bad:
+                    L[m // 2, m // 3] += 1e-9
+                return L
+
+            monkeypatch.setattr(lumprank.transforms, "build_transform", off)
+            rows = {name: (status, dev, note) for status, name, dev, note
+                    in run_checks(g, PageRankParams.uniform(g.n))}
+            for kind in TransformKind:
+                status, dev, note = rows[f"transform_condition[{kind.value}]"]
+                if kind is bad:
+                    assert status == "FAIL" and 0.99e-9 <= dev <= 3e-9, (kind, dev)
+                    assert " off: " in note
+                else:
+                    assert (status, note) == ("PASS", ""), kind
 
     # the factor blocks, and the blocks of G~ that only one block of the
     # blockwise check compares against
