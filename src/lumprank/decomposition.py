@@ -16,10 +16,10 @@ from .transforms import (
     CheckReport,
     TransformKind,
     _absmax,
-    _spectrum_check,
     build_dense_google,
     build_dense_lumped,
     check_lumpable,
+    check_spectrum_identity,
     similarity_transform,
     stationary_dense,
     verify_transform_condition,
@@ -45,35 +45,26 @@ def _solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class LduFactors:
-    """I - G~ = Lfac @ Dfac @ Ufac with unit block-triangular outer factors.
+@dataclass
+class BlockFactors:
+    """The block LDU factorization of I - G~ split at k, kept as its blocks.
 
-    Dfac is block diagonal: the inverted leading block on top, I minus the
-    stochastic complement (singular by stochasticity) at the bottom.
-    """
-
-    Lfac: np.ndarray
-    Dfac: np.ndarray
-    Ufac: np.ndarray
-    k: int
-
-
-@dataclass(frozen=True)
-class _BlockSplit:
-    """G~ split at k, with the solve every block identity shares.
-
-    With D11 = I - G11, Z = G21 D11^-1 is one solve with D11^T, and the
-    stochastic complement is S = G22 + Z G12.  G12, G21 and G22 are views
-    of G~.
+    I - G~ = L D U with L = [[I, 0], [-Z, I]], D = blockdiag(D11, I - S)
+    and U = [[I, -Y], [0, I]], where D11 = I - G11, Y = D11^-1 G12,
+    Z = G21 D11^-1 and S = G22 + Z G12, the stochastic complement of the
+    trailing block.  No n x n factor is formed.  G12, G21 and G22 are views
+    of G~.  Only the reconstruction check of :func:`ldu_factors` reads D11
+    and Y, so a caller may set both to None once it has the deviation.
     """
 
     k: int
+    D11: np.ndarray | None
+    Y: np.ndarray | None
+    Z: np.ndarray
+    S: np.ndarray
     G12: np.ndarray
     G21: np.ndarray
     G22: np.ndarray
-    Z: np.ndarray
-    S: np.ndarray
 
     @property
     def n(self) -> int:
@@ -92,10 +83,21 @@ class _BlockSplit:
         return _solve(A, self.G12.T, "I minus the trailing block").T
 
 
-def _block_split(Gt: np.ndarray, k: int):
-    """Returns (split, D11, Y) with Y = D11^-1 G12, one solve with D11.  Only
-    the LDU factors read D11 and Y, so they stay outside the split, and a
-    caller frees them once it is done with the factors."""
+def ldu_factors(Gt: np.ndarray, k: int) -> tuple[BlockFactors, float]:
+    """Block LDU factors of I - G~ split at k, and max|L D U - (I - G~)|.
+
+    D11 = I - G11 is solved once for Y and once, transposed, for Z.  The
+    deviation is computed from the returned factors' own blocks, block by
+    block: L D U = [[D11, -D11 Y], [-Z D11, Z D11 Y + I - S]].  The unit and
+    zero blocks of L and U are exact by this construction, and the leading
+    block is D11 = I - G11 itself, so the other three blocks hold the whole
+    deviation: about 2k(n-k)(n+k) flops instead of the dense 4n^3.  The
+    identities in the trailing block cancel, so it is compared as
+    Z D11 Y - S + G22 in one (n-k)-order buffer.
+
+    The leading block I - G11 is nonsingular whenever the damping factor is
+    below 1; a singular leading block raises LinAlgError.
+    """
     Gt = np.asarray(Gt, dtype=np.float64)
     n = Gt.shape[0]
     if Gt.ndim != 2 or Gt.shape != (n, n):
@@ -109,105 +111,69 @@ def _block_split(Gt: np.ndarray, k: int):
     Z = _solve(D11.T, G21.T, "I minus the leading block").T
     S = Z @ G12
     S += G22
-    return _BlockSplit(k=k, G12=G12, G21=G21, G22=G22, Z=Z, S=S), D11, Y
+    f = BlockFactors(k=k, D11=D11, Y=Y, Z=Z, S=S, G12=G12, G21=G21, G22=G22)
+    del D11, Y, Z, S  # the deviation reads the blocks that the caller gets
 
-
-def ldu_factors(Gt: np.ndarray, k: int) -> LduFactors:
-    """Block LDU factors of I - G~ split at k.
-
-    The leading block I - G11 is nonsingular whenever the damping factor is
-    below 1; a singular leading block raises LinAlgError.
-    """
-    s, D11, Y = _block_split(Gt, k)
-    n = s.n
-    Lfac = np.eye(n)
-    Lfac[k:, :k] = -s.Z
-    Ufac = np.eye(n)
-    Ufac[:k, k:] = -Y
-    Dfac = np.zeros((n, n))
-    Dfac[:k, :k] = D11
-    Dfac[k:, k:] = np.eye(n - k) - s.S
-    return LduFactors(Lfac=Lfac, Dfac=Dfac, Ufac=Ufac, k=k)
-
-
-def _ldu_deviation(s: _BlockSplit, D11: np.ndarray, Y: np.ndarray) -> float:
-    """max |L D U - (I - G~)| over the factors of :func:`ldu_factors`, block by block.
-
-    With L = [[I, 0], [-Z, I]], D = blockdiag(D11, I - S) and
-    U = [[I, -Y], [0, I]], the product is
-    [[D11, -D11 Y], [-Z D11, Z D11 Y + I - S]].  The unit and zero blocks
-    of L and U are exact by this construction, and the leading block is
-    D11 = I - G11 itself, so the other three blocks hold the whole
-    deviation: about 2k(n-k)(n+k) flops instead of the dense 4n^3.  The
-    identities in the trailing block cancel, so it is compared as
-    Z D11 Y - S + G22 in one (n-k)-order buffer.
-    """
-    D11Y = D11 @ Y
-    trailing = s.Z @ D11Y
-    trailing -= s.S
-    trailing += s.G22
+    D11Y = f.D11 @ f.Y
+    trailing = f.Z @ D11Y
+    trailing -= f.S
+    trailing += f.G22
     dev_trailing = _absmax(trailing)
     del trailing
-    D11Y -= s.G12
-    ZD11 = s.Z @ D11
-    ZD11 -= s.G21
-    return max(_absmax(D11Y), _absmax(ZD11), dev_trailing)
+    D11Y -= f.G12
+    ZD11 = f.Z @ f.D11
+    ZD11 -= f.G21
+    return f, max(_absmax(D11Y), _absmax(ZD11), dev_trailing)
 
 
-def stochastic_complement(Gt: np.ndarray, k: int) -> np.ndarray:
-    """Stochastic complement S = G22 + G21 (I-G11)^-1 G12 of the trailing block.
+def stochastic_complement(f: BlockFactors, tol: float = 1e-10) -> CheckReport:
+    """Check that the stochastic complement S of ``f`` is a stochastic matrix.
 
-    The complement of a stochastic matrix is stochastic; entries below -1e-12
-    or row sums off 1 by more than 1e-10 mean the input was not a stochastic
-    matrix split and raise ValueError.
+    The complement of a stochastic matrix's trailing block is stochastic.
+    The deviation is the larger of max|S e - e| and the magnitude of the
+    most negative entry (0 when none is negative).  A defect is a failed
+    report, never an exception.
     """
-    S = _block_split(Gt, k)[0].S
-    if S.min() < -1e-12:
-        raise ValueError(f"complement has entry {S.min():.3e} < -1e-12; input not stochastic?")
-    row_dev = np.abs(S.sum(axis=1) - 1.0).max()
-    if row_dev > 1e-10:
-        raise ValueError(f"complement row sums deviate from 1 by {row_dev:.3e} > 1e-10")
-    return S
+    S = f.S
+    worst = max(float(np.abs(S.sum(axis=1) - 1.0).max()), float(max(-S.min(), 0.0)))
+    return CheckReport(passed=worst <= tol, max_abs_deviation=worst)
 
 
-def _coupled_stationarity(s: _BlockSplit, pi_tilde: np.ndarray, tol: float) -> CheckReport:
+def verify_coupled_stationarity(pi_tilde: np.ndarray, f: BlockFactors,
+                                tol: float = 1e-8) -> CheckReport:
+    """Check the three identities binding the block parts of the stationary vector.
+
+    (a) the dangling part is stationary for the stochastic complement;
+    (b) the nondangling part equals the dangling part pushed through
+        G21 (I-G11)^-1, that is pi2 Z;
+    (c) the dangling part equals the nondangling part pushed through
+        G12 (I-G22)^-1, that is pi1 W.
+
+    (c) needs I - G22 nonsingular; it is skipped (and reported) when the
+    trailing block has a row sum at 1 within 1e-12.  W is solved on the
+    first call and kept on ``f``, so later vectors cost products alone.
+    """
     pi_tilde = np.asarray(pi_tilde, dtype=np.float64)
-    if pi_tilde.shape != (s.n,):
-        raise ValueError(f"expected stationary vector of length {s.n}, got shape {pi_tilde.shape}")
-    pi1, pi2 = pi_tilde[:s.k], pi_tilde[s.k:]
+    if pi_tilde.shape != (f.n,):
+        raise ValueError(f"expected stationary vector of length {f.n}, got shape {pi_tilde.shape}")
+    pi1, pi2 = pi_tilde[:f.k], pi_tilde[f.k:]
 
-    dev_a = float(np.abs(pi2 @ s.S - pi2).max())
-    dev_b = float(np.abs(pi2 @ s.Z - pi1).max())
+    dev_a = float(np.abs(pi2 @ f.S - pi2).max())
+    dev_b = float(np.abs(pi2 @ f.Z - pi1).max())
 
     devs = [dev_a, dev_b]
     parts = [f"complement stationarity={dev_a:.3e}",
              f"nondangling from dangling={dev_b:.3e}"]
-    if s.W is None:
+    if f.W is None:
         parts.append("dangling from nondangling skipped (trailing block has unit row sums)")
     else:
-        dev_c = float(np.abs(pi1 @ s.W - pi2).max())
+        dev_c = float(np.abs(pi1 @ f.W - pi2).max())
         devs.append(dev_c)
         parts.append(f"dangling from nondangling={dev_c:.3e}")
 
     worst = max(devs)
     return CheckReport(passed=worst <= tol, max_abs_deviation=worst,
                        detail="; ".join(parts))
-
-
-def verify_coupled_stationarity(pi_tilde: np.ndarray, Gt: np.ndarray, k: int,
-                                tol: float = 1e-8) -> CheckReport:
-    """Check the three identities binding the block parts of the stationary vector.
-
-    (a) the dangling part is stationary for the stochastic complement;
-    (b) the nondangling part equals the dangling part pushed through
-        G21 (I-G11)^-1;
-    (c) the dangling part equals the nondangling part pushed through
-        G12 (I-G22)^-1.
-
-    (c) needs I - G22 nonsingular; it is skipped (and reported) when the
-    trailing block has a row sum at 1 within 1e-12.
-    """
-    return _coupled_stationarity(_block_split(Gt, k)[0], pi_tilde, tol)
 
 
 def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
@@ -237,7 +203,7 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
     def skip(name: str, why: str):
         rows.append(("SKIP", name, None, why))
 
-    split = corrupted_block = None
+    factors, corrupted = None, []
     if m == 0:
         for kind in TransformKind:
             skip(f"transform_condition[{kind.value}]", "no dangling nodes; nothing to lump")
@@ -260,47 +226,48 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
             dev_g1 = _absmax(G1)
             del G1
             emit(f"lumped_block_formula[{kind.value}]", dev_g1 <= 1e-12, dev_g1)
-        spectrum = _spectrum_check(Gt, k, seed)
-        rep = spectrum(G1_direct, tol=1e-8)
+
+        def lumped_blocks():
+            yield G1_direct
+            if negative_control:
+                # checked now, on the block corrupted in place, and reported
+                # last: the lumped block is freed before the decomposition
+                # checks allocate theirs
+                G1_direct[0, 0] += 0.1
+                yield G1_direct
+
+        rep, *corrupted = check_spectrum_identity(Gt, lumped_blocks(), k, tol=1e-8, seed=seed)
         emit("spectrum_identity", rep.passed, rep.max_abs_deviation, rep.detail)
-        if negative_control:
-            # checked now, on the block corrupted in place, and reported
-            # last: the lumped block is freed before the decomposition
-            # checks allocate theirs
-            G1_direct[0, 0] += 0.1
-            corrupted_block = spectrum(G1_direct, tol=1e-8)
-        del G1_direct, spectrum
+        del G1_direct
 
     if 1 <= k <= n - 1:
         rep = check_lumpable(Gt, [k], tol=1e-10, blocks=[(1, 0)])
         emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
 
-        pi_t = stationary_dense(Gt)  # solved before the split's blocks exist
-        split, D11, Y = _block_split(Gt, k)
-        dev_ldu = _ldu_deviation(split, D11, Y)
-        del D11, Y  # no later check reads them; W's solve reuses their memory
+        pi_t = stationary_dense(Gt)  # solved before the factors exist
+        factors, dev_ldu = ldu_factors(Gt, k)
+        # no later check reads D11 and Y; W's solve reuses their memory
+        factors.D11 = factors.Y = None
         emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
 
-        S = split.S
-        dev_rows = max(float(np.abs(S.sum(axis=1) - 1.0).max()),
-                       float(max(-S.min(), 0.0)))
-        emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
+        rep = stochastic_complement(factors, tol=1e-10)
+        emit("stochastic_complement_rows", rep.passed, rep.max_abs_deviation)
 
-        rep = _coupled_stationarity(split, pi_t, tol=1e-8)
+        rep = verify_coupled_stationarity(pi_t, factors, tol=1e-8)
         emit("coupled_stationarity", rep.passed, rep.max_abs_deviation, rep.detail)
     else:
         skip("lumpable_dangling_to_nondangling", "partition has an empty block")
         skip("decomposition_checks", "split needs both nondangling and dangling nodes")
 
     if negative_control:
-        if corrupted_block is not None:
-            emit("negative_control[corrupted_lumped_block]", corrupted_block.passed,
-                 corrupted_block.max_abs_deviation, "expected FAIL")
-        if split is not None:
+        for rep in corrupted:
+            emit("negative_control[corrupted_lumped_block]", rep.passed,
+                 rep.max_abs_deviation, "expected FAIL")
+        if factors is not None:
             bad_pi = pi_t.copy()
             bad_pi[0] += 1e-3
             bad_pi /= bad_pi.sum()
-            rep = _coupled_stationarity(split, bad_pi, tol=1e-6)
+            rep = verify_coupled_stationarity(bad_pi, factors, tol=1e-6)
             emit("negative_control[perturbed_stationary]", rep.passed,
                  rep.max_abs_deviation, "expected FAIL")
     return rows

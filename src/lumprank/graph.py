@@ -220,7 +220,7 @@ def probability_vector(values) -> np.ndarray:
     if np.any(x < 0.0):
         raise ValueError("probability vector has a negative entry")
     if abs(x.sum() - 1.0) > _SUM_TOL:
-        raise ValueError(f"probability vector sums to {x.sum()!r}, not 1")
+        raise ValueError(f"probability vector sums to {float(x.sum())!r}, not 1")
     return x
 
 
@@ -251,7 +251,7 @@ def load_weight_vector(source: str, n: int) -> np.ndarray:
     total = entries.sum()
     if not 1e-9 <= total <= 1e9:
         raise ValueError(
-            f"weight vector: sum {total!r} outside [1e-9, 1e9] (all-zero or badly scaled)"
+            f"weight vector: sum {float(total)!r} outside [1e-9, 1e9] (all-zero or badly scaled)"
         )
     return entries / total
 
@@ -269,8 +269,10 @@ class PageRankParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        # no 1-norm distance between probability vectors exceeds 2, so an
+        # infinite tol would make any iterate "converged"
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         object.__setattr__(self, "v", probability_vector(self.v))

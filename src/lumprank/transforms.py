@@ -223,9 +223,9 @@ def similarity_transform(Gt: np.ndarray, kind: TransformKind, k: int):
     return lower, G1
 
 
-def check_spectrum_identity(Gt: np.ndarray, G1: np.ndarray, k: int,
-                            tol: float = 1e-8, seed: int = 0) -> CheckReport:
-    """Compare characteristic polynomials of the full and lumped matrices.
+def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
+                            seed: int = 0) -> list[CheckReport]:
+    """Compare characteristic polynomials of the full matrix and each lumped block.
 
     Evaluates det(lam I - Gt) against lam^(n-k-1) * det(lam I - G1) at three
     fixed points {1.5, 2, 3} plus five seeded uniform draws from (1.1, 4.0),
@@ -237,16 +237,12 @@ def check_spectrum_identity(Gt: np.ndarray, G1: np.ndarray, k: int,
     overflow.  slogdet adds the n log-pivots in one running sum, which
     rounds in proportion to its size; the scaling keeps it near 0 (unscaled,
     log|det| ~ 1e3 at n = 1200 left ~2e-12 of rounding in the deviation).
-    """
-    return _spectrum_check(Gt, k, seed)(G1, tol)
 
-
-def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
-    """Evaluate the full side of :func:`check_spectrum_identity` once.
-
-    Returns ``check(G1, tol) -> CheckReport``, which computes only the
-    (k+1)-order side, so several lumped blocks are compared against one set
-    of n x n determinants.
+    ``lumped`` is an iterable of (k+1)-order blocks G1, and the result holds
+    one report per block, in order.  The n x n determinants are computed
+    once, before the first block is taken, and every block is compared
+    against them.  Blocks are taken one at a time, so a generator may build
+    or alter each one after the report of the one before.
     """
     Gt = np.asarray(Gt, dtype=np.float64)
     n = Gt.shape[0]
@@ -261,21 +257,24 @@ def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
         np.divide(Gt, -lam, out=shifted)
         shifted.flat[::n + 1] += 1.0
         full.append(np.linalg.slogdet(shifted))
+    del shifted  # freed before the lumped side allocates its own
 
-    def check(G1: np.ndarray, tol: float) -> CheckReport:
+    reports = []
+    small = np.empty((k + 1, k + 1))  # I - G1/lam, refilled for each block and lam
+    for G1 in lumped:
         G1 = np.asarray(G1, dtype=np.float64)
         if G1.shape != (k + 1, k + 1):
             raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
         if not (finite and np.isfinite(G1).all()):
-            return CheckReport(passed=False, max_abs_deviation=np.inf,
-                               detail=f"seed={seed}; non-finite matrix entries")
+            reports.append(CheckReport(passed=False, max_abs_deviation=np.inf,
+                                       detail=f"seed={seed}; non-finite matrix entries"))
+            continue
         worst = 0.0
         worst_lam = float(lams[0])
-        shifted = np.empty((k + 1, k + 1))  # I - G1/lam, refilled for each lam
         for lam, (s_full, ld_full) in zip(lams, full):
-            np.divide(G1, -lam, out=shifted)
-            shifted.flat[::k + 2] += 1.0
-            s_lump, ld_lump = np.linalg.slogdet(shifted)
+            np.divide(G1, -lam, out=small)
+            small.flat[::k + 2] += 1.0
+            s_lump, ld_lump = np.linalg.slogdet(small)
             if s_full == s_lump == 0.0:
                 rel = 0.0  # both sides exactly singular: the determinants agree
             else:
@@ -284,12 +283,11 @@ def _spectrum_check(Gt: np.ndarray, k: int, seed: int):
                 rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))
             if rel > worst or np.isnan(rel):  # a NaN deviation stays the worst
                 worst, worst_lam = float(rel), float(lam)
-        return CheckReport(
+        reports.append(CheckReport(
             passed=worst <= tol, max_abs_deviation=worst,
             detail=f"seed={seed}; worst relative deviation at lambda={worst_lam:.6g}",
-        )
-
-    return check
+        ))
+    return reports
 
 
 def check_lumpable(M: np.ndarray, boundaries, tol: float = 1e-10,

@@ -69,6 +69,38 @@ def transform_condition(L):
                float(np.abs(L @ np.linalg.inv(L) - np.eye(m)).max()))
 
 
+def ldu_dense(f):
+    """The n x n factors (L, D, U) of a block LDU factorization of I - G~,
+    assembled from its blocks: L = [[I, 0], [-Z, I]],
+    D = blockdiag(D11, I - S) and U = [[I, -Y], [0, I]]."""
+    k, n = f.k, f.n
+    L = np.eye(n)
+    L[k:, :k] = -f.Z
+    U = np.eye(n)
+    U[:k, k:] = -f.Y
+    D = np.zeros((n, n))
+    D[:k, :k] = f.D11
+    D[k:, k:] = np.eye(n - k) - f.S
+    return L, D, U
+
+
+def ldu_deviation(f, Gt):
+    """max|L D U - (I - Gt)| by the dense product of the assembled factors."""
+    L, D, U = ldu_dense(f)
+    return float(np.abs(L @ D @ U - (np.eye(Gt.shape[0]) - Gt)).max())
+
+
+def coupled_solves(Gt, k, pi):
+    """What the coupled stationarity identities (b) and (c) predict, each by
+    its own direct solve: pi1 = pi2 G21 (I - G11)^-1 and
+    pi2 = pi1 G12 (I - G22)^-1."""
+    n = Gt.shape[0]
+    pi1, pi2 = pi[:k], pi[k:]
+    b = np.linalg.solve((np.eye(k) - Gt[:k, :k]).T, Gt[k:, :k].T @ pi2)
+    c = np.linalg.solve((np.eye(n - k) - Gt[k:, k:]).T, Gt[:k, k:].T @ pi1)
+    return b, c
+
+
 def out_edges(g, i):
     """Out-neighbours of internal node i of a WebGraph, as a list."""
     return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()

@@ -143,7 +143,7 @@ def test_c4_spectrum_identity(graph_set):
     for idx, (g, params, H, p) in enumerate(graph_set):
         Gt = build_dense_google(g, params, p)
         G1 = direct_lumped_from_dense(Gt, p.k)
-        rep = check_spectrum_identity(Gt, G1, p.k, tol=1e-8, seed=idx)
+        [rep] = check_spectrum_identity(Gt, [G1], p.k, tol=1e-8, seed=idx)
         all_passed &= rep.passed
         worst = max(worst, rep.max_abs_deviation)
     report("C4", all_passed and worst <= 1e-8,
@@ -168,17 +168,16 @@ def test_c6_decomposition_identities_and_negative_controls(graph_set):
     worst_ldu = 0.0  # scaled by 1e-12 * n
     worst_rows = 0.0
     worst_coupled = 0.0
-    coupled_ok = True
+    coupled_ok = complement_ok = True
     for g, params, H, p in graph_set:
         Gt = build_dense_google(g, params, p)
         n, k = g.n, p.k
-        f = ldu_factors(Gt, k)
-        dev = float(np.abs(f.Lfac @ f.Dfac @ f.Ufac - (np.eye(n) - Gt)).max())
-        worst_ldu = max(worst_ldu, dev / (1e-12 * n))
-        S = stochastic_complement(Gt, k)
-        worst_rows = max(worst_rows, float(np.abs(S.sum(axis=1) - 1.0).max()))
+        f, _ = ldu_factors(Gt, k)
+        worst_ldu = max(worst_ldu, oracles.ldu_deviation(f, Gt) / (1e-12 * n))
+        complement_ok &= stochastic_complement(f).passed
+        worst_rows = max(worst_rows, float(np.abs(f.S.sum(axis=1) - 1.0).max()))
         sigma = oracles.stationary(build_dense_lumped(permute_blocks(H, p), p, params))
-        rep = verify_coupled_stationarity(recover_pagerank(sigma, H, p, params), Gt, k, tol=1e-8)
+        rep = verify_coupled_stationarity(recover_pagerank(sigma, H, p, params), f, tol=1e-8)
         coupled_ok &= rep.passed
         worst_coupled = max(worst_coupled, rep.max_abs_deviation)
 
@@ -188,12 +187,13 @@ def test_c6_decomposition_identities_and_negative_controls(graph_set):
     pi_bad = oracles.stationary(Gt)
     pi_bad[0] += 1e-3
     pi_bad /= pi_bad.sum()
-    control_coupled = not verify_coupled_stationarity(pi_bad, Gt, p.k, tol=1e-6).passed
+    control_coupled = not verify_coupled_stationarity(pi_bad, ldu_factors(Gt, p.k)[0],
+                                                      tol=1e-6).passed
     G1_bad = direct_lumped_from_dense(Gt, p.k)
     G1_bad[0, 0] += 0.1
-    control_spectrum = not check_spectrum_identity(Gt, G1_bad, p.k, tol=1e-8).passed
+    control_spectrum = not check_spectrum_identity(Gt, [G1_bad], p.k, tol=1e-8)[0].passed
 
-    ok = (worst_ldu <= 1.0 and worst_rows <= 1e-10 and coupled_ok
+    ok = (worst_ldu <= 1.0 and worst_rows <= 1e-10 and complement_ok and coupled_ok
           and worst_coupled <= 1e-8 and control_coupled and control_spectrum)
     report("C6", ok,
            f"LDU gap {worst_ldu:.2e}x budget (<=1), complement rows {worst_rows:.2e} "

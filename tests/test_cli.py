@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import os
 import re
@@ -184,6 +183,23 @@ class TestRank:
         code, out, err = run(capsys, "rank", tri_file, "--v", str(path))
         assert code == 1 and out == ""
         assert err == "lumprank: error: weight vector: non-numeric entry\n"
+
+    def test_all_zero_weight_file_prints_a_plain_sum(self, capsys, tri_file, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("0 0 0\n")
+        code, out, err = run(capsys, "rank", tri_file, "--v", str(path))
+        assert code == 1 and out == ""
+        assert err == ("lumprank: error: weight vector: sum 0.0 outside [1e-9, 1e9] "
+                       "(all-zero or badly scaled)\n")
+
+    @pytest.mark.parametrize("command", ["rank", "compare", "verify"])
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exits_1(self, capsys, tri_file, command, tol):
+        # no 1-norm distance between probability vectors exceeds 2, so a
+        # run stopped by an infinite tol would be "converged" at any iterate
+        code, out, err = run(capsys, command, tri_file, "--tol", tol)
+        assert code == 1 and out == ""
+        assert err == f"lumprank: error: tol must be positive and finite, got {tol}\n"
 
     @pytest.mark.parametrize("argv", [
         ("rank", "{graph}", "--alpha", "abc"),
@@ -589,7 +605,8 @@ LINE = re.compile(r"(PASS|FAIL|SKIP) (\S+)(?: max_dev=(\S+))?(?:  \((.*)\))?$")
 
 def public_path_checks(g, params, seed):
     """The checks of ``verify --negative-control``, each made by calling the
-    public lab functions on its own, L*D*U formed as a dense product, and
+    public lab functions on its own, L*D*U formed as a dense product of the
+    assembled factors, the complement's row deviation from its matrix, and
     the transform rows from the dense oracle, products with each L and
     np.linalg.inv(L).  Returns (status, name, max_dev, note) tuples in
     output order."""
@@ -613,29 +630,30 @@ def public_path_checks(g, params, seed):
              "degenerate order-1 transform" if n - k == 1 else "")
         dev_g1 = float(np.abs(G1 - G1_direct).max())
         emit(f"lumped_block_formula[{kind.value}]", dev_g1 <= 1e-12, dev_g1)
-    rep = check_spectrum_identity(Gt, G1_direct, k, tol=1e-8, seed=seed)
+    [rep] = check_spectrum_identity(Gt, [G1_direct], k, tol=1e-8, seed=seed)
     emit("spectrum_identity", rep.passed, rep.max_abs_deviation, rep.detail)
     rep = check_lumpable(Gt, [k], tol=1e-10, blocks=[(1, 0)])
     emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
-    f = ldu_factors(Gt, k)
-    dev_ldu = float(np.abs(f.Lfac @ f.Dfac @ f.Ufac - (np.eye(n) - Gt)).max())
+    f, _ = ldu_factors(Gt, k)
+    dev_ldu = oracles.ldu_deviation(f, Gt)
     emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
-    S = stochastic_complement(Gt, k)
+    S = f.S
     dev_rows = max(float(np.abs(S.sum(axis=1) - 1.0).max()), float(max(-S.min(), 0.0)))
+    assert stochastic_complement(f).max_abs_deviation == dev_rows
     emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
     pi_t = stationary_dense(Gt)
-    rep = verify_coupled_stationarity(pi_t, Gt, k, tol=1e-8)
+    rep = verify_coupled_stationarity(pi_t, f, tol=1e-8)
     emit("coupled_stationarity", rep.passed, rep.max_abs_deviation, rep.detail)
 
     bad = G1_direct.copy()
     bad[0, 0] += 0.1
-    rep = check_spectrum_identity(Gt, bad, k, tol=1e-8, seed=seed)
+    [rep] = check_spectrum_identity(Gt, [bad], k, tol=1e-8, seed=seed)
     emit("negative_control[corrupted_lumped_block]", rep.passed, rep.max_abs_deviation,
          "expected FAIL")
     bad_pi = pi_t.copy()
     bad_pi[0] += 1e-3
     bad_pi /= bad_pi.sum()
-    rep = verify_coupled_stationarity(bad_pi, Gt, k, tol=1e-6)
+    rep = verify_coupled_stationarity(bad_pi, ldu_factors(Gt, k)[0], tol=1e-6)
     emit("negative_control[perturbed_stationary]", rep.passed, rep.max_abs_deviation,
          "expected FAIL")
     return out
@@ -645,8 +663,9 @@ SINKS = "0 100\n1 200\n100 101\n101 100\n200 201\n201 202\n202 200\n"
 
 
 class TestVerifyDifferential:
-    """``verify`` shares one split and one set of determinants across its
-    checks; its report must match the public functions called one by one."""
+    """``verify`` shares one set of block factors and one set of
+    determinants across its checks; its report must match the public
+    functions called one by one."""
 
     @pytest.mark.parametrize("text, alpha, seed, on_dangling, shape", [
         (generate_edge_list(30, 0.05, 4, seed=1), 0.85, 0, False, (30, 29)),   # m = 1
@@ -732,18 +751,15 @@ class TestVerifyDifferential:
     # blockwise check compares against
     @pytest.mark.parametrize("block", ["Y", "Z", "D11", "S", "G12", "G21"])
     def test_corrupted_factor_block_fails_ldu(self, capsys, tmp_path, monkeypatch, block):
-        split = lumprank.decomposition._block_split
+        # the reconstruction is computed from the blocks ldu_factors returns
+        factors = lumprank.decomposition.BlockFactors
 
-        def corrupted_split(Gt, k):
-            s, D11, Y = split(Gt, k)
-            parts = dict(D11=D11, Y=Y, Z=s.Z, S=s.S, G12=s.G12, G21=s.G21)
-            bad = parts[block].copy()
+        def corrupted_factors(**blocks):
+            bad = blocks[block].copy()
             bad[-1, :2] += [1e-6, -1e-6]  # row sums kept: S stays stochastic
-            parts[block] = bad
-            D11, Y = parts.pop("D11"), parts.pop("Y")
-            return dataclasses.replace(s, **parts), D11, Y
+            return factors(**{**blocks, block: bad})
 
-        monkeypatch.setattr(lumprank.decomposition, "_block_split", corrupted_split)
+        monkeypatch.setattr(lumprank.decomposition, "BlockFactors", corrupted_factors)
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         code, out, _ = run(capsys, "verify", str(path))
@@ -758,15 +774,14 @@ class TestVerifyDifferential:
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         _, clean, _ = run(capsys, "verify", str(path))
-        split = lumprank.decomposition._block_split
+        factors = lumprank.decomposition.BlockFactors
 
-        def corrupted_split(Gt, k):
-            s, D11, Y = split(Gt, k)
-            S = s.S.copy()
+        def corrupted_factors(**blocks):
+            S = blocks["S"].copy()
             S[-1] *= 1 + 1e-6
-            return dataclasses.replace(s, S=S), D11, Y
+            return factors(**{**blocks, "S": S})
 
-        monkeypatch.setattr(lumprank.decomposition, "_block_split", corrupted_split)
+        monkeypatch.setattr(lumprank.decomposition, "BlockFactors", corrupted_factors)
         code, out, err = run(capsys, "verify", str(path))
         assert code == 1
         assert "lumprank: error:" not in err

@@ -1,6 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import lumprank.decomposition
+import lumprank.transforms
 import oracles
 from lumprank import (
     PageRankParams,
@@ -10,8 +14,8 @@ from lumprank import (
     solve_lumped,
 )
 from lumprank.decomposition import (
-    _block_split,
     ldu_factors,
+    run_checks,
     stochastic_complement,
     verify_coupled_stationarity,
 )
@@ -48,27 +52,36 @@ class TestLduFactors:
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
             n, k = g.n, p.k
-            f = ldu_factors(Gt, k)
-            recon = f.Lfac @ f.Dfac @ f.Ufac
-            assert np.abs(recon - (np.eye(n) - Gt)).max() <= 1e-12 * n
+            f, dev = ldu_factors(Gt, k)
+            dense_dev = oracles.ldu_deviation(f, Gt)
+            assert dense_dev <= 1e-12 * n
+            # the blockwise deviation measures the same product
+            assert dev <= 1e-12 * n and abs(dev - dense_dev) <= 1e-14 * n
 
     def test_unit_triangular_structure_exact(self):
         rng = np.random.default_rng(41)
         g, params, H, p, Gt = dense_setup(rng)
         n, k = g.n, p.k
-        f = ldu_factors(Gt, k)
-        assert np.array_equal(np.diag(f.Lfac), np.ones(n))
-        assert np.array_equal(np.diag(f.Ufac), np.ones(n))
-        assert np.array_equal(f.Lfac[:k, k:], np.zeros((k, n - k)))
-        assert np.array_equal(f.Ufac[k:, :k], np.zeros((n - k, k)))
-        assert np.array_equal(f.Dfac[:k, k:], np.zeros((k, n - k)))
-        assert np.array_equal(f.Dfac[k:, :k], np.zeros((n - k, k)))
+        f, _ = ldu_factors(Gt, k)
+        assert (f.D11.shape, f.Y.shape, f.Z.shape, f.S.shape) == (
+            (k, k), (k, n - k), (n - k, k), (n - k, n - k))
+        assert np.array_equal(f.D11, np.eye(k) - Gt[:k, :k])
+        Lfac, Dfac, Ufac = oracles.ldu_dense(f)
+        assert np.array_equal(np.diag(Lfac), np.ones(n))
+        assert np.array_equal(np.diag(Ufac), np.ones(n))
+        assert np.array_equal(Lfac[:k, k:], np.zeros((k, n - k)))
+        assert np.array_equal(Ufac[k:, :k], np.zeros((n - k, k)))
+        assert np.array_equal(Dfac[:k, k:], np.zeros((k, n - k)))
+        assert np.array_equal(Dfac[k:, :k], np.zeros((n - k, k)))
 
     def test_trailing_diagonal_block_is_identity_minus_complement(self):
         Gt = micro_setup()
-        f = ldu_factors(Gt, 2)
-        S = stochastic_complement(Gt, 2)
-        assert np.abs(f.Dfac[2:, 2:] - (np.eye(1) - S)).max() == 0.0
+        f, _ = ldu_factors(Gt, 2)
+        Dfac = oracles.ldu_dense(f)[1]
+        assert np.abs(Dfac[2:, 2:] - (np.eye(1) - f.S)).max() == 0.0
+        # S = G22 + G21 (I - G11)^-1 G12, formed here by a direct solve
+        direct = Gt[2:, 2:] + Gt[2:, :2] @ np.linalg.solve(np.eye(2) - Gt[:2, :2], Gt[:2, 2:])
+        assert np.abs(f.S - direct).max() <= 1e-15
 
     def test_split_point_validated(self):
         Gt = micro_setup()
@@ -93,16 +106,24 @@ class TestLduFactors:
             ldu_factors(Gt, 2)
 
 
+def complement(Gt, k):
+    """The stochastic complement of the split at k, after its own check passed."""
+    f, _ = ldu_factors(Gt, k)
+    rep = stochastic_complement(f)
+    assert rep.passed, rep.max_abs_deviation
+    return f.S
+
+
 class TestStochasticComplement:
     def test_single_dangling_complement_is_one(self):
-        S = stochastic_complement(micro_setup(), 2)
+        S = complement(micro_setup(), 2)
         assert S.shape == (1, 1)
         assert abs(S[0, 0] - 1.0) <= 1e-12
 
     def test_last_split_complement_is_one(self):
         rng = np.random.default_rng(42)
         g, params, H, p, Gt = dense_setup(rng)
-        S = stochastic_complement(Gt, g.n - 1)
+        S = complement(Gt, g.n - 1)
         assert S.shape == (1, 1)
         assert abs(S[0, 0] - 1.0) <= 1e-10
 
@@ -112,7 +133,7 @@ class TestStochasticComplement:
         p = detect_dangling(build_hyperlink_matrix(g))
         assert p.k == 1
         Gt = build_dense_google(g, params, p)
-        S = stochastic_complement(Gt, 1)
+        S = complement(Gt, 1)
         assert S.shape == (2, 2)
         assert S.min() >= -1e-12
         assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-10
@@ -121,7 +142,7 @@ class TestStochasticComplement:
         rng = np.random.default_rng(43)
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
-            S = stochastic_complement(Gt, p.k)
+            S = complement(Gt, p.k)
             assert S.min() >= -1e-12
             assert np.abs(S.sum(axis=1) - 1.0).max() <= 1e-10
             I_S = np.eye(S.shape[0]) - S
@@ -129,12 +150,26 @@ class TestStochasticComplement:
             norm = np.linalg.norm(I_S)
             assert smallest <= 1e-8 * max(norm, 1e-300)
 
+    @pytest.mark.parametrize("defect, dev", [("row", 1e-6), ("negative", 1e-3)])
+    def test_defect_is_a_failed_report(self, defect, dev):
+        # a row sum off 1, or a negative entry with row sums kept, is
+        # reported with its size, never raised
+        f, _ = ldu_factors(micro_setup(), 1)
+        assert f.S.shape == (2, 2)
+        if defect == "row":
+            f.S[-1] *= 1 + dev
+        else:
+            f.S[-1] += [-f.S[-1, 0] - dev, f.S[-1, 0] + dev]
+        rep = stochastic_complement(f)
+        assert not rep.passed
+        assert abs(rep.max_abs_deviation - dev) <= 1e-15
+
 
 class TestCoupledStationarity:
     def test_micro_instance_identities(self):
         Gt = micro_setup()
         pi = np.array([3 / 8, 5 / 16, 5 / 16])
-        rep = verify_coupled_stationarity(pi, Gt, 2, tol=1e-10)
+        rep = verify_coupled_stationarity(pi, ldu_factors(Gt, 2)[0], tol=1e-10)
         assert rep.passed, rep.detail
         assert "dangling from nondangling" in rep.detail
 
@@ -143,7 +178,7 @@ class TestCoupledStationarity:
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
             pi = oracles.stationary(Gt)
-            rep = verify_coupled_stationarity(pi, Gt, p.k, tol=1e-8)
+            rep = verify_coupled_stationarity(pi, ldu_factors(Gt, p.k)[0], tol=1e-8)
             assert rep.passed, rep.detail
 
     def test_recovered_ranking_satisfies_identities(self):
@@ -155,7 +190,8 @@ class TestCoupledStationarity:
             solved = solve_lumped(g, PageRankParams(alpha=params.alpha, v=params.v,
                                                     w=params.w, tol=1e-13))
             assert solved.converged
-            rep = verify_coupled_stationarity(solved.pagerank[p.perm], Gt, p.k, tol=1e-8)
+            rep = verify_coupled_stationarity(solved.pagerank[p.perm], ldu_factors(Gt, p.k)[0],
+                                              tol=1e-8)
             assert rep.passed, rep.detail
 
     def test_identities_through_z_and_w_match_direct_solves(self):
@@ -164,15 +200,28 @@ class TestCoupledStationarity:
         rng = np.random.default_rng(47)
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
-            k, n = p.k, g.n
-            s, _, _ = _block_split(Gt, k)
+            k = p.k
+            f, _ = ldu_factors(Gt, k)
             pi = oracles.stationary(Gt)
             pi1, pi2 = pi[:k], pi[k:]
-            direct_b = np.linalg.solve((np.eye(k) - Gt[:k, :k]).T, Gt[k:, :k].T @ pi2)
-            assert np.abs(pi2 @ s.Z - direct_b).max() <= 1e-12
-            assert s.W is not None  # uniform v and w: every trailing row sums below 1
-            direct_c = np.linalg.solve((np.eye(n - k) - Gt[k:, k:]).T, Gt[:k, k:].T @ pi1)
-            assert np.abs(pi1 @ s.W - direct_c).max() <= 1e-12
+            direct_b, direct_c = oracles.coupled_solves(Gt, k, pi)
+            assert np.abs(pi2 @ f.Z - direct_b).max() <= 1e-12
+            assert f.W is not None  # uniform v and w: every trailing row sums below 1
+            assert np.abs(pi1 @ f.W - direct_c).max() <= 1e-12
+
+    def test_w_is_solved_once_per_factors(self, monkeypatch):
+        # the negative control's vector reuses the W of the first call
+        rng = np.random.default_rng(48)
+        g, params, H, p, Gt = dense_setup(rng)
+        f, _ = ldu_factors(Gt, p.k)
+        solved = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solved.append(1) or solve(*a))
+        pi = oracles.stationary(Gt)
+        solved.clear()
+        for tol in (1e-8, 1e-6):
+            verify_coupled_stationarity(pi, f, tol=tol)
+        assert len(solved) == 1
 
     def test_perturbed_vector_fails(self):
         rng = np.random.default_rng(46)
@@ -180,7 +229,7 @@ class TestCoupledStationarity:
         pi = oracles.stationary(Gt)
         pi[0] += 1e-3
         pi /= pi.sum()
-        rep = verify_coupled_stationarity(pi, Gt, p.k, tol=1e-6)
+        rep = verify_coupled_stationarity(pi, ldu_factors(Gt, p.k)[0], tol=1e-6)
         assert not rep.passed
 
     def test_unit_trailing_row_sums_skip_reported(self):
@@ -192,11 +241,50 @@ class TestCoupledStationarity:
         p = detect_dangling(build_hyperlink_matrix(g))
         Gt = build_dense_google(g, params, p)
         pi = oracles.stationary(Gt)
-        rep = verify_coupled_stationarity(pi, Gt, p.k, tol=1e-10)
+        rep = verify_coupled_stationarity(pi, ldu_factors(Gt, p.k)[0], tol=1e-10)
         assert rep.passed, rep.detail
         assert "skipped" in rep.detail
 
     def test_length_mismatch_raises(self):
-        Gt = micro_setup()
+        f, _ = ldu_factors(micro_setup(), 2)
         with pytest.raises(ValueError, match="length 3"):
-            verify_coupled_stationarity(np.full(4, 0.25), Gt, 2)
+            verify_coupled_stationarity(np.full(4, 0.25), f)
+
+
+LAB = (lumprank.transforms, lumprank.decomposition)
+# private helpers that compute one step of a check, not a check of their own
+HELPERS = {"_absmax", "_solve", "_apply_left", "_apply_right_inverse"}
+
+
+class TestRunChecks:
+    def test_reaches_every_public_function_and_no_private_check(self, monkeypatch):
+        # the lab's public functions are what the tests test; run_checks
+        # must call each of them, and no private function other than the
+        # helpers, so that no untested private twin of a check comes back
+        g, params, H, p, Gt = dense_setup(np.random.default_rng(49))
+        functions = {(mod.__name__, name): fn for mod in LAB for name, fn in vars(mod).items()
+                     if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                     and name != "run_checks"}
+        called = set()
+
+        def spy(key, fn):
+            def wrapper(*args, **kwargs):
+                called.add(key)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        spies = {id(fn): spy(key, fn) for key, fn in functions.items()}
+        for mod in LAB:  # every binding, imported names included
+            for attr, obj in list(vars(mod).items()):
+                if id(obj) in spies:
+                    monkeypatch.setattr(mod, attr, spies[id(obj)])
+
+        rows = run_checks(g, params, negative_control=True)
+        assert [status for status, *_ in rows].count("SKIP") == 0
+        public = {key for key in functions if not key[1].startswith("_")}
+        assert ("lumprank.decomposition", "ldu_factors") in public
+        assert ("lumprank.transforms", "check_spectrum_identity") in public
+        assert sorted(public - called) == []
+        private_checks = {key for key in functions
+                          if key[1].startswith("_") and key[1] not in HELPERS}
+        assert sorted(called & private_checks) == []

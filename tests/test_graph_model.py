@@ -267,7 +267,7 @@ class TestLoadWeightVector:
             load_weight_vector("1 2", 3)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^weight vector: sum 0\.0 outside"):
             load_weight_vector("0 0 0", 3)
 
     @pytest.mark.parametrize("text", ["1e10 1 1", "1e-12 1e-11 0"])
@@ -302,13 +302,16 @@ class TestParams:
     def test_tol_and_max_iter_validated(self):
         with pytest.raises(ValueError, match="tol"):
             PageRankParams.uniform(3, tol=0.0)
+        for tol in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PageRankParams.uniform(3, tol=tol)
         with pytest.raises(ValueError, match="max_iter"):
             PageRankParams.uniform(3, max_iter=0)
 
     def test_vectors_validated(self):
         with pytest.raises(ValueError, match="negative"):
             PageRankParams(alpha=0.5, v=np.array([1.5, -0.5]), w=np.full(2, 0.5))
-        with pytest.raises(ValueError, match="sums"):
+        with pytest.raises(ValueError, match=r"^probability vector sums to 1\.1, not 1$"):
             PageRankParams(alpha=0.5, v=np.array([0.5, 0.6]), w=np.full(2, 0.5))
         with pytest.raises(ValueError, match="same length"):
             PageRankParams(alpha=0.5, v=np.full(2, 0.5), w=np.full(4, 0.25))

@@ -392,7 +392,7 @@ class TestSpectrumIdentity:
             g, params, H, p, Gt, _ = dense_setup(rng)
             for kind in BUILTIN:
                 _, G1 = similarity_transform(Gt, kind, p.k)
-                rep = check_spectrum_identity(Gt, G1, p.k, tol=1e-8, seed=42)
+                [rep] = check_spectrum_identity(Gt, [G1], p.k, tol=1e-8, seed=42)
                 assert rep.passed, rep.detail
                 assert "seed=42" in rep.detail
 
@@ -403,7 +403,7 @@ class TestSpectrumIdentity:
         Gt = build_dense_google(g, params, p)
         # rank-one matrix: det(2I - e u^T) = 2^2 * (1 - u^T e / 2) = 2
         assert abs(np.linalg.det(2 * np.eye(2) - Gt) - 2.0) <= 1e-12
-        rep = check_spectrum_identity(Gt, np.array([[1.0]]), 0, tol=1e-8)
+        [rep] = check_spectrum_identity(Gt, [np.array([[1.0]])], 0, tol=1e-8)
         assert rep.passed
 
     def test_corrupted_lumped_block_fails(self):
@@ -411,25 +411,47 @@ class TestSpectrumIdentity:
         g, params, H, p, Gt, A = dense_setup(rng)
         bad = build_dense_lumped(A, p, params)
         bad[0, 0] += 0.1
-        assert not check_spectrum_identity(Gt, bad, p.k, tol=1e-8).passed
+        assert not check_spectrum_identity(Gt, [bad], p.k, tol=1e-8)[0].passed
+
+    def test_blocks_share_one_set_of_full_determinants(self, monkeypatch):
+        # one report per block, in order, against one set of n x n
+        # determinants; each block is taken after the report of the one
+        # before, so a generator may corrupt it in place
+        rng = np.random.default_rng(32)
+        g, params, H, p, Gt, A = dense_setup(rng)
+        G1 = build_dense_lumped(A, p, params)
+        orders = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda M: orders.append(M.shape[0]) or slogdet(M))
+
+        def blocks():
+            yield G1
+            assert len(orders) == 8 + 8  # the first block's report is in
+            G1[0, 0] += 0.1
+            yield G1
+
+        good, bad = check_spectrum_identity(Gt, blocks(), p.k, tol=1e-8)
+        assert good.passed and not bad.passed
+        assert orders == [g.n] * 8 + [p.k + 1] * 16
 
     def test_size_mismatch_raises(self):
         rng = np.random.default_rng(28)
         g, params, H, p, Gt, _ = dense_setup(rng)
         with pytest.raises(ValueError, match="inconsistent"):
-            check_spectrum_identity(Gt, np.eye(p.k + 2), p.k)
+            check_spectrum_identity(Gt, [np.eye(p.k + 2)], p.k)
 
 
     @pytest.mark.filterwarnings("error")
     def test_agreeing_singular_points_count_as_zero(self):
         # at lambda = 2 both I - G/lambda are exactly singular; elsewhere the
         # determinants agree, so the check passes with no warning
-        rep = check_spectrum_identity(np.diag([2.0, 0, 0]), np.diag([2.0, 0]), 1)
+        [rep] = check_spectrum_identity(np.diag([2.0, 0, 0]), [np.diag([2.0, 0])], 1)
         assert rep.passed and rep.max_abs_deviation == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_one_singular_side_fails(self):
-        rep = check_spectrum_identity(np.diag([2.0, 0, 0]), np.diag([2.5, 0]), 1)
+        [rep] = check_spectrum_identity(np.diag([2.0, 0, 0]), [np.diag([2.5, 0])], 1)
         assert not rep.passed and rep.max_abs_deviation == 1.0
 
     @pytest.mark.filterwarnings("error")
@@ -438,7 +460,7 @@ class TestSpectrumIdentity:
     def test_non_finite_entries_fail(self, side, bad):
         G, G1 = np.full((3, 3), 1 / 3), np.full((2, 2), 0.5)
         (G if side == "full" else G1)[1, 1] = bad
-        rep = check_spectrum_identity(G, G1, 1)
+        [rep] = check_spectrum_identity(G, [G1], 1)
         assert not rep.passed and rep.max_abs_deviation == np.inf
 
 
@@ -536,9 +558,9 @@ class TestLuSlogdet:
                 signs.add(s1)
                 top = max(l1, l2)
                 worst = max(worst, abs(s1 * np.exp(l1 - top) - s2 * np.exp(l2 - top)))
-            rep = check_spectrum_identity(A, B, n - 1, tol=1e-8)
+            rep, same = check_spectrum_identity(A, [B, A], n - 1, tol=1e-8)
             assert abs(rep.max_abs_deviation - worst) <= 1e-12
-            assert check_spectrum_identity(A, A, n - 1, tol=0.0).max_abs_deviation == 0.0
+            assert same.max_abs_deviation == 0.0
         assert -1.0 in signs and 1.0 in signs
 
     @pytest.mark.parametrize("A", [
@@ -556,7 +578,7 @@ class TestLuSlogdet:
         assert tuple(np.linalg.slogdet(2.0 * np.eye(n) - Gt)) == (0.0, -np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = check_spectrum_identity(Gt, Gt + 0.5 * np.eye(n), n - 1)
+            [rep] = check_spectrum_identity(Gt, [Gt + 0.5 * np.eye(n)], n - 1)
         assert not rep.passed
         assert rep.max_abs_deviation >= 1.0
 
