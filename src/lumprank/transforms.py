@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+# loaded with the lab, not on the first draw: an import in the middle of a
+# run leaves its long-lived allocations among the freed dense blocks, and
+# the next n x n buffer then takes fresh pages
+from numpy.random import default_rng
 
 from .graph import HyperlinkMatrix, PageRankParams, WebGraph, build_hyperlink_matrix
 from .lumping import DanglingPartition
@@ -248,7 +252,7 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
     n = Gt.shape[0]
     if Gt.shape != (n, n):
         raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     lams = np.concatenate([[1.5, 2.0, 3.0], rng.uniform(1.1, 4.0, size=5)])
     finite = bool(np.isfinite(Gt).all())
     full = []
