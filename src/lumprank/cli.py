@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -105,43 +106,107 @@ def cmd_rank(cfg) -> int:
     g = _load_graph(cfg.graph_path)
     params = _load_params(cfg, g.n)
     rep = solve_lumped(g, params)
-    print(f"# n={rep.n} k={rep.k} dangling={rep.n - rep.k} alpha={params.alpha:g} "
+    print(f"# n={rep.n} k={rep.k} dangling={rep.n - rep.k} alpha={params.alpha!r} "
           f"iters={rep.iterations} residual={rep.residual:.6e} "
           f"error_bound={rep.error_bound:.6e}")
-    sys.stdout.write(_ranking_rows(g.labels, rep.pagerank, cfg.top))
+    for block in _ranking_rows(g.labels, rep.pagerank, cfg.top):
+        sys.stdout.write(block)
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 
 
-def _ranking_rows(labels: np.ndarray, scores: np.ndarray, top: int | None) -> str:
-    """The ``label<TAB>score<TAB>rank`` rows of ``rank``, best ``top`` first.
+# Rows per block of ``rank`` output; each block is written before the next is made.
+_BLOCK_ROWS = 32768
+# Bytes per score cell: "%.12g" of a nonnegative float takes at most 18
+# characters, and 24 keeps a cell three 8-byte words.
+_CELL = 24
+
+
+def _ranking_rows(labels: np.ndarray, scores: np.ndarray, top: int | None):
+    """The ``label<TAB>score<TAB>rank`` rows of ``rank``, best ``top`` first,
+    yielded as text blocks of at most ``_BLOCK_ROWS`` rows.
 
     Rows sort on the printed 12-digit score, descending, so ties mean ties in
     the output, and then on the label, ascending.  The distinct scores are
-    formatted by one ``%`` call.  Equal neighbouring strings among them (in
-    ascending score order) form one printed group; each row's sort key,
-    ``(groups above its own) * n + (its label's position in label order)``,
-    is a distinct int64, so one plain ``argsort`` gives the row order.  All
-    rows are formatted by one more ``%`` call.
+    formatted by one ``%`` call into fixed-width cells.  Equal neighbouring
+    cells among them (in ascending score order) form one printed group; each
+    row's sort key, ``(groups above its own) * n + (its label's position in
+    label order)``, is a distinct int64, so one plain ``argsort`` gives the
+    row order.  Each block is assembled as a byte matrix, one row per line,
+    with NULs padding every field to its width; one boolean selection drops
+    them.
     """
     # np.unique merges -0.0 with 0.0, which print differently; a PageRank
     # vector is nonnegative, and the solver never yields -0.0
     assert not np.signbit(scores).any()
     n = labels.size
     uniq, inverse = np.unique(scores, return_inverse=True)
-    text = np.array((("%.12g\n" * uniq.size) % tuple(uniq.tolist())).split("\n")[:-1],
-                    dtype=object)
+    formatted = bytearray((f"%-{_CELL}.12g" * uniq.size) % tuple(uniq.tolist()), "ascii")
+    cells = np.frombuffer(formatted, np.uint8).reshape(uniq.size, _CELL)
+    cells *= cells != ord(" ")  # the padding becomes NULs
+    printed = cells.view(f"V{_CELL}").ravel()
     # rounding is monotone, so the printed groups ascend with uniq
     group = np.zeros(uniq.size, dtype=np.int64)
-    np.cumsum(text[1:] != text[:-1], out=group[1:])
+    np.cumsum(printed[1:] != printed[:-1], out=group[1:])
     label_rank = np.empty(n, dtype=np.int64)
     label_rank[np.argsort(labels)] = np.arange(n)
     order = np.argsort((group[-1] - group)[inverse] * n + label_rank)[:top]
+    del uniq, group, label_rank  # the blocks read order, inverse and cells alone
     m = order.size
-    cells = [None] * (3 * m)
-    cells[0::3] = labels[order].tolist()
-    cells[1::3] = text[inverse[order]].tolist()
-    cells[2::3] = range(1, m + 1)
-    return ("%d\t%s\t%d\n" * m) % tuple(cells)
+    label_width, rank_width = int(_decimal_width(labels.max())), int(_decimal_width(m))
+    score_col = label_width + 1
+    for lo in range(0, m, _BLOCK_ROWS):
+        rows = order[lo:lo + _BLOCK_ROWS]
+        block = np.empty((rows.size, label_width + _CELL + rank_width + 3), np.uint8)
+        block[:, :label_width] = _decimal_digits(labels[rows], label_width)
+        block[:, label_width] = ord("\t")
+        block[:, score_col:score_col + _CELL] = np.take(cells, inverse[rows], axis=0)
+        block[:, score_col + _CELL] = ord("\t")
+        block[:, -rank_width - 1:-1] = _decimal_digits(np.arange(lo + 1, lo + rows.size + 1),
+                                                       rank_width)
+        block[:, -1] = ord("\n")
+        text = block[block != 0].tobytes().decode("ascii")
+        del block  # only the text waits for the writer
+        yield text
+
+
+@functools.cache
+def _digit_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables for :func:`_decimal_digits`, built on first use.
+
+    The ASCII digits of 0..9999 as one uint32 each (4 bytes, leading zeros
+    kept); for z = 0..19, a row of five uint32 words whose first z bytes are
+    0x00 and the rest 0xff; and the powers 10**1..10**18.
+    """
+    quad = np.arange(10000)
+    digits = np.empty((10000, 4), np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        digits[:, j] = quad // place % 10 + ord("0")
+    keep = np.where(np.arange(20) >= np.arange(20)[:, None], 0xff, 0).astype(np.uint8)
+    powers = 10 ** np.arange(1, 19, dtype=np.int64)
+    return digits.view(np.uint32).ravel(), keep.view(np.uint32), powers
+
+
+def _decimal_width(x):
+    """Decimal digit count of each nonnegative integer in ``x``."""
+    return 1 + np.searchsorted(_digit_table()[2], x, side="right")
+
+
+def _decimal_digits(x: np.ndarray, width: int) -> np.ndarray:
+    """(x.size, width) uint8 ASCII decimal of nonnegative int64 ``x``,
+    right-aligned, with NULs for the leading zeros; ``width`` is at least the
+    widest number's digit count.  Four digits at a time come from the table
+    by integer division by 10**4; 2**63 has 19 digits, so five groups hold
+    any int64."""
+    quads, keep, _ = _digit_table()
+    lead = 20 - _decimal_width(x)
+    out = np.empty((x.size, 5), np.uint32)
+    for j in range(4, 0, -1):
+        q = x // 10000
+        out[:, j] = quads[x - q * 10000]
+        x = q
+    out[:, 0] = quads[x]
+    out &= np.take(keep, lead, axis=0)
+    return out.view(np.uint8)[:, 20 - width:]
 
 
 def cmd_compare(cfg) -> int:
@@ -151,7 +216,7 @@ def cmd_compare(cfg) -> int:
     rep = solve_lumped(g, params)
     lumped_time = time.perf_counter() - t0
     n, k = rep.n, rep.k
-    print(f"# n={n} k={k} dangling={n - k} alpha={params.alpha:g} tol={params.tol:g}")
+    print(f"# n={n} k={k} dangling={n - k} alpha={params.alpha!r} tol={params.tol:g}")
 
     op = full_system(build_hyperlink_matrix(g), params)
     scale = 1.0 / (1.0 - params.alpha)  # error_bound per unit of ||r||_1, see full_system
@@ -189,7 +254,7 @@ def cmd_verify(cfg) -> int:
         return EXIT_DENSE_LIMIT
     params = _load_params(cfg, g.n)
     k = int(np.count_nonzero(np.diff(g.indptr)))  # nodes with out-links
-    print(f"# n={g.n} k={k} dangling={g.n - k} alpha={params.alpha:g} seed={cfg.seed}")
+    print(f"# n={g.n} k={k} dangling={g.n - k} alpha={params.alpha!r} seed={cfg.seed}")
     rows = run_checks(g, params, cfg.seed, cfg.negative_control, dense_limit)
     for status, name, dev, note in rows:
         dev_text = "" if dev is None else f" max_dev={dev:.3e}"

@@ -182,12 +182,14 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
 
     Returns ``(status, name, max_dev, note)`` rows: status is PASS, FAIL or
     SKIP, and a SKIP row holds None as max_dev and its reason as the note.
-    This function owns the order of the checks, their thresholds and the
-    negative controls (corrupted inputs that must FAIL), which
-    ``negative_control`` appends.  ``seed`` draws the spectrum identity's
-    sample points.  Each dense factorization and determinant is computed
-    once; the negative controls reuse them with only the corrupted input
-    recomputed.
+    A leading block I - G11 singular to working precision fails
+    ``ldu_reconstruction`` with max_dev inf and its reason as the note, and
+    the checks that need the factors are SKIP rows.  This function owns the
+    order of the checks, their thresholds and the negative controls
+    (corrupted inputs that must FAIL), which ``negative_control`` appends.
+    ``seed`` draws the spectrum identity's sample points.  Each dense
+    factorization and determinant is computed once; the negative controls
+    reuse them with only the corrupted input recomputed.
     """
     H = build_hyperlink_matrix(g)
     p = detect_dangling(H)
@@ -203,6 +205,7 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         rows.append(("SKIP", name, None, why))
 
     factors, corrupted = None, []
+    no_factors = "needs the block factors, which ldu_reconstruction could not form"
     if m == 0:
         for kind in TransformKind:
             skip(f"transform_condition[{kind.value}]", "no dangling nodes; nothing to lump")
@@ -244,16 +247,24 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
 
         pi_t = stationary_dense(Gt)  # solved before the factors exist
-        factors, dev_ldu = ldu_factors(Gt, k)
-        # no later check reads D11 and Y; W's solve reuses their memory
-        factors.D11 = factors.Y = None
-        emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
+        try:
+            factors, dev_ldu = ldu_factors(Gt, k)
+        except np.linalg.LinAlgError as exc:
+            # a leading block singular to working precision (alpha next to
+            # 1 with a closed class) is a failed check, not a lost report
+            emit("ldu_reconstruction", False, np.inf, str(exc))
+            skip("stochastic_complement_rows", no_factors)
+            skip("coupled_stationarity", no_factors)
+        else:
+            # no later check reads D11 and Y; W's solve reuses their memory
+            factors.D11 = factors.Y = None
+            emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
 
-        dev_rows = stochastic_complement(factors)
-        emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
+            dev_rows = stochastic_complement(factors)
+            emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
 
-        rep = verify_coupled_stationarity(pi_t, factors, tol=1e-8)
-        emit("coupled_stationarity", rep.passed, rep.max_abs_deviation, rep.detail)
+            rep = verify_coupled_stationarity(pi_t, factors, tol=1e-8)
+            emit("coupled_stationarity", rep.passed, rep.max_abs_deviation, rep.detail)
     else:
         skip("lumpable_dangling_to_nondangling", "partition has an empty block")
         skip("decomposition_checks", "split needs both nondangling and dangling nodes")
@@ -269,4 +280,6 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
             rep = verify_coupled_stationarity(bad_pi, factors, tol=1e-6)
             emit("negative_control[perturbed_stationary]", rep.passed,
                  rep.max_abs_deviation, "expected FAIL")
+        elif 1 <= k <= n - 1:
+            skip("negative_control[perturbed_stationary]", no_factors)
     return rows

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import io
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +32,8 @@ class WebGraph:
 # The only bytes the fast tokeniser accepts.
 _DATA_BYTES = b"0123456789 \t\n"
 _MAX_LABEL = 2**63 - 1
+# Bytes per pass of the fast reader's line check, so that its masks stay small.
+_CHUNK = 1 << 18
 # How far a probability vector's sum may stray from 1.
 _SUM_TOL = 1e-12
 
@@ -68,21 +70,63 @@ def _decode_utf8(raw: bytes) -> str:
 
 
 def _fast_pairs(raw: bytes) -> np.ndarray | None:
-    """(m, 2) label pairs read by ``np.loadtxt``, or None to read line by line.
+    """(m, 2) label pairs read by ``np.fromstring``, or None to read line by line.
 
     Returns None unless ``raw`` holds only ASCII digits, spaces, tabs and
     ``\\n``, and every line that is not blank holds exactly two labels below
-    2**63.  On such input loadtxt and :func:`_checked_pairs` agree; anything
+    2**63.  On such input fromstring and :func:`_checked_pairs` agree; anything
     else (comments and ``\\r\\n`` included), valid or not, is left to the
-    checked reader.
+    checked reader.  The line structure is checked on the bytes as arrays,
+    ``_CHUNK`` bytes at a time: each label's first digit and each newline,
+    in order, must come as newlines and pairs of labels.
     """
     if raw.translate(None, _DATA_BYTES) or not raw or raw.isspace():  # strip() would copy raw
         return None
-    try:
-        pairs = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:  # rows of unequal length, or a label beyond int64
+    byte = np.frombuffer(raw, np.uint8)
+    # the label starts (True) and newlines (False) in order, a chunk at a
+    # time, behind the last two of the chunk before; a newline opens the file
+    event, labels = np.zeros(2, bool), 0
+    for lo in range(0, byte.size, _CHUNK):
+        start, newline = _label_starts_and_newlines(byte, lo)
+        event = np.concatenate([event[-2:], start[start | newline]])
+        labels += np.count_nonzero(event[2:])
+        if _not_two_per_line(event):
+            return None
+    if _not_two_per_line(np.append(event[-2:], False)):  # a newline closes it
         return None
-    return pairs if pairs.shape[1] == 2 else None
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if values.size != labels:
+        return None
+    # fromstring clamps a label of 2**63 or more to 2**63 - 1, so that value
+    # is trusted only when its text, past leading zeros, is 2**63 - 1
+    clamped = values == _MAX_LABEL
+    if clamped.any():
+        starts = np.concatenate([np.flatnonzero(_label_starts_and_newlines(byte, lo)[0]) + lo
+                                 for lo in range(0, byte.size, _CHUNK)])
+        digits = re.compile(rb"0*([0-9]*)")  # compiled here, not at import
+        for start in starts[clamped].tolist():
+            if digits.match(raw, start).group(1) != b"%d" % _MAX_LABEL:
+                return None
+    return values.reshape(-1, 2)
+
+
+def _not_two_per_line(event: np.ndarray) -> bool:
+    """Whether a label (True) among ``event[1:-1]`` stands alone between
+    newlines (False) or in a run of three: then some line does not hold
+    exactly two labels."""
+    before, mid, after = event[:-2], event[1:-1], event[2:]
+    return bool((mid & before & after).any() or (mid > (before | after)).any())
+
+
+def _label_starts_and_newlines(byte: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks over ``byte[lo:lo + _CHUNK]`` (bytes that passed the
+    fast reader's guard): the first digit of each label, and each newline."""
+    chunk = byte[lo:lo + _CHUNK]
+    blank = chunk <= ord(" ")  # space, tab or newline
+    start = np.empty_like(blank)
+    start[0] = not blank[0] and (lo == 0 or byte[lo - 1] <= ord(" "))
+    np.greater(blank[:-1], blank[1:], out=start[1:])
+    return start, chunk == ord("\n")
 
 
 def _decimal(token: str) -> int:

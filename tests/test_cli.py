@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,118 @@ class TestRank:
         assert out1 == out2
 
 
+BLOCK = lumprank.cli._BLOCK_ROWS
+
+
+def cycle_text(labels):
+    """Edge-list text of one cycle through ``labels``, so that internal node
+    i is labels[i]."""
+    return "".join(f"{a} {b}\n" for a, b in zip(labels, labels[1:] + labels[:1]))
+
+
+class TestRankBlocks:
+    """rank writes its rows BLOCK at a time; no block edge shows in the output."""
+
+    def test_large_graph_matches_row_by_row_at_block_edges(self, capsys, tmp_path):
+        # 70,000 nodes, 63,000 of them dangling with one in-link each, so
+        # printed scores tie in long runs; the --top values end a block, or
+        # stop one row before or after its edge, and one reaches a third block
+        rng = np.random.default_rng(12)
+        n, k = 70_000, 7_000
+        labels = rng.choice(2**62, size=n, replace=False) * 2 + 1
+        src = np.concatenate([rng.integers(0, k, n - k), np.arange(k)])
+        dst = np.concatenate([np.arange(k, n), rng.integers(0, n, k)])
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{a} {b}\n" for a, b in
+                                zip(labels[src].tolist(), labels[dst].tolist())))
+        g = parse_edge_list(path.read_bytes())
+        assert g.n == n > 2 * BLOCK
+        rep = solve_lumped(g, PageRankParams.uniform(g.n))
+        rows = row_by_row(g.labels, rep.pagerank).splitlines(keepends=True)
+        assert len({row.split("\t")[1] for row in rows}) < n // 2
+        for top in (None, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+            code, out, _ = run(capsys, "rank", str(path),
+                               *([] if top is None else ["--top", str(top)]))
+            assert code == 0
+            assert out.split("\n", 1)[1] == "".join(rows[:top]), top
+
+    @pytest.mark.parametrize("case", ["zero_group_across_the_edge",
+                                      "largest_label_ends_a_block"])
+    def test_extreme_labels_and_zero_scores_straddle_a_block_edge(
+            self, capsys, monkeypatch, tmp_path, case):
+        # zero_group_across_the_edge: the exact-zero scores are labels 0 and
+        # 2**63 - 1, rows BLOCK and BLOCK + 1; largest_label_ends_a_block:
+        # 2**63 - 1 has the smallest positive score, row BLOCK, and the zero
+        # group 0, 1, 2 starts the next block
+        others = list(range(10, 10 + BLOCK - 1))
+        if case == "zero_group_across_the_edge":
+            labels, zeros = others + [0, LABEL_MAX], {0, LABEL_MAX}
+            expected = [(BLOCK, 0), (BLOCK + 1, LABEL_MAX)]
+        else:
+            labels, zeros = others + [LABEL_MAX, 0, 1, 2], {0, 1, 2}
+            expected = [(BLOCK, LABEL_MAX), (BLOCK + 1, 0), (BLOCK + 2, 1)]
+        # distinct positive scores that fall with the list position
+        scores = np.array([0.0 if x in zeros else 1.0 / (i + 2)
+                           for i, x in enumerate(labels)])
+        path = tmp_path / "g.txt"
+        g = rank_fixed_scores(monkeypatch, path, cycle_text(labels), scores)
+        assert g.labels.tolist() == labels
+        assert_rows_match(capsys, path, g.labels, scores,
+                          tops=(None, BLOCK - 1, BLOCK, BLOCK + 1))
+        _, out, _ = run(capsys, "rank", str(path))
+        rows = out.splitlines()
+        for rank, label in expected:
+            score = "0" if label in zeros else f"{scores[labels.index(label)]:.12g}"
+            assert rows[rank] == f"{label}\t{score}\t{rank}"
+
+    def test_blocks_bound_the_traced_peak(self):
+        # The bounds, in bytes, for n nodes with u distinct scores.  The sort
+        # peaks below 96 n: np.unique's own arrays (about 33 n), or the
+        # formatting (inverse 8 n, 88 per distinct score for its float,
+        # text and cell), or the row key (inverse, label ranks, two key
+        # temporaries and order, 40 n, and 40 u for values, groups and
+        # cells).  Between blocks the generator holds order, inverse and
+        # cells: 16 n + 24 u.  Making a block adds at most 4 byte matrices of
+        # BLOCK rows (the rows, their NUL mask, the selected bytes and their
+        # text); a row here is at most 19 + 24 + 6 + 3 bytes.  Measured on
+        # numpy 2.4 with u = 49,925: an 8.5 MB peak against the 16.4 MB
+        # bound (the whole-string writer peaked at 24.7 MB), 3.6 MB held
+        # between blocks, and 3.1 MB above that while a block is made.
+        n = 100_000
+        rng = np.random.default_rng(3)
+        labels = rng.choice(2**62, size=n, replace=False) * 2 + 1
+        scores = rng.random(n)
+        scores[rng.random(n) < 0.5] = 0.25
+        scores /= scores.sum()
+        u = np.unique(scores).size
+        block_bytes = BLOCK * (19 + lumprank.cli._CELL + 6 + 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            blocks = lumprank.cli._ranking_rows(labels, scores, None)
+            sizes = [next(blocks).count("\n")]
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sizes += [block.count("\n") for block in blocks]
+            later_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [BLOCK] * 3 + [n - 3 * BLOCK]
+        assert peak - base <= 96 * n + 4 * block_bytes
+        # no block is made before the writer asks for it
+        assert held - base <= 16 * n + 24 * u + block_bytes
+        assert later_peak - held <= 4 * block_bytes
+
+
+class TestHeader:
+    @pytest.mark.parametrize("command", ["rank", "compare", "verify"])
+    @pytest.mark.parametrize("alpha", ["0.85", "0.999999999999"])
+    def test_alpha_prints_in_full(self, capsys, tri_file, command, alpha):
+        # {alpha:g} printed 0.999999999999 as alpha=1
+        _, out, _ = run(capsys, command, tri_file, "--alpha", alpha)
+        assert f" alpha={alpha} " in out.splitlines()[0]
+
+
 class TestCompare:
     def test_reports_small_gap(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
@@ -560,6 +673,29 @@ class TestVerify:
         assert code == 1 and out.count("PASS ") == 14
         assert len(factored) == len(set(factored)) == 3 + 1 + 8 + 2 * 8
         assert inverted == []
+
+    def test_singular_leading_block_keeps_its_rows(self, capsys, tmp_path):
+        # a closed 2-cycle at alpha 1 - 1e-12 leaves I - G11 singular to
+        # working precision: ldu_reconstruction fails, the checks that need
+        # its factors are SKIP rows, and the 11 rows before it still print
+        path = tmp_path / "g.txt"
+        path.write_text("1 2\n2 1\n3 1\n3 4\n")
+        code, out, err = run(capsys, "verify", str(path), "--alpha", "0.999999999999",
+                             "--negative-control")
+        assert code == 1 and err == ""
+        header, *lines = out.splitlines()
+        assert header == "# n=4 k=3 dangling=1 alpha=0.999999999999 seed=0"
+        rows = [LINE.match(line).groups() for line in lines]
+        assert [status for status, *_ in rows[:11]] == ["PASS"] * 11
+        assert [(status, name) for status, name, _, _ in rows[11:]] == [
+            ("FAIL", "ldu_reconstruction"),
+            ("SKIP", "stochastic_complement_rows"),
+            ("SKIP", "coupled_stationarity"),
+            ("FAIL", "negative_control[corrupted_lumped_block]"),
+            ("SKIP", "negative_control[perturbed_stationary]")]
+        assert rows[11][2:] == ("inf", "I minus the leading block is singular to "
+                                       "working precision")
+        assert all(dev is None and note for status, _, dev, note in rows if status == "SKIP")
 
     def test_dense_limit_exits_3(self, capsys, tri_file):
         code, _, err = run(capsys, "verify", tri_file, "--dense-limit", "2")

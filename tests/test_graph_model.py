@@ -180,6 +180,62 @@ class TestReferenceParity:
         assert_parses_like_reference(text)
         assert_parses_like_reference(text.encode("utf-8"))
 
+    @pytest.mark.parametrize("raw, pairs", [
+        (b"09223372036854775807 0\n", [[2**63 - 1, 0]]),
+        (b"1 9223372036854775807", [[1, 2**63 - 1]]),
+        # more than 19 digits, below 2**63
+        (b"000000000000000000000000000007 8\n", [[7, 8]]),
+        (b"00000000009223372036854775807\t3\n\n4 0000000000000000000000\n",
+         [[2**63 - 1, 3], [4, 0]]),
+    ])
+    def test_fast_reader_keeps_labels_at_the_int64_limit(self, raw, pairs):
+        # np.fromstring clamps at 2**63 - 1, so that value is checked on its text
+        from lumprank.graph import _fast_pairs
+
+        assert _fast_pairs(raw).tolist() == pairs
+        assert_parses_like_reference(raw)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\n3", "line 2: expected two node labels, got '3'"),
+        ("1 2\n3 4 5\n", "line 2: expected two node labels, got '3 4 5'"),
+        # an even count of labels, not two on each line
+        ("1 2 3 4\n", "line 1: expected two node labels, got '1 2 3 4'"),
+        ("1\n2\n", "line 1: expected two node labels, got '1'"),
+        ("5 6\n\n1 2 3\n4\n", "line 3: expected two node labels, got '1 2 3'"),
+        ("9223372036854775808 1\n",
+         "line 1: node label too large (must be below 2**63) in '9223372036854775808 1'"),
+        ("1 2\n3 09223372036854775808\n",
+         "line 2: node label too large (must be below 2**63) in '3 09223372036854775808'"),
+        ("1 99999999999999999999999\n",
+         "line 1: node label too large (must be below 2**63) in '1 99999999999999999999999'"),
+    ])
+    def test_fast_reader_leaves_bad_lines_to_the_checked_one(self, text, message):
+        from lumprank.graph import _fast_pairs
+
+        assert _fast_pairs(text.encode("ascii")) is None
+        with pytest.raises(EdgeListParseError) as raised:
+            parse_edge_list(text.encode("ascii"))
+        assert str(raised.value) == message
+        assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize("offset", range(-2, 9))
+    def test_fast_reader_across_a_chunk_edge(self, offset):
+        # the line "123456 7" starts `offset` bytes before the first chunk
+        # edge, so the edge falls before it, on each of its bytes, or after it
+        from lumprank.graph import _CHUNK, _fast_pairs
+
+        q, r = divmod(_CHUNK - offset, 4)
+        head = "1 2\n" * q + " " * r
+        raw = (head + "123456 7\n8 9\n").encode("ascii")
+        assert _fast_pairs(raw).tolist() == [[1, 2]] * q + [[123456, 7], [8, 9]]
+        # three labels, then one, on the line that meets the edge
+        assert _fast_pairs((head + "123456 7 5\n").encode("ascii")) is None
+        assert _fast_pairs((head + "123456\n7 8\n").encode("ascii")) is None
+        # the clamp check finds the text of a label that meets the edge
+        assert _fast_pairs((head + f"{2**63 - 1} 7\n").encode("ascii"))[-1].tolist() == [
+            2**63 - 1, 7]
+        assert _fast_pairs((head + f"{2**63} 7\n").encode("ascii")) is None
+
     @pytest.mark.parametrize("text, fast", [
         ("05 1\n5 2\n", True), ("+5 1\n5 2\n", False), ("-0 1\n0 2\n", False)])
     def test_spellings_of_one_integer_name_one_node(self, text, fast):
