@@ -1,4 +1,7 @@
+import gc
 import inspect
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from lumprank import (
     parse_edge_list,
     solve_lumped,
 )
+from lumprank.cli import generate_edge_list
 from lumprank.decomposition import (
     ldu_factors,
     run_checks,
@@ -165,21 +169,33 @@ class TestStochasticComplement:
         assert abs(got - dev) <= 1e-15
 
 
+def coupled(pi, f):
+    """The (deviation, note) of one stationary vector."""
+    [row] = verify_coupled_stationarity(np.asarray(pi)[None], f)
+    return row
+
+
+def perturbed(pi):
+    bad = pi.copy()
+    bad[0] += 1e-3
+    return bad / bad.sum()
+
+
 class TestCoupledStationarity:
     def test_micro_instance_identities(self):
         Gt = micro_setup()
         pi = np.array([3 / 8, 5 / 16, 5 / 16])
-        rep = verify_coupled_stationarity(pi, ldu_factors(Gt, 2)[0], tol=1e-10)
-        assert rep.passed, rep.detail
-        assert "dangling from nondangling" in rep.detail
+        dev, note = coupled(pi, ldu_factors(Gt, 2)[0])
+        assert dev <= 1e-10, note
+        assert "dangling from nondangling" in note
 
     def test_random_graphs_with_direct_solve(self):
         rng = np.random.default_rng(44)
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
             pi = oracles.stationary(Gt)
-            rep = verify_coupled_stationarity(pi, ldu_factors(Gt, p.k)[0], tol=1e-8)
-            assert rep.passed, rep.detail
+            dev, note = coupled(pi, ldu_factors(Gt, p.k)[0])
+            assert dev <= 1e-8, note
 
     def test_recovered_ranking_satisfies_identities(self):
         # cross-module agreement: the sparse-pipeline ranking passes the
@@ -190,27 +206,45 @@ class TestCoupledStationarity:
             solved = solve_lumped(g, PageRankParams(alpha=params.alpha, v=params.v,
                                                     w=params.w, tol=1e-13))
             assert solved.converged
-            rep = verify_coupled_stationarity(solved.pagerank[p.perm], ldu_factors(Gt, p.k)[0],
-                                              tol=1e-8)
-            assert rep.passed, rep.detail
+            dev, note = coupled(solved.pagerank[p.perm], ldu_factors(Gt, p.k)[0])
+            assert dev <= 1e-8, note
 
-    def test_identities_through_z_and_w_match_direct_solves(self):
-        # (b) is pi2 Z and (c) is pi1 W, products with the cached blocks;
-        # each must equal the solve it stands for
+    def test_identities_match_direct_solves(self, monkeypatch):
+        # (b) is pi2 Z, a product with the cached block, and (c) is one
+        # solve with (I - G22)^T for every row; for an exact and a perturbed
+        # vector, each must equal the direct solve it stands for, and each
+        # row's deviation the largest gap from those solves
         rng = np.random.default_rng(47)
+        solved = []
+        solve = lumprank.decomposition._solve
+        monkeypatch.setattr(lumprank.decomposition, "_solve",
+                            lambda *a: solved.append(solve(*a)) or solved[-1])
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
             k = p.k
             f, _ = ldu_factors(Gt, k)
-            pi = oracles.stationary(Gt)
-            pi1, pi2 = pi[:k], pi[k:]
-            direct_b, direct_c = oracles.coupled_solves(Gt, k, pi)
-            assert np.abs(pi2 @ f.Z - direct_b).max() <= 1e-12
-            assert f.W is not None  # uniform v and w: every trailing row sums below 1
-            assert np.abs(pi1 @ f.W - direct_c).max() <= 1e-12
+            exact = oracles.stationary(Gt)
+            pis = np.stack([exact, perturbed(exact)])
+            solved.clear()
+            rows = verify_coupled_stationarity(pis, f)
+            # uniform v and w: every trailing row sums below 1, so (c) is solved
+            [X] = solved
+            assert X.shape == (g.n - k, 2)
+            for pi, x, (dev, note) in zip(pis, X.T, rows):
+                pi1, pi2 = pi[:k], pi[k:]
+                direct_b, direct_c = oracles.coupled_solves(Gt, k, pi)
+                assert np.abs(pi2 @ f.Z - direct_b).max() <= 1e-12
+                assert np.abs(x - direct_c).max() <= 1e-12
+                dev_c = float(np.abs(direct_c - pi2).max())
+                expected = max(float(np.abs(pi2 @ f.S - pi2).max()),
+                               float(np.abs(direct_b - pi1).max()), dev_c)
+                assert abs(dev - expected) <= 1e-12, note
+                printed = float(re.search(r"dangling from nondangling=(\S+)", note).group(1))
+                assert abs(printed - dev_c) <= 5e-4 * dev_c + 1e-12, note
 
-    def test_w_is_solved_once_per_factors(self, monkeypatch):
-        # the negative control's vector reuses the W of the first call
+    def test_two_rows_share_one_solve(self, monkeypatch):
+        # the negative control's vector is a second row of the same call,
+        # solved with the first in one np.linalg.solve
         rng = np.random.default_rng(48)
         g, params, H, p, Gt = dense_setup(rng)
         f, _ = ldu_factors(Gt, p.k)
@@ -219,18 +253,48 @@ class TestCoupledStationarity:
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solved.append(1) or solve(*a))
         pi = oracles.stationary(Gt)
         solved.clear()
-        for tol in (1e-8, 1e-6):
-            verify_coupled_stationarity(pi, f, tol=tol)
+        rows = verify_coupled_stationarity(np.stack([pi, perturbed(pi)]), f)
+        assert len(rows) == 2
         assert len(solved) == 1
+
+    def test_two_row_call_bounds_the_traced_peak(self):
+        # one two-row call holds (I - G22)^T, m^2 doubles, beside O(n) ones:
+        # the solve's right-hand side and result, m x r each, the diagonal's
+        # m entries and the r x m |X^T - P2| temporaries; (a) and (b) run
+        # after the solve, one vector at a time.  4 r n doubles bound them.
+        # Measured: 232,544 B, 9,432 B above m^2 doubles, of a 246,600 B
+        # bound.  On this graph the k x m matrix W = G12 (I - G22)^-1 alone
+        # is larger than the O(n) term, so a call that formed W would fail:
+        # one did, at 558,602 B
+        g = parse_edge_list(generate_edge_list(400, 0.5, 4, seed=3))
+        n = g.n
+        p = detect_dangling(build_hyperlink_matrix(g))
+        Gt = build_dense_google(g, PageRankParams.uniform(n), p)
+        k, m, r = p.k, n - p.k, 2
+        assert (n, k) == (367, 200)
+        f, _ = ldu_factors(Gt, k)
+        pi = oracles.stationary(Gt)
+        pis = np.stack([pi, perturbed(pi)])
+        assert k * m > 4 * r * n
+        bound = 8 * (m * m + 4 * r * n)
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = verify_coupled_stationarity(pis, f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rows[0][0] <= 1e-8 and rows[1][0] > 1e-6
+        assert peak <= bound, (peak, bound)
 
     def test_perturbed_vector_fails(self):
         rng = np.random.default_rng(46)
         g, params, H, p, Gt = dense_setup(rng)
-        pi = oracles.stationary(Gt)
-        pi[0] += 1e-3
-        pi /= pi.sum()
-        rep = verify_coupled_stationarity(pi, ldu_factors(Gt, p.k)[0], tol=1e-6)
-        assert not rep.passed
+        dev, note = coupled(perturbed(oracles.stationary(Gt)), ldu_factors(Gt, p.k)[0])
+        assert dev > 1e-6, note
 
     def test_unit_trailing_row_sums_skip_reported(self):
         # all teleport/dangling mass on the dangling node: u2^T e = 1, so the
@@ -241,14 +305,16 @@ class TestCoupledStationarity:
         p = detect_dangling(build_hyperlink_matrix(g))
         Gt = build_dense_google(g, params, p)
         pi = oracles.stationary(Gt)
-        rep = verify_coupled_stationarity(pi, ldu_factors(Gt, p.k)[0], tol=1e-10)
-        assert rep.passed, rep.detail
-        assert "skipped" in rep.detail
+        dev, note = coupled(pi, ldu_factors(Gt, p.k)[0])
+        assert dev <= 1e-10, note
+        assert "skipped" in note
 
     def test_length_mismatch_raises(self):
         f, _ = ldu_factors(micro_setup(), 2)
         with pytest.raises(ValueError, match="length 3"):
-            verify_coupled_stationarity(np.full(4, 0.25), f)
+            verify_coupled_stationarity(np.full((1, 4), 0.25), f)
+        with pytest.raises(ValueError, match="length 3"):  # one vector, not a row
+            verify_coupled_stationarity(np.full(3, 1 / 3), f)
 
 
 LAB = (lumprank.transforms, lumprank.decomposition)
