@@ -183,15 +183,31 @@ def build_dense_lumped(A: HyperlinkMatrix, p: DanglingPartition,
 
 
 def stationary_dense(M: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix by direct linear solve."""
+    """Stationary row vector of a stochastic matrix by direct linear solve.
+
+    Solves (I - M^T) x = 0 with its last equation replaced by the
+    normalization sum(x) = 1.  M is borrowed, not copied: the system's
+    transpose, I - M with its last column set to ones, is written into M
+    itself and factored through the view M.T, and M's entries are put back
+    bit for bit before return, also when the solve raises.  A read-only M
+    is copied first.
+    """
     M = np.asarray(M, dtype=np.float64)
+    if not M.flags.writeable:
+        M = M.copy()
     n = M.shape[0]
-    A = -M.T
-    A.flat[::n + 1] += 1.0  # I - M^T, the identity added in place
-    A[-1, :] = 1.0  # replace one redundant equation by the normalization
+    diag, last = M.diagonal().copy(), M[:, -1].copy()
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    return np.linalg.solve(A, rhs)
+    np.negative(M, out=M)  # exact, so negating again restores every entry
+    try:
+        M.flat[::n + 1] += 1.0  # I - M, the identity added in place
+        M[:, -1] = 1.0  # replace one redundant equation by the normalization
+        return np.linalg.solve(M.T, rhs)
+    finally:
+        np.negative(M, out=M)
+        M.flat[::n + 1] = diag
+        M[:, -1] = last
 
 
 def similarity_transform(Gt: np.ndarray, kind: TransformKind, k: int):
@@ -231,16 +247,26 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
                             seed: int = 0) -> list[CheckReport]:
     """Compare characteristic polynomials of the full matrix and each lumped block.
 
-    Evaluates det(lam I - Gt) against lam^(n-k-1) * det(lam I - G1) at three
-    fixed points {1.5, 2, 3} plus five seeded uniform draws from (1.1, 4.0),
-    all outside the unit spectral disk so neither side vanishes.  Both sides
-    are divided by lam^n, so the check compares det(I - Gt/lam) with
-    det(I - G1/lam).  Each determinant is a sign and log|det| from
-    ``np.linalg.slogdet``, and the comparison runs in that log space, which
-    equals the relative deviation for small discrepancies and cannot
-    overflow.  slogdet adds the n log-pivots in one running sum, which
-    rounds in proportion to its size; the scaling keeps it near 0 (unscaled,
-    log|det| ~ 1e3 at n = 1200 left ~2e-12 of rounding in the deviation).
+    Evaluates det(Gt - lam I) against (-lam)^(n-k-1) * det(G1 - lam I) at
+    three fixed points {1.5, 2, 3} plus five seeded uniform draws from
+    (1.1, 4.0), all outside the unit spectral disk so neither side
+    vanishes.  Each determinant is a sign and log|det| from
+    ``np.linalg.slogdet``, and the comparison runs in that log space: the
+    sign of the full side against (-1)^(n-k-1) times the lumped one, and
+    log|det(Gt - lam I)| against log|det(G1 - lam I)| + (n-k-1) log lam.
+    The log-space gap equals the relative deviation for small
+    discrepancies and cannot overflow, and determinants that agree exactly
+    read exactly 0.  slogdet adds the n log-pivots in one running sum,
+    which rounds in proportion to its size, about n log lam unscaled: on
+    1200-node graphs that leaves ~1e-12 to ~2e-12 of rounding in the
+    deviation and at n = 2000 ~4e-12, far below ``tol``.  Comparing
+    I - Gt/lam instead keeps the sum near 0 (~5e-14 at n = 1200), but
+    needs an n x n array beside Gt to hold it.
+
+    Every matrix is borrowed, not copied: its diagonal is shifted in place
+    for each sample point, the transposed view is factored, and the
+    diagonal is restored, bit for bit, before the next matrix is read, also
+    when a factorization raises.  A read-only matrix is copied first.
 
     ``lumped`` is an iterable of (k+1)-order blocks G1, and the result holds
     one report per block, in order.  The n x n determinants are computed
@@ -254,36 +280,50 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
         raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
     rng = default_rng(seed)
     lams = np.concatenate([[1.5, 2.0, 3.0], rng.uniform(1.1, 4.0, size=5)])
-    finite = bool(np.isfinite(Gt).all())
-    full = []
-    shifted = np.empty((n, n))  # I - Gt/lam, refilled for each lam
-    for lam in lams if finite else ():
-        np.divide(Gt, -lam, out=shifted)
-        shifted.flat[::n + 1] += 1.0
-        full.append(np.linalg.slogdet(shifted))
-    del shifted  # freed before the lumped side allocates its own
+
+    def slogdets(X):
+        """slogdet(X - lam I) for every lam, X's diagonal restored after."""
+        diag = X.diagonal().copy()
+        out = []
+        try:
+            for lam in lams:
+                X.flat[::X.shape[0] + 1] = diag - lam
+                # det(X^T) = det(X), and for a C-ordered X the transposed view
+                # is Fortran-ordered, so LAPACK's working copy is a memcpy
+                out.append(np.linalg.slogdet(X.T))
+        finally:
+            X.flat[::X.shape[0] + 1] = diag
+        return out
+
+    # max|.| is finite exactly when every entry is; np.isfinite would hold
+    # an n x n mask
+    finite = bool(np.isfinite(_absmax(Gt)))
+    if finite and not Gt.flags.writeable:
+        Gt = Gt.copy()
+    full = slogdets(Gt) if finite else []
+    j = n - k - 1  # the power of -lam that the lumped side lacks
 
     reports = []
-    small = np.empty((k + 1, k + 1))  # I - G1/lam, refilled for each block and lam
     for G1 in lumped:
         G1 = np.asarray(G1, dtype=np.float64)
         if G1.shape != (k + 1, k + 1):
             raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
-        if not (finite and np.isfinite(G1).all()):
+        if not (finite and np.isfinite(_absmax(G1))):
             reports.append(CheckReport(passed=False, max_abs_deviation=np.inf,
                                        detail=f"seed={seed}; non-finite matrix entries"))
             continue
+        if not G1.flags.writeable:
+            G1 = G1.copy()
         worst = 0.0
         worst_lam = float(lams[0])
-        for lam, (s_full, ld_full) in zip(lams, full):
-            np.divide(G1, -lam, out=small)
-            small.flat[::k + 2] += 1.0
-            s_lump, ld_lump = np.linalg.slogdet(small)
+        for lam, (s_full, ld_full), (s_lump, ld_lump) in zip(lams, full, slogdets(G1)):
             if s_full == s_lump == 0.0:
                 rel = 0.0  # both sides exactly singular: the determinants agree
             else:
                 # |d1 - d2| / max(|d1|, |d2|) with determinants kept in log
                 # space; 1 when only one side is singular
+                s_lump *= (-1.0) ** j
+                ld_lump += j * np.log(lam)
                 rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))
             if rel > worst or np.isnan(rel):  # a NaN deviation stays the worst
                 worst, worst_lam = float(rel), float(lam)

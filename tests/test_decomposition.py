@@ -14,6 +14,7 @@ from lumprank import (
     build_hyperlink_matrix,
     detect_dangling,
     parse_edge_list,
+    permute_blocks,
     solve_lumped,
 )
 from lumprank.cli import generate_edge_list
@@ -25,6 +26,9 @@ from lumprank.decomposition import (
 )
 from lumprank.transforms import (
     build_dense_google,
+    build_dense_lumped,
+    check_spectrum_identity,
+    stationary_dense,
 )
 
 
@@ -98,6 +102,20 @@ class TestLduFactors:
         M = np.eye(2)
         with pytest.raises(np.linalg.LinAlgError):
             ldu_factors(M, 1)
+
+    @pytest.mark.parametrize("block", ["G12", "G21", "G22"])
+    def test_nan_in_an_off_leading_block_is_a_nan_deviation(self, block):
+        # a NaN in G12 or G21 makes the solves non-finite, which raise; in
+        # G22 the solves succeed, and the NaN must reach the deviation, so
+        # that run_checks fails the row (Python's max over the block
+        # deviations drops a NaN that is not first: it read 0.0 here)
+        Gt = np.full((4, 4), 0.25)
+        Gt[{"G12": (0, 3), "G21": (3, 0), "G22": (3, 3)}[block]] = np.nan
+        if block == "G22":
+            assert np.isnan(ldu_factors(Gt, 2)[1])
+        else:
+            with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+                ldu_factors(Gt, 2)
 
     def test_nearly_singular_leading_block_raises(self):
         # I - G11 = [[1, 1], [1, 1 + 1e-13]]: not exactly singular, but the
@@ -258,14 +276,16 @@ class TestCoupledStationarity:
         assert len(solved) == 1
 
     def test_two_row_call_bounds_the_traced_peak(self):
-        # one two-row call holds (I - G22)^T, m^2 doubles, beside O(n) ones:
-        # the solve's right-hand side and result, m x r each, the diagonal's
-        # m entries and the r x m |X^T - P2| temporaries; (a) and (b) run
-        # after the solve, one vector at a time.  4 r n doubles bound them.
-        # Measured: 232,544 B, 9,432 B above m^2 doubles, of a 246,600 B
-        # bound.  On this graph the k x m matrix W = G12 (I - G22)^-1 alone
-        # is larger than the O(n) term, so a call that formed W would fail:
-        # one did, at 558,602 B
+        # one two-row call holds O(n) arrays: the solve's right-hand side
+        # and result, m x r each, the diagonal's m entries and the r x m
+        # |X^T - P2| temporaries; (a) and (b) run after the solve, one
+        # vector at a time.  4 r n doubles bound them.  The bound also
+        # admits m^2 doubles, the (I - G22)^T that the call formed as a new
+        # array before it borrowed G22 (TestBorrowedMemory bounds the
+        # borrowing).  Measured: 139,832 B, most of it numpy's two fixed
+        # ufunc buffers, of a 246,600 B bound.  On this graph the k x m
+        # matrix W = G12 (I - G22)^-1 alone is larger than the bound, so a
+        # call that formed W would fail: one did, at 558,602 B
         g = parse_edge_list(generate_edge_list(400, 0.5, 4, seed=3))
         n = g.n
         p = detect_dangling(build_hyperlink_matrix(g))
@@ -317,12 +337,140 @@ class TestCoupledStationarity:
             verify_coupled_stationarity(np.full(3, 1 / 3), f)
 
 
+def coupled_cases():
+    """(name, Gt, k, pis) for each path of verify_coupled_stationarity: (c)
+    solved, skipped for a unit trailing row sum, and skipped for an
+    I - G22 singular to working precision below that rule."""
+    g, params, H, p, Gt = dense_setup(np.random.default_rng(50))
+    pi = oracles.stationary(Gt)
+    yield "solved", Gt, p.k, np.stack([pi, perturbed(pi)])
+    for name, text, v in [
+            ("unit row sums", "1 2\n1 3\n2 1\n", [0.0, 0.0, 1.0]),
+            ("singular", "1 2\n2 1\n1 3\n2 4\n", [5e-12, 5e-12, 0.499999999995, 0.499999999995])]:
+        g = parse_edge_list(text)
+        v = np.array(v)
+        p = detect_dangling(build_hyperlink_matrix(g))
+        Gt = build_dense_google(g, PageRankParams(alpha=0.85, v=v, w=v.copy()), p)
+        yield name, Gt, p.k, oracles.stationary(Gt)[None]
+
+
+class TestBorrowedTrailingBlock:
+    """verify_coupled_stationarity solves with I - G22 written into the view
+    f.G22 of G~ and puts back every entry of G~ bit for bit."""
+
+    @pytest.mark.parametrize("case", ["solved", "unit row sums", "singular"])
+    def test_every_path_restores_the_matrix(self, case):
+        [(_, Gt, k, pis)] = [c for c in coupled_cases() if c[0] == case]
+        f, _ = ldu_factors(Gt, k)
+        Gt_before = Gt.copy()
+        rows = verify_coupled_stationarity(pis, f)
+        assert np.array_equal(Gt, Gt_before)
+        notes = {"solved": "dangling from nondangling=",
+                 "unit row sums": "skipped (trailing block has unit row sums)",
+                 "singular": "skipped (I minus the trailing block is singular"}
+        assert notes[case] in rows[0][1]
+        # a read-only G~ gives read-only views, which are copied, not borrowed
+        Gt.setflags(write=False)
+        assert verify_coupled_stationarity(pis, ldu_factors(Gt, k)[0]) == rows
+
+    def test_factors_the_formed_transpose(self, monkeypatch):
+        # the matrix solved is (I - G22)^T as a new array would hold it, to
+        # the last bit, so the solution is unchanged by the borrowing
+        [(_, Gt, k, pis)] = [c for c in coupled_cases() if c[0] == "solved"]
+        f, _ = ldu_factors(Gt, k)
+        m = Gt.shape[0] - k
+        formed = -Gt[k:, k:].T
+        formed.flat[::m + 1] += 1.0
+        seen = []
+        solve = lumprank.decomposition._solve
+        monkeypatch.setattr(lumprank.decomposition, "_solve",
+                            lambda A, B, what: seen.append((A.copy(), solve(A, B, what)))
+                            or seen[-1][1])
+        verify_coupled_stationarity(pis, f)
+        [(A, X)] = seen
+        assert np.array_equal(A, formed)
+        assert np.array_equal(X, np.linalg.solve(formed, f.G12.T @ pis[:, :k].T))
+
+
+class TestBorrowedMemory:
+    def test_borrowing_checks_allocate_under_a_tenth_of_n_squared(self):
+        # each check factors the arrays it is given, so beyond its inputs it
+        # holds O(n) vectors and numpy's fixed 8192-double ufunc buffers
+        # (the in-place negation of the strided G22 takes two), under
+        # 0.1 n^2 doubles at n = 503 (measured: 0.008, 0.011 and 0.069).
+        # tracemalloc does not see LAPACK's work copies.  Forming
+        # I - Gt/lam, I - M^T or (I - G22)^T as new arrays took 1.01, 1.00
+        # and 0.21 n^2 here
+        g = parse_edge_list(generate_edge_list(550, 0.5, 4, seed=3))
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        n, k = g.n, p.k
+        assert (n, k) == (503, 275)
+        params = PageRankParams.uniform(n)
+        Gt = build_dense_google(g, params, p)
+        G1 = build_dense_lumped(permute_blocks(H, p), p, params)
+        f, _ = ldu_factors(Gt, k)
+        pi = oracles.stationary(Gt)
+        pis = np.stack([pi, perturbed(pi)])
+        calls = {"check_spectrum_identity": lambda: check_spectrum_identity(Gt, [G1], k),
+                 "stationary_dense": lambda: stationary_dense(Gt),
+                 "verify_coupled_stationarity": lambda: verify_coupled_stationarity(pis, f)}
+        peaks = {}
+        for name, call in calls.items():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call()
+                peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / (8 * n * n)
+            finally:
+                tracemalloc.stop()
+        assert all(peak < 0.1 for peak in peaks.values()), peaks
+
+
 LAB = (lumprank.transforms, lumprank.decomposition)
 # private helpers that compute one step of a check, not a check of their own
 HELPERS = {"_absmax", "_solve", "_apply_left", "_apply_right_inverse"}
 
 
 class TestRunChecks:
+    @pytest.mark.parametrize("negative_control", [False, True])
+    def test_every_borrowing_check_restores_the_matrices(self, monkeypatch, negative_control):
+        # G~ and the lumped block are factored in place by the checks that
+        # borrow them; after each such call both must be bit-identical to
+        # what was built (the negative control corrupts the lumped block on
+        # purpose, so there only G~ is compared)
+        g, params, H, p, Gt = dense_setup(np.random.default_rng(51))
+        built = []
+
+        def keep(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                built.append((out, out.copy()))
+                return out
+            return wrapper
+
+        def compare_after(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                for M, before in built[:1 if negative_control else 2]:
+                    assert np.array_equal(M, before), name
+                called.append(name)
+                return out
+            return wrapper
+
+        called = []
+        mod = lumprank.decomposition
+        for name in ("build_dense_google", "build_dense_lumped"):
+            monkeypatch.setattr(mod, name, keep(getattr(mod, name)))
+        for name in ("check_spectrum_identity", "stationary_dense",
+                     "verify_coupled_stationarity"):
+            monkeypatch.setattr(mod, name, compare_after(name, getattr(mod, name)))
+        rows = run_checks(g, params, negative_control=negative_control)
+        assert len(built) == 2 and len(called) == 3
+        assert [status for status, *_ in rows].count("PASS") == 14
+
     def test_reaches_every_public_function_and_no_private_check(self, monkeypatch):
         # the lab's public functions are what the tests test; run_checks
         # must call each of them, and no private function other than the

@@ -530,20 +530,109 @@ class TestStationaryDense:
         g, params, H, p, Gt, _ = dense_setup(rng)
         Gt_before = Gt.copy()
         pi = stationary_dense(Gt)
-        assert np.array_equal(Gt, Gt_before)  # only its own copy is factored in place
+        assert np.array_equal(Gt, Gt_before)  # borrowed, and restored bit for bit
         pi_oracle = oracles.stationary(Gt)
         assert np.abs(pi - pi_oracle).max() <= 1e-12
         assert np.abs(pi @ Gt - pi).max() <= 1e-12
 
 
+class TestBorrowedInputs:
+    """check_spectrum_identity and stationary_dense factor the caller's own
+    arrays, modified in place, and put back every entry bit for bit."""
+
+    def test_spectrum_identity_restores_every_matrix(self):
+        rng = np.random.default_rng(33)
+        g, params, H, p, Gt, A = dense_setup(rng)
+        G1 = build_dense_lumped(A, p, params)
+        Gt_before, G1_before = Gt.copy(), G1.copy()
+        [rep] = check_spectrum_identity(Gt, [G1], p.k)
+        assert rep.passed
+        assert np.array_equal(Gt, Gt_before) and np.array_equal(G1, G1_before)
+
+    @pytest.mark.parametrize("G, G1, k", [
+        (np.diag([2.0, 0, 0]), np.diag([2.5, 0]), 1),  # only one side singular at lambda 2
+        (np.diag([2.0, np.nan, 0]), np.diag([2.0, 0]), 1),
+        (np.diag([2.0, 0, 0]), np.diag([np.inf, 0]), 1),
+    ])
+    def test_failing_paths_restore_every_matrix(self, G, G1, k):
+        G_before, G1_before = G.copy(), G1.copy()
+        [rep] = check_spectrum_identity(G, [G1], k)
+        assert not rep.passed
+        assert np.array_equal(G, G_before, equal_nan=True)
+        assert np.array_equal(G1, G1_before, equal_nan=True)
+
+    def test_generator_takes_each_block_back_restored(self):
+        # a generator that alters a block after its report finds it as it
+        # yielded it, and the caller gets the altered block back
+        rng = np.random.default_rng(34)
+        g, params, H, p, Gt, A = dense_setup(rng)
+        G1 = build_dense_lumped(A, p, params)
+        Gt_before = Gt.copy()
+        corrupted = []
+
+        def blocks():
+            built = G1.copy()
+            yield G1
+            assert np.array_equal(G1, built)
+            G1[0, 0] += 0.1
+            corrupted.append(G1.copy())
+            yield G1
+            assert np.array_equal(G1, corrupted[0])
+
+        good, bad = check_spectrum_identity(Gt, blocks(), p.k)
+        assert good.passed and not bad.passed
+        assert np.array_equal(G1, corrupted[0]) and np.array_equal(Gt, Gt_before)
+
+    def test_read_only_inputs_give_the_same_reports(self):
+        rng = np.random.default_rng(35)
+        g, params, H, p, Gt, A = dense_setup(rng)
+        G1 = build_dense_lumped(A, p, params)
+        bad = G1.copy()
+        bad[0, 0] += 0.1
+        expected = check_spectrum_identity(Gt, [G1, bad], p.k)
+        for M in (Gt, G1, bad):
+            M.setflags(write=False)
+        assert check_spectrum_identity(Gt, [G1, bad], p.k) == expected
+
+    def test_stationary_dense_solves_the_formed_system_exactly(self):
+        # the borrowed system is the one formed in a new array, I - M^T with
+        # its last row set to ones, to the last bit, and so is its solution
+        rng = np.random.default_rng(36)
+        for _ in range(4):
+            g, params, H, p, Gt, A = dense_setup(rng)
+            for M in (Gt, build_dense_lumped(A, p, params)):
+                n = M.shape[0]
+                M_before = M.copy()
+                system = -M.T
+                system.flat[::n + 1] += 1.0
+                system[-1] = 1.0
+                rhs = np.zeros(n)
+                rhs[-1] = 1.0
+                pi = stationary_dense(M)
+                assert np.array_equal(M, M_before)
+                assert np.array_equal(pi, np.linalg.solve(system, rhs))
+                M.setflags(write=False)
+                assert np.array_equal(stationary_dense(M), pi)
+
+    def test_stationary_dense_restores_a_matrix_whose_solve_raises(self):
+        # the identity chain: every equation of I - M^T is 0, so the system
+        # with the normalization is singular
+        M = np.eye(3)
+        with pytest.raises(np.linalg.LinAlgError):
+            stationary_dense(M)
+        assert np.array_equal(M, np.eye(3))
+
+
 class TestLuSlogdet:
     """The spectrum check's determinants: numpy's LU log-determinants of
-    I - Gt/lam, filled for every sample point into one reused n x n buffer."""
+    Gt - lam I, the diagonal shifted in place for every sample point."""
 
     @pytest.mark.parametrize("n", [1, 2, 50, 300])
     def test_matches_numpy_slogdet(self, n):
-        # the buffered full side against slogdet of freshly formed matrices,
-        # at the documented sample points, with negative determinants present
+        # the in-place shifted full side against slogdet of freshly formed
+        # matrices, at the documented sample points, with negative
+        # determinants present; both factor the transpose, since LU of a
+        # matrix and of its transpose round differently (~1e-12 at n = 300)
         rng = np.random.default_rng(60 + n)
         cases = [rng.standard_normal((n, n)) for _ in range(6)]
         cases += [A[::-1].copy() for A in cases[:3]]  # rows reversed
@@ -554,7 +643,7 @@ class TestLuSlogdet:
             B = cases[(i + 1) % len(cases)] if i % 2 else A + 1e-6 * np.outer(A[0], A[:, 0])
             worst = 0.0
             for lam in lams:
-                (s1, l1), (s2, l2) = (np.linalg.slogdet(np.eye(n) - M / lam) for M in (A, B))
+                (s1, l1), (s2, l2) = (np.linalg.slogdet((M - lam * np.eye(n)).T) for M in (A, B))
                 signs.add(s1)
                 top = max(l1, l2)
                 worst = max(worst, abs(s1 * np.exp(l1 - top) - s2 * np.exp(l2 - top)))
