@@ -54,7 +54,7 @@ class BlockFactors:
     and U = [[I, -Y], [0, I]], where D11 = I - G11, Y = D11^-1 G12,
     Z = G21 D11^-1 and S = G22 + Z G12, the stochastic complement of the
     trailing block.  No n x n factor is formed.  G12, G21 and G22 are views
-    of G~, and :func:`verify_coupled_stationarity` borrows G22's memory.
+    of G~, and :func:`dangling_from_nondangling` borrows G22's memory.
     Only the reconstruction check of :func:`ldu_factors` reads D11 and Y,
     so a caller may set both to None once it has the deviation.
     """
@@ -76,15 +76,16 @@ class BlockFactors:
 def ldu_factors(Gt: np.ndarray, k: int) -> tuple[BlockFactors, float]:
     """Block LDU factors of I - G~ split at k, and max|L D U - (I - G~)|.
 
-    D11 = I - G11 is solved once for Y and once, transposed, for Z.  The
-    deviation is computed from the returned factors' own blocks, block by
-    block: L D U = [[D11, -D11 Y], [-Z D11, Z D11 Y + I - S]].  The unit and
-    zero blocks of L and U are exact by this construction, and the leading
-    block is D11 = I - G11 itself, so the other three blocks hold the whole
-    deviation: about 2k(n-k)(n+k) flops instead of the dense 4n^3.  The
-    identities in the trailing block cancel, so it is compared as
-    (Z D11) Y - S + G22.  Each block is compared 64 rows at a time, so no
-    product of order n-k, nor of shape k x (n-k), is held.
+    D11 = I - G11 is solved once for Y and then once, transposed, for Z,
+    and S is formed last.  The deviation is computed from the returned
+    factors' own blocks, block by block: L D U = [[D11, -D11 Y], [-Z D11,
+    Z D11 Y + I - S]].  The unit and zero blocks of L and U are exact by
+    this construction, and the leading block is D11 = I - G11 itself, so
+    the other three blocks hold the whole deviation: about 2k(n-k)(n+k)
+    flops instead of the dense 4n^3.  The identities in the trailing block
+    cancel, so it is compared as (Z D11) Y - S + G22.  Each block is
+    compared 64 rows at a time, so no product of order n-k, nor of shape
+    k x (n-k), is held.
 
     The leading block I - G11 is nonsingular whenever the damping factor is
     below 1; a singular leading block raises LinAlgError.
@@ -101,12 +102,12 @@ def ldu_factors(Gt: np.ndarray, k: int) -> tuple[BlockFactors, float]:
     D11 = Gt[:k, :k].copy()
     np.negative(D11, out=D11)
     D11.flat[::k + 1] += 1.0
-    # Z and S before Y: the later solve's work copy then lands where Y and
-    # D11 are freed after the deviation, and verify's peak RSS is ~2 MB lower
+    # Y before Z and S: its solve's work copies are then taken while D11 is
+    # the only factor alive, and verify's peak RSS is ~2 MB lower
+    Y = _solve(D11, G12, "I minus the leading block")
     Z = _solve(D11.T, G21.T, "I minus the leading block").T
     S = Z @ G12
     S += G22
-    Y = _solve(D11, G12, "I minus the leading block")
     f = BlockFactors(k=k, D11=D11, Y=Y, Z=Z, S=S, G12=G12, G21=G21, G22=G22)
     del D11, Y, Z, S  # the deviation reads the blocks that the caller gets
 
@@ -119,6 +120,7 @@ def ldu_factors(Gt: np.ndarray, k: int) -> tuple[BlockFactors, float]:
         D11Y = f.D11[rows] @ f.Y
         D11Y -= f.G12[rows]
         devs.append(_absmax(D11Y))
+    del D11Y  # the trailing rows hold their own two blocks
     for i in range(0, n - k, _ROW_BLOCK):
         rows = slice(i, i + _ROW_BLOCK)
         ZD11 = f.Z[rows] @ f.D11
@@ -142,7 +144,48 @@ def stochastic_complement(f: BlockFactors) -> float:
     return max(float(np.abs(S.sum(axis=1) - 1.0).max()), float(max(-S.min(), 0.0)))
 
 
-def verify_coupled_stationarity(pis: np.ndarray, f: BlockFactors) -> list[tuple[float, str]]:
+def dangling_from_nondangling(pis: np.ndarray, G12: np.ndarray,
+                              G22: np.ndarray) -> tuple[np.ndarray | None, str]:
+    """Identity (c) of :func:`verify_coupled_stationarity` for each row of
+    ``pis``: the dangling part equals the nondangling part pushed through
+    G12 (I-G22)^-1, that is the solve of (I-G22)^T x = G12^T pi1.
+
+    It reads only the blocks G12 and G22 of G~, so a caller may check it
+    before the block factors exist.  (c) needs I - G22 nonsingular; it is
+    skipped when the trailing block has a row sum at 1 within 1e-12 or when
+    I - G22 is singular to working precision.  (I - G22)^T is solved once
+    for every row's right-hand side, and it is not copied: I - G22 is
+    written into the view ``G22``, that is into G~ itself, and factored
+    through its transpose, and G22 is restored bit for bit before return,
+    also when the solve raises.  A read-only G22 is copied first.  Returns
+    the deviation max|x - pi2| of each row, or None with the reason (c) was
+    skipped.
+    """
+    k, m = G12.shape
+    pis = np.asarray(pis, dtype=np.float64)
+    if pis.ndim != 2 or pis.shape[1] != k + m:
+        raise ValueError(f"expected stationary vectors as rows of length {k + m}, "
+                         f"got shape {pis.shape}")
+    if not G22.sum(axis=1).max() < 1.0 - 1e-12:  # a NaN row sum skips too
+        return None, "trailing block has unit row sums"
+    A = G22 if G22.flags.writeable else G22.copy()
+    diag = A.diagonal().copy()
+    B = G12.T @ pis[:, :k].T
+    np.negative(A, out=A)  # exact, so negating again restores every entry
+    try:
+        A.flat[::m + 1] += 1.0  # I - G22, the identity added in place
+        X = _solve(A.T, B, "I minus the trailing block")
+    except np.linalg.LinAlgError as exc:
+        return None, str(exc)
+    finally:
+        np.negative(A, out=A)
+        A.flat[::m + 1] = diag
+    return np.abs(X.T - pis[:, k:]).max(axis=1), ""
+
+
+def verify_coupled_stationarity(pis: np.ndarray, f: BlockFactors,
+                                dangling: tuple[np.ndarray | None, str],
+                                ) -> list[tuple[float, str]]:
     """Check the three identities binding the block parts of each stationary
     vector, one per row of ``pis``.
 
@@ -150,42 +193,23 @@ def verify_coupled_stationarity(pis: np.ndarray, f: BlockFactors) -> list[tuple[
     (b) the nondangling part equals the dangling part pushed through
         G21 (I-G11)^-1, that is pi2 Z;
     (c) the dangling part equals the nondangling part pushed through
-        G12 (I-G22)^-1, that is the solve of (I-G22)^T x = G12^T pi1.
+        G12 (I-G22)^-1: ``dangling`` is the result of
+        :func:`dangling_from_nondangling` for the same rows, which needs
+        only G12 and G22, so a caller may check (c) before the factors
+        exist.  A skipped (c) has its reason in the note.
 
-    (c) needs I - G22 nonsingular; it is skipped, with its reason in the
-    note, when the trailing block has a row sum at 1 within 1e-12 or when
-    I - G22 is singular to working precision.  (I - G22)^T is solved once
-    for every row's right-hand side, and it is not copied: I - G22 is
-    written into the view ``f.G22``, that is into G~ itself, and factored
-    through its transpose, and G22 is restored bit for bit before return,
-    also when the solve raises.  A read-only G22 is copied first.  Returns one
-    ``(deviation, note)`` per row, the deviation the largest of the
-    identities checked; the caller owns the threshold.
+    Returns one ``(deviation, note)`` per row, the deviation the largest of
+    the identities checked; the caller owns the threshold.
     """
     pis = np.asarray(pis, dtype=np.float64)
     if pis.ndim != 2 or pis.shape[1] != f.n:
         raise ValueError(f"expected stationary vectors as rows of length {f.n}, "
                          f"got shape {pis.shape}")
     P1, P2 = pis[:, :f.k], pis[:, f.k:]
-
-    dev_c, skipped = None, "trailing block has unit row sums"
-    if f.G22.sum(axis=1).max() < 1.0 - 1e-12:
-        A = f.G22 if f.G22.flags.writeable else f.G22.copy()
-        m = A.shape[0]
-        diag = A.diagonal().copy()
-        B = f.G12.T @ P1.T
-        np.negative(A, out=A)  # exact, so negating again restores every entry
-        try:
-            A.flat[::m + 1] += 1.0  # I - G22, the identity added in place
-            X = _solve(A.T, B, "I minus the trailing block")
-        except np.linalg.LinAlgError as exc:
-            skipped = str(exc)
-        else:
-            dev_c = np.abs(X.T - P2).max(axis=1)
-        finally:
-            np.negative(A, out=A)
-            A.flat[::m + 1] = diag
-        del A
+    dev_c, skipped = dangling
+    if dev_c is not None and len(dev_c) != len(pis):
+        raise ValueError(f"identity (c) was checked for {len(dev_c)} rows, "
+                         f"expected {len(pis)}")
 
     out = []
     for i, (pi1, pi2) in enumerate(zip(P1, P2)):
@@ -273,6 +297,18 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
 
         pi_t = stationary_dense(Gt)  # solved before the factors exist
+        # the negative control's perturbed vector is the second row, so
+        # both vectors share the one solve with (I - G22)^T
+        pis = pi_t[None]
+        if negative_control:
+            bad_pi = pi_t.copy()
+            bad_pi[0] += 1e-3
+            bad_pi /= bad_pi.sum()
+            pis = np.stack([pi_t, bad_pi])
+        # identity (c) reads only G12, G22 and the vectors: its solve's work
+        # copy is taken while G~ is the only large array alive.  A singular
+        # leading block then skips the coupled row and wastes this one solve
+        dangling = dangling_from_nondangling(pis, Gt[:k, k:], Gt[k:, k:])
         try:
             factors, dev_ldu = ldu_factors(Gt, k)
         except np.linalg.LinAlgError as exc:
@@ -282,22 +318,15 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
             skip("stochastic_complement_rows", no_factors)
             skip("coupled_stationarity", no_factors)
         else:
-            # no later check reads D11 and Y; the coupled solve reuses their memory
+            # no later check reads D11 and Y; freed, they leave the complement
+            # and coupled checks a lower peak
             factors.D11 = factors.Y = None
             emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
 
             dev_rows = stochastic_complement(factors)
             emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
 
-            # the negative control's perturbed vector is the second row, so
-            # both vectors share the one solve with (I - G22)^T
-            pis = pi_t[None]
-            if negative_control:
-                bad_pi = pi_t.copy()
-                bad_pi[0] += 1e-3
-                bad_pi /= bad_pi.sum()
-                pis = np.stack([pi_t, bad_pi])
-            (dev, note), *perturbed = verify_coupled_stationarity(pis, factors)
+            (dev, note), *perturbed = verify_coupled_stationarity(pis, factors, dangling)
             emit("coupled_stationarity", dev <= 1e-8, dev, note)
     else:
         skip("lumpable_dangling_to_nondangling", "partition has an empty block")

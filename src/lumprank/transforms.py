@@ -7,14 +7,12 @@ checks of the sparse pipeline, guarded by a configurable size cap.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from random import Random
 
 import numpy as np
-# loaded with the lab, not on the first draw: an import in the middle of a
-# run leaves its long-lived allocations among the freed dense blocks, and
-# the next n x n buffer then takes fresh pages
-from numpy.random import default_rng
 
 from .graph import HyperlinkMatrix, PageRankParams, WebGraph, build_hyperlink_matrix
 from .lumping import DanglingPartition
@@ -118,8 +116,12 @@ def verify_transform_condition(kind: TransformKind, m: int,
     compute X L^-1.  L^-1 e1 = e follows from L e = e1.  A NaN anywhere
     makes the deviation NaN.  Failures are reported, never raised.
     """
-    L = build_transform(kind, m)
+    if m < 1:
+        raise ValueError(f"transform order must be >= 1, got {m}")
+    # L is built once left(I) is in, whose identity is then freed: at most
+    # two order-m matrices are alive at once
     left = _apply_left(kind, np.eye(m))
+    L = build_transform(kind, m)
     left -= L
     dev_left = _absmax(left)
     del left
@@ -248,9 +250,13 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
     """Compare characteristic polynomials of the full matrix and each lumped block.
 
     Evaluates det(Gt - lam I) against (-lam)^(n-k-1) * det(G1 - lam I) at
-    three fixed points {1.5, 2, 3} plus five seeded uniform draws from
-    (1.1, 4.0), all outside the unit spectral disk so neither side
-    vanishes.  Each determinant is a sign and log|det| from
+    three fixed points {1.5, 2, 3} plus five draws of
+    ``random.Random(seed).uniform(1.1, 4.0)``, all outside the unit spectral
+    disk so neither side vanishes; a negative seed raises ValueError, as
+    ``Random`` would draw seed |seed|'s points.  The standard library's generator is
+    already loaded by ``import numpy``; numpy.random would load ten modules
+    and hashlib with OpenSSL, ~5.5 MB of resident memory, for five numbers.
+    Each determinant is a sign and log|det| from
     ``np.linalg.slogdet``, and the comparison runs in that log space: the
     sign of the full side against (-1)^(n-k-1) times the lumped one, and
     log|det(Gt - lam I)| against log|det(G1 - lam I)| + (n-k-1) log lam.
@@ -278,8 +284,11 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
     n = Gt.shape[0]
     if Gt.shape != (n, n):
         raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
-    rng = default_rng(seed)
-    lams = np.concatenate([[1.5, 2.0, 3.0], rng.uniform(1.1, 4.0, size=5)])
+    seed = operator.index(seed)
+    if seed < 0:  # Random seeds from |seed|, so -s would repeat seed s
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = Random(seed)
+    lams = [1.5, 2.0, 3.0] + [rng.uniform(1.1, 4.0) for _ in range(5)]
 
     def slogdets(X):
         """slogdet(X - lam I) for every lam, X's diagonal restored after."""
@@ -314,8 +323,7 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
             continue
         if not G1.flags.writeable:
             G1 = G1.copy()
-        worst = 0.0
-        worst_lam = float(lams[0])
+        worst, worst_lam = 0.0, lams[0]
         for lam, (s_full, ld_full), (s_lump, ld_lump) in zip(lams, full, slogdets(G1)):
             if s_full == s_lump == 0.0:
                 rel = 0.0  # both sides exactly singular: the determinants agree
@@ -326,7 +334,7 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
                 ld_lump += j * np.log(lam)
                 rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))
             if rel > worst or np.isnan(rel):  # a NaN deviation stays the worst
-                worst, worst_lam = float(rel), float(lam)
+                worst, worst_lam = float(rel), lam
         reports.append(CheckReport(
             passed=worst <= tol, max_abs_deviation=worst,
             detail=f"seed={seed}; worst relative deviation at lambda={worst_lam:.6g}",
@@ -352,7 +360,8 @@ def check_lumpable(M: np.ndarray, boundaries, tol: float = 1e-10,
     for a, b in zip(cuts, cuts[1:]):
         if not a < b:
             raise ValueError(f"boundaries must be strictly increasing inside (0, {n}): {boundaries}")
-    if not np.isfinite(M).all() or np.abs(M.sum(axis=1) - 1.0).max() > tol:
+    # max|.| is finite exactly when every entry is, with no n x n mask
+    if not np.isfinite(_absmax(M)) or np.abs(M.sum(axis=1) - 1.0).max() > tol:
         raise ValueError("matrix is not row-stochastic within tol")
 
     nblocks = len(cuts) - 1

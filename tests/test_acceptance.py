@@ -25,6 +25,7 @@ from lumprank import (
 )
 from lumprank.cli import generate_edge_list
 from lumprank.decomposition import (
+    dangling_from_nondangling,
     ldu_factors,
     run_checks,
     stochastic_complement,
@@ -177,7 +178,9 @@ def test_c6_decomposition_identities_and_negative_controls(graph_set):
         complement_ok &= stochastic_complement(f) <= 1e-10
         worst_rows = max(worst_rows, float(np.abs(f.S.sum(axis=1) - 1.0).max()))
         sigma = oracles.stationary(build_dense_lumped(permute_blocks(H, p), p, params))
-        [(dev, _)] = verify_coupled_stationarity(recover_pagerank(sigma, H, p, params)[None], f)
+        pis = recover_pagerank(sigma, H, p, params)[None]
+        [(dev, _)] = verify_coupled_stationarity(
+            pis, f, dangling_from_nondangling(pis, f.G12, f.G22))
         coupled_ok &= dev <= 1e-8
         worst_coupled = max(worst_coupled, dev)
 
@@ -187,7 +190,9 @@ def test_c6_decomposition_identities_and_negative_controls(graph_set):
     pi_bad = oracles.stationary(Gt)
     pi_bad[0] += 1e-3
     pi_bad /= pi_bad.sum()
-    [(dev, _)] = verify_coupled_stationarity(pi_bad[None], ldu_factors(Gt, p.k)[0])
+    f, _ = ldu_factors(Gt, p.k)
+    [(dev, _)] = verify_coupled_stationarity(
+        pi_bad[None], f, dangling_from_nondangling(pi_bad[None], f.G12, f.G22))
     control_coupled = dev > 1e-6
     G1_bad = direct_lumped_from_dense(Gt, p.k)
     G1_bad[0, 0] += 0.1

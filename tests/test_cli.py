@@ -26,6 +26,7 @@ from lumprank import (
 )
 from lumprank.cli import generate_edge_list, main
 from lumprank.decomposition import (
+    dangling_from_nondangling,
     ldu_factors,
     run_checks,
     stochastic_complement,
@@ -803,7 +804,9 @@ def public_path_checks(g, params, seed):
     bad_pi /= bad_pi.sum()
     # one call for both vectors, as verify makes it: the two rows share one
     # solve, whose rounding differs from a solve for one vector
-    (dev, note), (bad_dev, _) = verify_coupled_stationarity(np.stack([pi_t, bad_pi]), f)
+    pis = np.stack([pi_t, bad_pi])
+    (dev, note), (bad_dev, _) = verify_coupled_stationarity(
+        pis, f, dangling_from_nondangling(pis, f.G12, f.G22))
     emit("coupled_stationarity", dev <= 1e-8, dev, note)
 
     bad = G1_direct.copy()
@@ -1028,6 +1031,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 record("verify", code)
 print(json.dumps(steps))
 """
+
+
+# modules that numpy.random brings in (secrets loads hashlib, and hashlib
+# OpenSSL's _hashlib); verify needs none of them
+RANDOM_PROBE = r"""
+import contextlib, io, json, sys
+import numpy
+NAMES = ["numpy.random", "hashlib", "_hashlib", "secrets"]
+bare = [m for m in NAMES if m in sys.modules]
+from lumprank.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", sys.argv[1], "--negative-control"])
+print(json.dumps({"bare": bare, "code": code,
+                  "verify": [m for m in NAMES if m in sys.modules]}))
+"""
+
+
+class TestVerifyModules:
+    def test_verify_loads_no_numpy_random_or_hashlib(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", RANDOM_PROBE, str(path)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        probe = json.loads(proc.stdout)
+        if probe["bare"]:
+            pytest.skip(f"a bare import numpy already loads {probe['bare']} "
+                        f"(numpy {np.__version__} imports numpy.random eagerly)")
+        assert probe["code"] == 1
+        assert probe["verify"] == []
 
 
 class TestScipyFreePath:

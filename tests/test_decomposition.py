@@ -19,16 +19,20 @@ from lumprank import (
 )
 from lumprank.cli import generate_edge_list
 from lumprank.decomposition import (
+    dangling_from_nondangling,
     ldu_factors,
     run_checks,
     stochastic_complement,
     verify_coupled_stationarity,
 )
 from lumprank.transforms import (
+    TransformKind,
     build_dense_google,
     build_dense_lumped,
+    check_lumpable,
     check_spectrum_identity,
     stationary_dense,
+    verify_transform_condition,
 )
 
 
@@ -187,9 +191,15 @@ class TestStochasticComplement:
         assert abs(got - dev) <= 1e-15
 
 
+def coupled_rows(pis, f):
+    """The coupled check of the rows of ``pis``, with identity (c) taken
+    from the factors' views of G~."""
+    return verify_coupled_stationarity(pis, f, dangling_from_nondangling(pis, f.G12, f.G22))
+
+
 def coupled(pi, f):
     """The (deviation, note) of one stationary vector."""
-    [row] = verify_coupled_stationarity(np.asarray(pi)[None], f)
+    [row] = coupled_rows(np.asarray(pi)[None], f)
     return row
 
 
@@ -244,7 +254,7 @@ class TestCoupledStationarity:
             exact = oracles.stationary(Gt)
             pis = np.stack([exact, perturbed(exact)])
             solved.clear()
-            rows = verify_coupled_stationarity(pis, f)
+            rows = coupled_rows(pis, f)
             # uniform v and w: every trailing row sums below 1, so (c) is solved
             [X] = solved
             assert X.shape == (g.n - k, 2)
@@ -271,7 +281,7 @@ class TestCoupledStationarity:
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solved.append(1) or solve(*a))
         pi = oracles.stationary(Gt)
         solved.clear()
-        rows = verify_coupled_stationarity(np.stack([pi, perturbed(pi)]), f)
+        rows = coupled_rows(np.stack([pi, perturbed(pi)]), f)
         assert len(rows) == 2
         assert len(solved) == 1
 
@@ -303,7 +313,7 @@ class TestCoupledStationarity:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rows = verify_coupled_stationarity(pis, f)
+            rows = coupled_rows(pis, f)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -331,14 +341,28 @@ class TestCoupledStationarity:
 
     def test_length_mismatch_raises(self):
         f, _ = ldu_factors(micro_setup(), 2)
+        skipped = (None, "trailing block has unit row sums")
         with pytest.raises(ValueError, match="length 3"):
-            verify_coupled_stationarity(np.full((1, 4), 0.25), f)
+            verify_coupled_stationarity(np.full((1, 4), 0.25), f, skipped)
         with pytest.raises(ValueError, match="length 3"):  # one vector, not a row
-            verify_coupled_stationarity(np.full(3, 1 / 3), f)
+            verify_coupled_stationarity(np.full(3, 1 / 3), f, skipped)
+
+    def test_dangling_for_other_rows_raises(self):
+        # (c) checked for one row cannot be paired with two rows, nor the reverse
+        rng = np.random.default_rng(48)
+        g, params, H, p, Gt = dense_setup(rng)
+        f, _ = ldu_factors(Gt, p.k)
+        pi = oracles.stationary(Gt)
+        one, two = pi[None], np.stack([pi, perturbed(pi)])
+        for checked, given in [(one, two), (two, one)]:
+            dangling = dangling_from_nondangling(checked, f.G12, f.G22)
+            assert dangling[0] is not None
+            with pytest.raises(ValueError, match="checked for"):
+                verify_coupled_stationarity(given, f, dangling)
 
 
 def coupled_cases():
-    """(name, Gt, k, pis) for each path of verify_coupled_stationarity: (c)
+    """(name, Gt, k, pis) for each path of identity (c) in the coupled check: (c)
     solved, skipped for a unit trailing row sum, and skipped for an
     I - G22 singular to working precision below that rule."""
     g, params, H, p, Gt = dense_setup(np.random.default_rng(50))
@@ -355,15 +379,15 @@ def coupled_cases():
 
 
 class TestBorrowedTrailingBlock:
-    """verify_coupled_stationarity solves with I - G22 written into the view
-    f.G22 of G~ and puts back every entry of G~ bit for bit."""
+    """dangling_from_nondangling solves with I - G22 written into the view
+    G22 of G~ and puts back every entry of G~ bit for bit."""
 
     @pytest.mark.parametrize("case", ["solved", "unit row sums", "singular"])
     def test_every_path_restores_the_matrix(self, case):
         [(_, Gt, k, pis)] = [c for c in coupled_cases() if c[0] == case]
         f, _ = ldu_factors(Gt, k)
         Gt_before = Gt.copy()
-        rows = verify_coupled_stationarity(pis, f)
+        rows = coupled_rows(pis, f)
         assert np.array_equal(Gt, Gt_before)
         notes = {"solved": "dangling from nondangling=",
                  "unit row sums": "skipped (trailing block has unit row sums)",
@@ -371,7 +395,21 @@ class TestBorrowedTrailingBlock:
         assert notes[case] in rows[0][1]
         # a read-only G~ gives read-only views, which are copied, not borrowed
         Gt.setflags(write=False)
-        assert verify_coupled_stationarity(pis, ldu_factors(Gt, k)[0]) == rows
+        assert coupled_rows(pis, ldu_factors(Gt, k)[0]) == rows
+
+    @pytest.mark.parametrize("case", ["solved", "unit row sums", "singular"])
+    def test_checked_before_the_factors_gives_the_same_rows(self, case):
+        # run_checks takes (c) from G~'s own blocks before ldu_factors runs
+        # and hands it to the coupled check: the rows are those of (c) taken
+        # from the factors' views after ldu_factors, and G~ is restored
+        [(_, Gt, k, pis)] = [c for c in coupled_cases() if c[0] == case]
+        Gt_before = Gt.copy()
+        dangling = dangling_from_nondangling(pis, Gt[:k, k:], Gt[k:, k:])
+        assert np.array_equal(Gt, Gt_before)
+        f, _ = ldu_factors(Gt, k)
+        assert verify_coupled_stationarity(pis, f, dangling) == coupled_rows(pis, f)
+        with pytest.raises(ValueError, match=f"length {Gt.shape[0]}"):
+            dangling_from_nondangling(pis[:, 1:], Gt[:k, k:], Gt[k:, k:])
 
     def test_factors_the_formed_transpose(self, monkeypatch):
         # the matrix solved is (I - G22)^T as a new array would hold it, to
@@ -386,7 +424,7 @@ class TestBorrowedTrailingBlock:
         monkeypatch.setattr(lumprank.decomposition, "_solve",
                             lambda A, B, what: seen.append((A.copy(), solve(A, B, what)))
                             or seen[-1][1])
-        verify_coupled_stationarity(pis, f)
+        coupled_rows(pis, f)
         [(A, X)] = seen
         assert np.array_equal(A, formed)
         assert np.array_equal(X, np.linalg.solve(formed, f.G12.T @ pis[:, :k].T))
@@ -414,7 +452,7 @@ class TestBorrowedMemory:
         pis = np.stack([pi, perturbed(pi)])
         calls = {"check_spectrum_identity": lambda: check_spectrum_identity(Gt, [G1], k),
                  "stationary_dense": lambda: stationary_dense(Gt),
-                 "verify_coupled_stationarity": lambda: verify_coupled_stationarity(pis, f)}
+                 "verify_coupled_stationarity": lambda: coupled_rows(pis, f)}
         peaks = {}
         for name, call in calls.items():
             gc.collect()
@@ -427,6 +465,60 @@ class TestBorrowedMemory:
             finally:
                 tracemalloc.stop()
         assert all(peak < 0.1 for peak in peaks.values()), peaks
+
+
+    def test_lumpable_allocates_under_a_tenth_of_n_squared(self):
+        # its finiteness test is max|M|, with no n x n mask of np.isfinite
+        # (that mask alone is 0.125 n^2 doubles); measured: 0.004 n^2
+        g = parse_edge_list(generate_edge_list(550, 0.5, 4, seed=3))
+        p = detect_dangling(build_hyperlink_matrix(g))
+        Gt = build_dense_google(g, PageRankParams.uniform(g.n), p)
+        peak = traced_peak(lambda: check_lumpable(Gt, [p.k], tol=1e-10, blocks=[(1, 0)]))
+        assert peak < 0.1 * 8 * g.n * g.n, peak
+
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_transform_condition_holds_two_order_m_matrices(self, kind):
+        # L is built after left(I) has returned and freed its identity, so
+        # at most two order-m matrices are alive; the identity, L and
+        # left(I) together took 3.00-3.03 m^2 doubles.  Measured: 2.00-2.03
+        # m^2 at m = 600, the rest numpy's fixed 8192-double ufunc buffer
+        m = 600
+        peak = traced_peak(lambda: verify_transform_condition(kind, m))
+        assert peak < 2.05 * 8 * m * m, peak / (8 * m * m)
+
+    def test_ldu_factors_hold_their_factors_and_row_blocks(self):
+        # beyond its four factors, k^2 + 2k(n-k) + (n-k)^2 doubles, the
+        # LDU check holds only 64-row blocks of its deviation: 64 x k of
+        # Z D11 and 64 x (n-k) of the trailing product, while the block of
+        # rows before still holds its trailing product (D11 Y's blocks are
+        # smaller), and numpy's fixed 8192-double ufunc buffer (S += G22
+        # reads a strided view).  Measured: 5,512,860 B of a 5,574,176 B
+        # bound.  tracemalloc does not see LAPACK's work copies.  An
+        # order-(n-k) or k x (n-k) product would not fit
+        g = parse_edge_list(generate_edge_list(900, 0.6, 4, seed=3))
+        p = detect_dangling(build_hyperlink_matrix(g))
+        Gt = build_dense_google(g, PageRankParams.uniform(g.n), p)
+        n, k = g.n, p.k
+        m = n - k
+        assert (n, k) == (782, 360)
+        bound = 8 * (k * k + 2 * k * m + m * m + 64 * (2 * m + k) + 8192)
+        assert bound - 8 * (k * k + 2 * k * m + m * m) < 8 * min(m * m, k * m)
+        peak = traced_peak(lambda: ldu_factors(Gt, k))
+        assert peak <= bound, (peak, bound)
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` holds at its peak beyond what was held before,
+    as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 LAB = (lumprank.transforms, lumprank.decomposition)
@@ -502,3 +594,25 @@ class TestRunChecks:
         private_checks = {key for key in functions
                           if key[1].startswith("_") and key[1] not in HELPERS}
         assert sorted(called & private_checks) == []
+
+    def test_trailing_solve_comes_before_the_leading_solves(self, monkeypatch):
+        # identity (c) is solved while G~ and the vectors are the only large
+        # arrays alive, before ldu_factors solves for Y = D11^-1 G12 and then
+        # for Z, whose transpose solves D11^T Z^T = G21^T
+        g, params, H, p, Gt = dense_setup(np.random.default_rng(52))
+        k = p.k
+        seen = []
+        solve = lumprank.decomposition._solve
+
+        def spy(A, B, what):
+            seen.append((what, B.copy()))
+            return solve(A, B, what)
+
+        monkeypatch.setattr(lumprank.decomposition, "_solve", spy)
+        rows = run_checks(g, params, negative_control=True)
+        assert [status for status, *_ in rows].count("PASS") == 14
+        assert [what for what, _ in seen] == ["I minus the trailing block",
+                                              "I minus the leading block",
+                                              "I minus the leading block"]
+        assert np.array_equal(seen[1][1], Gt[:k, k:])
+        assert np.array_equal(seen[2][1], Gt[k:, :k].T)
