@@ -1,10 +1,11 @@
 """Block LDU factorization of I - G~, the stochastic complement of the
 dangling block, the coupled stationarity identities linking the two block
-rankings, and :func:`run_checks`, the check sequence of ``lumprank verify``."""
+rankings, and :func:`run_checks`, the check sequence of ``lumprank verify``.
+
+Each check returns its deviation, with a note where ``verify`` prints one,
+and :func:`run_checks` alone turns deviations into PASS or FAIL."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,41 +47,20 @@ def _solve(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
     return X
 
 
-@dataclass
-class BlockFactors:
-    """The block LDU factorization of I - G~ split at k, kept as its blocks.
+def ldu_factors(Gt: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Block LDU factorization of I - G~ split at k: returns (Z, S,
+    max|L D U - (I - G~)|).
 
     I - G~ = L D U with L = [[I, 0], [-Z, I]], D = blockdiag(D11, I - S)
     and U = [[I, -Y], [0, I]], where D11 = I - G11, Y = D11^-1 G12,
     Z = G21 D11^-1 and S = G22 + Z G12, the stochastic complement of the
-    trailing block.  No n x n factor is formed.  G12, G21 and G22 are views
-    of G~, and :func:`dangling_from_nondangling` borrows G22's memory.
-    Only the reconstruction check of :func:`ldu_factors` reads D11 and Y,
-    so a caller may set both to None once it has the deviation.
-    """
-
-    k: int
-    D11: np.ndarray | None
-    Y: np.ndarray | None
-    Z: np.ndarray
-    S: np.ndarray
-    G12: np.ndarray
-    G21: np.ndarray
-    G22: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.k + self.S.shape[0]
-
-
-def ldu_factors(Gt: np.ndarray, k: int) -> tuple[BlockFactors, float]:
-    """Block LDU factors of I - G~ split at k, and max|L D U - (I - G~)|.
-
-    D11 = I - G11 is solved once for Y and then once, transposed, for Z,
-    and S is formed last.  The deviation is computed from the returned
-    factors' own blocks, block by block: L D U = [[D11, -D11 Y], [-Z D11,
-    Z D11 Y + I - S]].  The unit and zero blocks of L and U are exact by
-    this construction, and the leading block is D11 = I - G11 itself, so
+    trailing block.  No n x n factor is formed.  D11 = I - G11 is solved
+    once for Y and then once, transposed, for Z, and S is formed last.
+    Only the deviation reads D11 and Y, so both are freed at return.  The
+    deviation is computed from the factors' own blocks, block by block:
+    L D U = [[D11, -D11 Y], [-Z D11, Z D11 Y + I - S]].  The unit and zero
+    blocks of L and U are exact by this construction, and the leading
+    block is D11 = I - G11 itself, so
     the other three blocks hold the whole deviation: about 2k(n-k)(n+k)
     flops instead of the dense 4n^3.  The identities in the trailing block
     cancel, so it is compared as (Z D11) Y - S + G22.  Each block is
@@ -108,8 +88,6 @@ def ldu_factors(Gt: np.ndarray, k: int) -> tuple[BlockFactors, float]:
     Z = _solve(D11.T, G21.T, "I minus the leading block").T
     S = Z @ G12
     S += G22
-    f = BlockFactors(k=k, D11=D11, Y=Y, Z=Z, S=S, G12=G12, G21=G21, G22=G22)
-    del D11, Y, Z, S  # the deviation reads the blocks that the caller gets
 
     # a block of rows at a time, so no k x (n-k) or (n-k)-order product is
     # held: D11 Y - G12 by rows of D11, and for rows of Z, Z D11 - G21 and
@@ -117,30 +95,30 @@ def ldu_factors(Gt: np.ndarray, k: int) -> tuple[BlockFactors, float]:
     devs = []
     for i in range(0, k, _ROW_BLOCK):
         rows = slice(i, i + _ROW_BLOCK)
-        D11Y = f.D11[rows] @ f.Y
-        D11Y -= f.G12[rows]
+        D11Y = D11[rows] @ Y
+        D11Y -= G12[rows]
         devs.append(_absmax(D11Y))
     del D11Y  # the trailing rows hold their own two blocks
     for i in range(0, n - k, _ROW_BLOCK):
         rows = slice(i, i + _ROW_BLOCK)
-        ZD11 = f.Z[rows] @ f.D11
-        trailing = ZD11 @ f.Y
-        trailing -= f.S[rows]
-        trailing += f.G22[rows]
-        ZD11 -= f.G21[rows]
+        ZD11 = Z[rows] @ D11
+        trailing = ZD11 @ Y
+        trailing -= S[rows]
+        trailing += G22[rows]
+        ZD11 -= G21[rows]
         devs += [_absmax(ZD11), _absmax(trailing)]
-    return f, float(np.max(devs))  # NaN when any block holds a NaN
+    return Z, S, float(np.max(devs))  # NaN when any block holds a NaN
 
 
-def stochastic_complement(f: BlockFactors) -> float:
-    """How far the stochastic complement S of ``f`` is from a stochastic matrix.
+def stochastic_complement(S: np.ndarray) -> float:
+    """How far the stochastic complement S of :func:`ldu_factors` is from a
+    stochastic matrix.
 
     The complement of a stochastic matrix's trailing block is stochastic.
     Returns the larger of max|S e - e| and the magnitude of the most
     negative entry (0 when none is negative); a defect is a large
     deviation, never an exception.
     """
-    S = f.S
     return max(float(np.abs(S.sum(axis=1) - 1.0).max()), float(max(-S.min(), 0.0)))
 
 
@@ -183,13 +161,14 @@ def dangling_from_nondangling(pis: np.ndarray, G12: np.ndarray,
     return np.abs(X.T - pis[:, k:]).max(axis=1), ""
 
 
-def verify_coupled_stationarity(pis: np.ndarray, f: BlockFactors,
+def verify_coupled_stationarity(pis: np.ndarray, Z: np.ndarray, S: np.ndarray,
                                 dangling: tuple[np.ndarray | None, str],
                                 ) -> list[tuple[float, str]]:
     """Check the three identities binding the block parts of each stationary
-    vector, one per row of ``pis``.
+    vector, one per row of ``pis``, from the factors Z and S of
+    :func:`ldu_factors`.
 
-    (a) the dangling part is stationary for the stochastic complement;
+    (a) the dangling part is stationary for the stochastic complement S;
     (b) the nondangling part equals the dangling part pushed through
         G21 (I-G11)^-1, that is pi2 Z;
     (c) the dangling part equals the nondangling part pushed through
@@ -199,13 +178,15 @@ def verify_coupled_stationarity(pis: np.ndarray, f: BlockFactors,
         exist.  A skipped (c) has its reason in the note.
 
     Returns one ``(deviation, note)`` per row, the deviation the largest of
-    the identities checked; the caller owns the threshold.
+    the identities checked.
     """
+    k = Z.shape[1]
+    n = k + S.shape[0]
     pis = np.asarray(pis, dtype=np.float64)
-    if pis.ndim != 2 or pis.shape[1] != f.n:
-        raise ValueError(f"expected stationary vectors as rows of length {f.n}, "
+    if pis.ndim != 2 or pis.shape[1] != n:
+        raise ValueError(f"expected stationary vectors as rows of length {n}, "
                          f"got shape {pis.shape}")
-    P1, P2 = pis[:, :f.k], pis[:, f.k:]
+    P1, P2 = pis[:, :k], pis[:, k:]
     dev_c, skipped = dangling
     if dev_c is not None and len(dev_c) != len(pis):
         raise ValueError(f"identity (c) was checked for {len(dev_c)} rows, "
@@ -213,7 +194,7 @@ def verify_coupled_stationarity(pis: np.ndarray, f: BlockFactors,
 
     out = []
     for i, (pi1, pi2) in enumerate(zip(P1, P2)):
-        devs = [float(np.abs(pi2 @ f.S - pi2).max()), float(np.abs(pi2 @ f.Z - pi1).max())]
+        devs = [float(np.abs(pi2 @ S - pi2).max()), float(np.abs(pi2 @ Z - pi1).max())]
         parts = [f"complement stationarity={devs[0]:.3e}",
                  f"nondangling from dangling={devs[1]:.3e}"]
         if dev_c is None:
@@ -235,26 +216,28 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
     A leading block I - G11 singular to working precision fails
     ``ldu_reconstruction`` with max_dev inf and its reason as the note, and
     the checks that need the factors are SKIP rows.  This function owns the
-    order of the checks, their thresholds and the negative controls
-    (corrupted inputs that must FAIL), which ``negative_control`` appends.
-    ``seed`` draws the spectrum identity's sample points.  Each dense
-    factorization and determinant is computed once; the negative controls
-    reuse them with only the corrupted input recomputed.
+    order of the checks, every threshold that turns a deviation into PASS
+    or FAIL, and the negative controls (corrupted inputs that must FAIL),
+    whose rows ``negative_control`` appends after all others.  ``seed``
+    draws the spectrum identity's sample points.  Each dense factorization
+    and determinant is computed once; the negative controls reuse them with
+    only the corrupted input recomputed.
     """
     H = build_hyperlink_matrix(g)
     p = detect_dangling(H)
     n, k = g.n, p.k
     m = n - k
     Gt = build_dense_google(g, params, p, dense_limit=dense_limit)
-    rows = []
+    # each negative control is checked beside the check it corrupts, and
+    # its row is printed last
+    rows, controls = [], []
 
-    def emit(name: str, passed: bool, dev: float, note: str = ""):
-        rows.append(("PASS" if passed else "FAIL", name, dev, note))
+    def emit(name: str, passed: bool, dev: float, note: str = "", out=rows):
+        out.append(("PASS" if passed else "FAIL", name, dev, note))
 
-    def skip(name: str, why: str):
-        rows.append(("SKIP", name, None, why))
+    def skip(name: str, why: str, out=rows):
+        out.append(("SKIP", name, None, why))
 
-    factors, corrupted = None, []
     no_factors = "needs the block factors, which ldu_reconstruction could not form"
     if m == 0:
         for kind in TransformKind:
@@ -266,9 +249,9 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
             # L and L^-1 are row and column operations, never matrices: the
             # condition row proves both against the dense L, then the
             # conjugation applies them to the rows k..n-1 of G~
-            rep = verify_transform_condition(kind, m, tol=1e-12)
-            emit(f"transform_condition[{kind.value}]", rep.passed,
-                 rep.max_abs_deviation, rep.detail if not rep.passed else "")
+            dev, note = verify_transform_condition(kind, m)
+            passed = dev <= 1e-12
+            emit(f"transform_condition[{kind.value}]", passed, dev, "" if passed else note)
             lower, G1 = similarity_transform(Gt, kind, k)
             dev_tri = _absmax(lower[1:]) if m > 1 else 0.0
             del lower
@@ -282,19 +265,22 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         def lumped_blocks():
             yield G1_direct
             if negative_control:
-                # checked now, on the block corrupted in place, and reported
-                # last: the lumped block is freed before the decomposition
-                # checks allocate theirs
+                # checked now, on the block corrupted in place: the lumped
+                # block is freed before the decomposition checks allocate
+                # theirs
                 G1_direct[0, 0] += 0.1
                 yield G1_direct
 
-        rep, *corrupted = check_spectrum_identity(Gt, lumped_blocks(), k, tol=1e-8, seed=seed)
-        emit("spectrum_identity", rep.passed, rep.max_abs_deviation, rep.detail)
+        (dev, note), *corrupted = check_spectrum_identity(Gt, lumped_blocks(), k, seed=seed)
+        emit("spectrum_identity", dev <= 1e-8, dev, note)
+        for dev, _ in corrupted:
+            emit("negative_control[corrupted_lumped_block]", dev <= 1e-8, dev,
+                 "expected FAIL", out=controls)
         del G1_direct
 
     if 1 <= k <= n - 1:
-        rep = check_lumpable(Gt, [k], tol=1e-10, blocks=[(1, 0)])
-        emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
+        dev = check_lumpable(Gt, k)
+        emit("lumpable_dangling_to_nondangling", dev <= 1e-10, dev)
 
         pi_t = stationary_dense(Gt)  # solved before the factors exist
         # the negative control's perturbed vector is the second row, so
@@ -310,35 +296,27 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
         # leading block then skips the coupled row and wastes this one solve
         dangling = dangling_from_nondangling(pis, Gt[:k, k:], Gt[k:, k:])
         try:
-            factors, dev_ldu = ldu_factors(Gt, k)
+            Z, S, dev_ldu = ldu_factors(Gt, k)
         except np.linalg.LinAlgError as exc:
             # a leading block singular to working precision (alpha next to
             # 1 with a closed class) is a failed check, not a lost report
             emit("ldu_reconstruction", False, np.inf, str(exc))
             skip("stochastic_complement_rows", no_factors)
             skip("coupled_stationarity", no_factors)
+            if negative_control:
+                skip("negative_control[perturbed_stationary]", no_factors, out=controls)
         else:
-            # no later check reads D11 and Y; freed, they leave the complement
-            # and coupled checks a lower peak
-            factors.D11 = factors.Y = None
             emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
 
-            dev_rows = stochastic_complement(factors)
+            dev_rows = stochastic_complement(S)
             emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
 
-            (dev, note), *perturbed = verify_coupled_stationarity(pis, factors, dangling)
+            (dev, note), *perturbed = verify_coupled_stationarity(pis, Z, S, dangling)
             emit("coupled_stationarity", dev <= 1e-8, dev, note)
+            for dev, _ in perturbed:
+                emit("negative_control[perturbed_stationary]", dev <= 1e-6, dev,
+                     "expected FAIL", out=controls)
     else:
         skip("lumpable_dangling_to_nondangling", "partition has an empty block")
         skip("decomposition_checks", "split needs both nondangling and dangling nodes")
-
-    if negative_control:
-        for rep in corrupted:
-            emit("negative_control[corrupted_lumped_block]", rep.passed,
-                 rep.max_abs_deviation, "expected FAIL")
-        if factors is not None:
-            [(dev, _)] = perturbed
-            emit("negative_control[perturbed_stationary]", dev <= 1e-6, dev, "expected FAIL")
-        elif 1 <= k <= n - 1:
-            skip("negative_control[perturbed_stationary]", no_factors)
-    return rows
+    return rows + controls

@@ -1,14 +1,17 @@
 """Dense verification lab: the transform family mapping ones to e1, the block
-similarity form, spectrum identity, and the general lumpability test.
+similarity form, spectrum identity, and the lumpability test of the paper's
+partition, k nondangling singletons and one dangling block.
 
 Everything here is O(n^2)/O(n^3) dense machinery meant for desk-scale cross
-checks of the sparse pipeline, guarded by a configurable size cap.
+checks of the sparse pipeline, guarded by a configurable size cap.  Each
+check returns its deviation, with a note where ``verify`` prints one; the
+thresholds that make a deviation PASS or FAIL belong to
+:func:`lumprank.decomposition.run_checks`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
@@ -19,6 +22,9 @@ from .lumping import DanglingPartition
 
 DENSE_LIMIT_DEFAULT = 2000
 
+# how far from 1 a row sum may be for check_lumpable to take M as stochastic
+_STOCHASTIC_TOL = 1e-10
+
 
 class TransformKind(Enum):
     """Families of order-m matrices with L @ ones = e1."""
@@ -26,15 +32,6 @@ class TransformKind(Enum):
     AVERAGING = "averaging"      # dense rows: identity minus rank-one averaging
     SPARSE_ELIM = "sparse-elim"  # subtract row 1 from the rest; lower triangular
     JORDAN_DIFF = "jordan-diff"  # identity minus a lower Jordan block, bidiagonal
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of a numerical identity check."""
-
-    passed: bool
-    max_abs_deviation: float
-    detail: str = ""
 
 
 def build_transform(kind: TransformKind, m: int) -> np.ndarray:
@@ -101,8 +98,7 @@ def _absmax(X: np.ndarray) -> float:
     return float(max(X.max(), -X.min()))
 
 
-def verify_transform_condition(kind: TransformKind, m: int,
-                               tol: float = 1e-12) -> CheckReport:
+def verify_transform_condition(kind: TransformKind, m: int) -> tuple[float, str]:
     """Prove the closed forms of the order-m transform of ``kind`` against
     its dense definition L = ``build_transform(kind, m)``.
 
@@ -113,8 +109,11 @@ def verify_transform_condition(kind: TransformKind, m: int,
     applied to L.  Row operations act on each column alike, so left(I) = L
     shows that they compute L X for every X; column operations act on each
     row alike, so right_inv(L) = I shows that L is invertible and that they
-    compute X L^-1.  L^-1 e1 = e follows from L e = e1.  A NaN anywhere
-    makes the deviation NaN.  Failures are reported, never raised.
+    compute X L^-1.  L^-1 e1 = e follows from L e = e1.
+
+    Returns (max_dev, note): the largest of the three deviations, NaN when
+    any is NaN, and a note that names all three.  A defect is a large
+    deviation, never an exception.
     """
     if m < 1:
         raise ValueError(f"transform order must be >= 1, got {m}")
@@ -133,14 +132,8 @@ def verify_transform_condition(kind: TransformKind, m: int,
     dev_res = _absmax(L)
 
     max_dev = float(np.max([dev_fwd, dev_left, dev_res]))  # NaN when any is NaN
-    passed = max_dev <= tol
-    detail = (f"|L e - e1|={dev_fwd:.3e}, |left(I) - L|={dev_left:.3e}, "
-              f"|right_inv(L) - I|={dev_res:.3e}")
-    if not passed:
-        which = ("forward map" if not dev_fwd <= tol else
-                 "left operation" if not dev_left <= tol else "inverse residual")
-        detail = f"{which} off: " + detail
-    return CheckReport(passed=passed, max_abs_deviation=max_dev, detail=detail)
+    return max_dev, (f"|L e - e1|={dev_fwd:.3e}, |left(I) - L|={dev_left:.3e}, "
+                     f"|right_inv(L) - I|={dev_res:.3e}")
 
 
 def build_dense_google(g: WebGraph, params: PageRankParams, p: DanglingPartition,
@@ -245,8 +238,8 @@ def similarity_transform(Gt: np.ndarray, kind: TransformKind, k: int):
     return lower, G1
 
 
-def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
-                            seed: int = 0) -> list[CheckReport]:
+def check_spectrum_identity(Gt: np.ndarray, lumped, k: int,
+                            seed: int = 0) -> list[tuple[float, str]]:
     """Compare characteristic polynomials of the full matrix and each lumped block.
 
     Evaluates det(Gt - lam I) against (-lam)^(n-k-1) * det(G1 - lam I) at
@@ -265,7 +258,8 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
     read exactly 0.  slogdet adds the n log-pivots in one running sum,
     which rounds in proportion to its size, about n log lam unscaled: on
     1200-node graphs that leaves ~1e-12 to ~2e-12 of rounding in the
-    deviation and at n = 2000 ~4e-12, far below ``tol``.  Comparing
+    deviation and at n = 2000 ~4e-12, far below the 1e-8 threshold of
+    :func:`~lumprank.decomposition.run_checks`.  Comparing
     I - Gt/lam instead keeps the sum near 0 (~5e-14 at n = 1200), but
     needs an n x n array beside Gt to hold it.
 
@@ -275,10 +269,13 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
     when a factorization raises.  A read-only matrix is copied first.
 
     ``lumped`` is an iterable of (k+1)-order blocks G1, and the result holds
-    one report per block, in order.  The n x n determinants are computed
-    once, before the first block is taken, and every block is compared
-    against them.  Blocks are taken one at a time, so a generator may build
-    or alter each one after the report of the one before.
+    one (max_dev, note) per block, in order: the worst relative deviation
+    over the sample points, inf when either matrix holds a non-finite
+    entry, and a note with the seed and the worst point.  The n x n
+    determinants are computed once, before the first block is taken, and
+    every block is compared against them.  Blocks are taken one at a time,
+    so a generator may build or alter each one after the result of the one
+    before.
     """
     Gt = np.asarray(Gt, dtype=np.float64)
     n = Gt.shape[0]
@@ -312,14 +309,13 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
     full = slogdets(Gt) if finite else []
     j = n - k - 1  # the power of -lam that the lumped side lacks
 
-    reports = []
+    results = []
     for G1 in lumped:
         G1 = np.asarray(G1, dtype=np.float64)
         if G1.shape != (k + 1, k + 1):
             raise ValueError("inconsistent sizes: full must be n x n, lumped (k+1) x (k+1)")
         if not (finite and np.isfinite(_absmax(G1))):
-            reports.append(CheckReport(passed=False, max_abs_deviation=np.inf,
-                                       detail=f"seed={seed}; non-finite matrix entries"))
+            results.append((np.inf, f"seed={seed}; non-finite matrix entries"))
             continue
         if not G1.flags.writeable:
             G1 = G1.copy()
@@ -335,46 +331,30 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int, tol: float = 1e-8,
                 rel = abs(1.0 - s_full * s_lump * np.exp(-abs(ld_full - ld_lump)))
             if rel > worst or np.isnan(rel):  # a NaN deviation stays the worst
                 worst, worst_lam = float(rel), lam
-        reports.append(CheckReport(
-            passed=worst <= tol, max_abs_deviation=worst,
-            detail=f"seed={seed}; worst relative deviation at lambda={worst_lam:.6g}",
-        ))
-    return reports
+        results.append((worst, f"seed={seed}; worst relative deviation at lambda={worst_lam:.6g}"))
+    return results
 
 
-def check_lumpable(M: np.ndarray, boundaries, tol: float = 1e-10,
-                   blocks=None) -> CheckReport:
-    """Row-sum-constancy test for the off-diagonal blocks of a partition.
+def check_lumpable(M: np.ndarray, k: int) -> float:
+    """Lumpability of the paper's partition of a row-stochastic M: the k
+    leading states as singletons and the trailing n-k as one block.
 
-    ``boundaries`` are the interior split points of a contiguous partition of
-    [0, n).  A block passes when its row sums agree within tol (a rank-one
-    block such as e u^T always does).  ``blocks`` optionally restricts the
-    test to the given (row_block, col_block) pairs; default is every
-    off-diagonal block.
+    Singletons lump trivially, so the partition is lumpable exactly when
+    every trailing row has the same probability of entering each
+    singleton: when the rows of M[k:, :k] agree entry by entry (a rank-one
+    block such as e u^T always does).  Returns max over j < k of the spread
+    max - min of column j of M[k:, :k].  Raises ValueError for a k outside
+    [1, n-1] or an M that is not row-stochastic within 1e-10.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if M.ndim != 2 or M.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    cuts = [0, *boundaries, n]
-    for a, b in zip(cuts, cuts[1:]):
-        if not a < b:
-            raise ValueError(f"boundaries must be strictly increasing inside (0, {n}): {boundaries}")
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"split point k={k} must leave both blocks nonempty (n={n})")
     # max|.| is finite exactly when every entry is, with no n x n mask
-    if not np.isfinite(_absmax(M)) or np.abs(M.sum(axis=1) - 1.0).max() > tol:
-        raise ValueError("matrix is not row-stochastic within tol")
-
-    nblocks = len(cuts) - 1
-    if blocks is None:
-        blocks = [(i, j) for i in range(nblocks) for j in range(nblocks) if i != j]
-    worst = 0.0
-    parts = []
-    for i, j in blocks:
-        if not (0 <= i < nblocks and 0 <= j < nblocks) or i == j:
-            raise ValueError(f"invalid off-diagonal block index pair {(i, j)}")
-        sums = M[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]].sum(axis=1)
-        spread = float(sums.max() - sums.min())
-        worst = max(worst, spread)
-        parts.append(f"block({i},{j}) spread={spread:.3e}")
-    return CheckReport(passed=worst <= tol, max_abs_deviation=worst,
-                       detail="; ".join(parts))
+    if (not np.isfinite(_absmax(M))
+            or np.abs(M.sum(axis=1) - 1.0).max() > _STOCHASTIC_TOL):
+        raise ValueError(f"matrix is not row-stochastic within {_STOCHASTIC_TOL:g}")
+    M21 = M[k:, :k]
+    return float((M21.max(axis=0) - M21.min(axis=0)).max())

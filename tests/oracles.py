@@ -69,24 +69,26 @@ def transform_condition(L):
                float(np.abs(L @ np.linalg.inv(L) - np.eye(m)).max()))
 
 
-def ldu_dense(f):
-    """The n x n factors (L, D, U) of a block LDU factorization of I - G~,
-    assembled from its blocks: L = [[I, 0], [-Z, I]],
-    D = blockdiag(D11, I - S) and U = [[I, -Y], [0, I]]."""
-    k, n = f.k, f.n
+def ldu_dense(Gt, Z, S):
+    """The n x n factors (L, D, U) of the block LDU factorization of
+    I - Gt whose blocks Z and S are given: L = [[I, 0], [-Z, I]],
+    D = blockdiag(D11, I - S) and U = [[I, -Y], [0, I]], with D11 = I - G11
+    and Y = D11^-1 G12 formed here from Gt."""
+    n, k = Gt.shape[0], Z.shape[1]
+    D11 = np.eye(k) - Gt[:k, :k]
     L = np.eye(n)
-    L[k:, :k] = -f.Z
+    L[k:, :k] = -Z
     U = np.eye(n)
-    U[:k, k:] = -f.Y
+    U[:k, k:] = -np.linalg.solve(D11, Gt[:k, k:])
     D = np.zeros((n, n))
-    D[:k, :k] = f.D11
-    D[k:, k:] = np.eye(n - k) - f.S
+    D[:k, :k] = D11
+    D[k:, k:] = np.eye(n - k) - S
     return L, D, U
 
 
-def ldu_deviation(f, Gt):
+def ldu_deviation(Gt, Z, S):
     """max|L D U - (I - Gt)| by the dense product of the assembled factors."""
-    L, D, U = ldu_dense(f)
+    L, D, U = ldu_dense(Gt, Z, S)
     return float(np.abs(L @ D @ U - (np.eye(Gt.shape[0]) - Gt)).max())
 
 

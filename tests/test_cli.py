@@ -787,16 +787,15 @@ def public_path_checks(g, params, seed):
              "degenerate order-1 transform" if n - k == 1 else "")
         dev_g1 = float(np.abs(G1 - G1_direct).max())
         emit(f"lumped_block_formula[{kind.value}]", dev_g1 <= 1e-12, dev_g1)
-    [rep] = check_spectrum_identity(Gt, [G1_direct], k, tol=1e-8, seed=seed)
-    emit("spectrum_identity", rep.passed, rep.max_abs_deviation, rep.detail)
-    rep = check_lumpable(Gt, [k], tol=1e-10, blocks=[(1, 0)])
-    emit("lumpable_dangling_to_nondangling", rep.passed, rep.max_abs_deviation)
-    f, _ = ldu_factors(Gt, k)
-    dev_ldu = oracles.ldu_deviation(f, Gt)
+    [(dev, note)] = check_spectrum_identity(Gt, [G1_direct], k, seed=seed)
+    emit("spectrum_identity", dev <= 1e-8, dev, note)
+    dev = check_lumpable(Gt, k)
+    emit("lumpable_dangling_to_nondangling", dev <= 1e-10, dev)
+    Z, S, _ = ldu_factors(Gt, k)
+    dev_ldu = oracles.ldu_deviation(Gt, Z, S)
     emit("ldu_reconstruction", dev_ldu <= 1e-12 * n, dev_ldu)
-    S = f.S
     dev_rows = max(float(np.abs(S.sum(axis=1) - 1.0).max()), float(max(-S.min(), 0.0)))
-    assert stochastic_complement(f) == dev_rows
+    assert stochastic_complement(S) == dev_rows
     emit("stochastic_complement_rows", dev_rows <= 1e-10, dev_rows)
     pi_t = stationary_dense(Gt)
     bad_pi = pi_t.copy()
@@ -806,13 +805,13 @@ def public_path_checks(g, params, seed):
     # solve, whose rounding differs from a solve for one vector
     pis = np.stack([pi_t, bad_pi])
     (dev, note), (bad_dev, _) = verify_coupled_stationarity(
-        pis, f, dangling_from_nondangling(pis, f.G12, f.G22))
+        pis, Z, S, dangling_from_nondangling(pis, Gt[:k, k:], Gt[k:, k:]))
     emit("coupled_stationarity", dev <= 1e-8, dev, note)
 
     bad = G1_direct.copy()
     bad[0, 0] += 0.1
-    [rep] = check_spectrum_identity(Gt, [bad], k, tol=1e-8, seed=seed)
-    emit("negative_control[corrupted_lumped_block]", rep.passed, rep.max_abs_deviation,
+    [(bad_spectrum, _)] = check_spectrum_identity(Gt, [bad], k, seed=seed)
+    emit("negative_control[corrupted_lumped_block]", bad_spectrum <= 1e-8, bad_spectrum,
          "expected FAIL")
     emit("negative_control[perturbed_stationary]", bad_dev <= 1e-6, bad_dev, "expected FAIL")
     return out
@@ -878,10 +877,10 @@ class TestVerifyDifferential:
         rows = {name: (status, dev, note) for status, name, dev, note
                 in run_checks(g, PageRankParams.uniform(g.n))}
         for kind in TransformKind:
-            rep = verify_transform_condition(kind, m, tol=1e-12)
+            alone, _ = verify_transform_condition(kind, m)
             status, dev, note = rows[f"transform_condition[{kind.value}]"]
-            assert (status, note) == ("PASS" if rep.passed else "FAIL", "")
-            assert abs(dev - rep.max_abs_deviation) <= 1e-12
+            assert (status, note) == ("PASS" if alone <= 1e-12 else "FAIL", "")
+            assert abs(dev - alone) <= 1e-12
 
     def test_definition_off_by_1e_9_fails_its_condition_row(self, monkeypatch):
         # one entry of one kind's dense L off by 1e-9: that kind's condition
@@ -902,27 +901,41 @@ class TestVerifyDifferential:
                 status, dev, note = rows[f"transform_condition[{kind.value}]"]
                 if kind is bad:
                     assert status == "FAIL" and 0.99e-9 <= dev <= 3e-9, (kind, dev)
-                    assert " off: " in note
+                    # the note names the three deviations, the largest one
+                    # printed as max_dev
+                    named = [float(x) for x in re.findall(r"\|=(\S+?)(?:,|$)", note)]
+                    assert len(named) == 3 and max(named) == float(f"{dev:.3e}"), note
                 else:
                     assert (status, note) == ("PASS", ""), kind
 
     # the factor blocks, and the blocks of G~ that only one block of the
     # blockwise check compares against
-    @pytest.mark.parametrize("block", ["Y", "Z", "D11", "S", "G12", "G21"])
+    @pytest.mark.parametrize("block", ["Y", "Z", "D11", "G12", "G21"])
     def test_corrupted_factor_block_fails_ldu(self, capsys, tmp_path, monkeypatch, block):
-        # the reconstruction is computed from the blocks ldu_factors returns
-        factors = lumprank.decomposition.BlockFactors
+        # the reconstruction is computed from the blocks ldu_factors solves
+        # with and for: it solves D11 Y = G12 first and D11^T Z^T = G21^T
+        # second, and each block is corrupted, as ldu_factors holds it,
+        # once its solve is done (G12 and G21 are views of G~)
+        call, pick = {"D11": (1, 0), "G12": (1, 1), "Y": (1, 2),
+                      "G21": (2, 1), "Z": (2, 2)}[block]
+        solve = lumprank.decomposition._solve
+        leading = []
 
-        def corrupted_factors(**blocks):
-            bad = blocks[block].copy()
-            bad[-1, :2] += [1e-6, -1e-6]  # row sums kept: S stays stochastic
-            return factors(**{**blocks, block: bad})
+        def corrupting(A, B, what):
+            X = solve(A, B, what)
+            if what == "I minus the leading block":
+                leading.append(what)
+                if len(leading) == call:
+                    bad = (A, B, X)[pick]
+                    bad = bad.T if call == 2 else bad
+                    bad[-1, :2] += [1e-6, -1e-6]  # row sums kept
+            return X
 
-        monkeypatch.setattr(lumprank.decomposition, "BlockFactors", corrupted_factors)
+        monkeypatch.setattr(lumprank.decomposition, "_solve", corrupting)
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         code, out, _ = run(capsys, "verify", str(path))
-        assert code == 1
+        assert code == 1 and len(leading) == 2
         fails = [l.split()[1] for l in out.splitlines() if l.startswith("FAIL")]
         assert "ldu_reconstruction" in fails
 
@@ -933,14 +946,14 @@ class TestVerifyDifferential:
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))
         _, clean, _ = run(capsys, "verify", str(path))
-        factors = lumprank.decomposition.BlockFactors
+        ldu = lumprank.decomposition.ldu_factors
 
-        def corrupted_factors(**blocks):
-            S = blocks["S"].copy()
+        def corrupted_ldu(Gt, k):
+            Z, S, dev = ldu(Gt, k)
             S[-1] *= 1 + 1e-6
-            return factors(**{**blocks, "S": S})
+            return Z, S, dev
 
-        monkeypatch.setattr(lumprank.decomposition, "BlockFactors", corrupted_factors)
+        monkeypatch.setattr(lumprank.decomposition, "ldu_factors", corrupted_ldu)
         code, out, err = run(capsys, "verify", str(path))
         assert code == 1
         assert "lumprank: error:" not in err

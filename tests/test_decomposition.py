@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import inspect
 import re
@@ -64,21 +65,30 @@ class TestLduFactors:
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
             n, k = g.n, p.k
-            f, dev = ldu_factors(Gt, k)
-            dense_dev = oracles.ldu_deviation(f, Gt)
+            Z, S, dev = ldu_factors(Gt, k)
+            dense_dev = oracles.ldu_deviation(Gt, Z, S)
             assert dense_dev <= 1e-12 * n
             # the blockwise deviation measures the same product
             assert dev <= 1e-12 * n and abs(dev - dense_dev) <= 1e-14 * n
 
-    def test_unit_triangular_structure_exact(self):
+    def test_unit_triangular_structure_exact(self, monkeypatch):
         rng = np.random.default_rng(41)
         g, params, H, p, Gt = dense_setup(rng)
         n, k = g.n, p.k
-        f, _ = ldu_factors(Gt, k)
-        assert (f.D11.shape, f.Y.shape, f.Z.shape, f.S.shape) == (
+        # D11 and Y are freed at return; they are seen as the first solve's
+        # matrix and result
+        solved = []
+        solve = lumprank.decomposition._solve
+        monkeypatch.setattr(lumprank.decomposition, "_solve",
+                            lambda A, B, what: solved.append((A.copy(), solve(A, B, what)))
+                            or solved[-1][1])
+        Z, S, _ = ldu_factors(Gt, k)
+        (D11, Y), _ = solved
+        assert (D11.shape, Y.shape, Z.shape, S.shape) == (
             (k, k), (k, n - k), (n - k, k), (n - k, n - k))
-        assert np.array_equal(f.D11, np.eye(k) - Gt[:k, :k])
-        Lfac, Dfac, Ufac = oracles.ldu_dense(f)
+        assert np.array_equal(D11, np.eye(k) - Gt[:k, :k])
+        Lfac, Dfac, Ufac = oracles.ldu_dense(Gt, Z, S)
+        assert np.array_equal(Ufac[:k, k:], -Y)
         assert np.array_equal(np.diag(Lfac), np.ones(n))
         assert np.array_equal(np.diag(Ufac), np.ones(n))
         assert np.array_equal(Lfac[:k, k:], np.zeros((k, n - k)))
@@ -88,12 +98,12 @@ class TestLduFactors:
 
     def test_trailing_diagonal_block_is_identity_minus_complement(self):
         Gt = micro_setup()
-        f, _ = ldu_factors(Gt, 2)
-        Dfac = oracles.ldu_dense(f)[1]
-        assert np.abs(Dfac[2:, 2:] - (np.eye(1) - f.S)).max() == 0.0
+        Z, S, _ = ldu_factors(Gt, 2)
+        Dfac = oracles.ldu_dense(Gt, Z, S)[1]
+        assert np.abs(Dfac[2:, 2:] - (np.eye(1) - S)).max() == 0.0
         # S = G22 + G21 (I - G11)^-1 G12, formed here by a direct solve
         direct = Gt[2:, 2:] + Gt[2:, :2] @ np.linalg.solve(np.eye(2) - Gt[:2, :2], Gt[:2, 2:])
-        assert np.abs(f.S - direct).max() <= 1e-15
+        assert np.abs(S - direct).max() <= 1e-15
 
     def test_split_point_validated(self):
         Gt = micro_setup()
@@ -116,7 +126,7 @@ class TestLduFactors:
         Gt = np.full((4, 4), 0.25)
         Gt[{"G12": (0, 3), "G21": (3, 0), "G22": (3, 3)}[block]] = np.nan
         if block == "G22":
-            assert np.isnan(ldu_factors(Gt, 2)[1])
+            assert np.isnan(ldu_factors(Gt, 2)[2])
         else:
             with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
                 ldu_factors(Gt, 2)
@@ -134,10 +144,10 @@ class TestLduFactors:
 
 def complement(Gt, k):
     """The stochastic complement of the split at k, after its own check passed."""
-    f, _ = ldu_factors(Gt, k)
-    dev = stochastic_complement(f)
+    _, S, _ = ldu_factors(Gt, k)
+    dev = stochastic_complement(S)
     assert dev <= 1e-10, dev
-    return f.S
+    return S
 
 
 class TestStochasticComplement:
@@ -180,26 +190,29 @@ class TestStochasticComplement:
     def test_defect_is_a_failed_report(self, defect, dev):
         # a row sum off 1, or a negative entry with row sums kept, is
         # reported with its size, never raised
-        f, _ = ldu_factors(micro_setup(), 1)
-        assert f.S.shape == (2, 2)
+        _, S, _ = ldu_factors(micro_setup(), 1)
+        assert S.shape == (2, 2)
         if defect == "row":
-            f.S[-1] *= 1 + dev
+            S[-1] *= 1 + dev
         else:
-            f.S[-1] += [-f.S[-1, 0] - dev, f.S[-1, 0] + dev]
-        got = stochastic_complement(f)
+            S[-1] += [-S[-1, 0] - dev, S[-1, 0] + dev]
+        got = stochastic_complement(S)
         assert got > 1e-10
         assert abs(got - dev) <= 1e-15
 
 
-def coupled_rows(pis, f):
-    """The coupled check of the rows of ``pis``, with identity (c) taken
-    from the factors' views of G~."""
-    return verify_coupled_stationarity(pis, f, dangling_from_nondangling(pis, f.G12, f.G22))
+def coupled_rows(pis, Gt, Z, S):
+    """The coupled check of the rows of ``pis`` with the factors Z and S of
+    G~, with identity (c) taken from G~'s blocks at the factors' split."""
+    k = Z.shape[1]
+    dangling = dangling_from_nondangling(pis, Gt[:k, k:], Gt[k:, k:])
+    return verify_coupled_stationarity(pis, Z, S, dangling)
 
 
-def coupled(pi, f):
-    """The (deviation, note) of one stationary vector."""
-    [row] = coupled_rows(np.asarray(pi)[None], f)
+def coupled(pi, Gt, k):
+    """The (deviation, note) of one stationary vector on the split at k."""
+    Z, S, _ = ldu_factors(Gt, k)
+    [row] = coupled_rows(np.asarray(pi)[None], Gt, Z, S)
     return row
 
 
@@ -213,7 +226,7 @@ class TestCoupledStationarity:
     def test_micro_instance_identities(self):
         Gt = micro_setup()
         pi = np.array([3 / 8, 5 / 16, 5 / 16])
-        dev, note = coupled(pi, ldu_factors(Gt, 2)[0])
+        dev, note = coupled(pi, Gt, 2)
         assert dev <= 1e-10, note
         assert "dangling from nondangling" in note
 
@@ -222,7 +235,7 @@ class TestCoupledStationarity:
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
             pi = oracles.stationary(Gt)
-            dev, note = coupled(pi, ldu_factors(Gt, p.k)[0])
+            dev, note = coupled(pi, Gt, p.k)
             assert dev <= 1e-8, note
 
     def test_recovered_ranking_satisfies_identities(self):
@@ -234,7 +247,7 @@ class TestCoupledStationarity:
             solved = solve_lumped(g, PageRankParams(alpha=params.alpha, v=params.v,
                                                     w=params.w, tol=1e-13))
             assert solved.converged
-            dev, note = coupled(solved.pagerank[p.perm], ldu_factors(Gt, p.k)[0])
+            dev, note = coupled(solved.pagerank[p.perm], Gt, p.k)
             assert dev <= 1e-8, note
 
     def test_identities_match_direct_solves(self, monkeypatch):
@@ -250,21 +263,21 @@ class TestCoupledStationarity:
         for _ in range(10):
             g, params, H, p, Gt = dense_setup(rng)
             k = p.k
-            f, _ = ldu_factors(Gt, k)
+            Z, S, _ = ldu_factors(Gt, k)
             exact = oracles.stationary(Gt)
             pis = np.stack([exact, perturbed(exact)])
             solved.clear()
-            rows = coupled_rows(pis, f)
+            rows = coupled_rows(pis, Gt, Z, S)
             # uniform v and w: every trailing row sums below 1, so (c) is solved
             [X] = solved
             assert X.shape == (g.n - k, 2)
             for pi, x, (dev, note) in zip(pis, X.T, rows):
                 pi1, pi2 = pi[:k], pi[k:]
                 direct_b, direct_c = oracles.coupled_solves(Gt, k, pi)
-                assert np.abs(pi2 @ f.Z - direct_b).max() <= 1e-12
+                assert np.abs(pi2 @ Z - direct_b).max() <= 1e-12
                 assert np.abs(x - direct_c).max() <= 1e-12
                 dev_c = float(np.abs(direct_c - pi2).max())
-                expected = max(float(np.abs(pi2 @ f.S - pi2).max()),
+                expected = max(float(np.abs(pi2 @ S - pi2).max()),
                                float(np.abs(direct_b - pi1).max()), dev_c)
                 assert abs(dev - expected) <= 1e-12, note
                 printed = float(re.search(r"dangling from nondangling=(\S+)", note).group(1))
@@ -275,13 +288,13 @@ class TestCoupledStationarity:
         # solved with the first in one np.linalg.solve
         rng = np.random.default_rng(48)
         g, params, H, p, Gt = dense_setup(rng)
-        f, _ = ldu_factors(Gt, p.k)
+        Z, S, _ = ldu_factors(Gt, p.k)
         solved = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solved.append(1) or solve(*a))
         pi = oracles.stationary(Gt)
         solved.clear()
-        rows = coupled_rows(np.stack([pi, perturbed(pi)]), f)
+        rows = coupled_rows(np.stack([pi, perturbed(pi)]), Gt, Z, S)
         assert len(rows) == 2
         assert len(solved) == 1
 
@@ -302,7 +315,7 @@ class TestCoupledStationarity:
         Gt = build_dense_google(g, PageRankParams.uniform(n), p)
         k, m, r = p.k, n - p.k, 2
         assert (n, k) == (367, 200)
-        f, _ = ldu_factors(Gt, k)
+        Z, S, _ = ldu_factors(Gt, k)
         pi = oracles.stationary(Gt)
         pis = np.stack([pi, perturbed(pi)])
         assert k * m > 4 * r * n
@@ -313,7 +326,7 @@ class TestCoupledStationarity:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rows = coupled_rows(pis, f)
+            rows = coupled_rows(pis, Gt, Z, S)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -323,7 +336,7 @@ class TestCoupledStationarity:
     def test_perturbed_vector_fails(self):
         rng = np.random.default_rng(46)
         g, params, H, p, Gt = dense_setup(rng)
-        dev, note = coupled(perturbed(oracles.stationary(Gt)), ldu_factors(Gt, p.k)[0])
+        dev, note = coupled(perturbed(oracles.stationary(Gt)), Gt, p.k)
         assert dev > 1e-6, note
 
     def test_unit_trailing_row_sums_skip_reported(self):
@@ -335,30 +348,31 @@ class TestCoupledStationarity:
         p = detect_dangling(build_hyperlink_matrix(g))
         Gt = build_dense_google(g, params, p)
         pi = oracles.stationary(Gt)
-        dev, note = coupled(pi, ldu_factors(Gt, p.k)[0])
+        dev, note = coupled(pi, Gt, p.k)
         assert dev <= 1e-10, note
         assert "skipped" in note
 
     def test_length_mismatch_raises(self):
-        f, _ = ldu_factors(micro_setup(), 2)
+        Z, S, _ = ldu_factors(micro_setup(), 2)
         skipped = (None, "trailing block has unit row sums")
         with pytest.raises(ValueError, match="length 3"):
-            verify_coupled_stationarity(np.full((1, 4), 0.25), f, skipped)
+            verify_coupled_stationarity(np.full((1, 4), 0.25), Z, S, skipped)
         with pytest.raises(ValueError, match="length 3"):  # one vector, not a row
-            verify_coupled_stationarity(np.full(3, 1 / 3), f, skipped)
+            verify_coupled_stationarity(np.full(3, 1 / 3), Z, S, skipped)
 
     def test_dangling_for_other_rows_raises(self):
         # (c) checked for one row cannot be paired with two rows, nor the reverse
         rng = np.random.default_rng(48)
         g, params, H, p, Gt = dense_setup(rng)
-        f, _ = ldu_factors(Gt, p.k)
+        k = p.k
+        Z, S, _ = ldu_factors(Gt, k)
         pi = oracles.stationary(Gt)
         one, two = pi[None], np.stack([pi, perturbed(pi)])
         for checked, given in [(one, two), (two, one)]:
-            dangling = dangling_from_nondangling(checked, f.G12, f.G22)
+            dangling = dangling_from_nondangling(checked, Gt[:k, k:], Gt[k:, k:])
             assert dangling[0] is not None
             with pytest.raises(ValueError, match="checked for"):
-                verify_coupled_stationarity(given, f, dangling)
+                verify_coupled_stationarity(given, Z, S, dangling)
 
 
 def coupled_cases():
@@ -385,9 +399,9 @@ class TestBorrowedTrailingBlock:
     @pytest.mark.parametrize("case", ["solved", "unit row sums", "singular"])
     def test_every_path_restores_the_matrix(self, case):
         [(_, Gt, k, pis)] = [c for c in coupled_cases() if c[0] == case]
-        f, _ = ldu_factors(Gt, k)
+        Z, S, _ = ldu_factors(Gt, k)
         Gt_before = Gt.copy()
-        rows = coupled_rows(pis, f)
+        rows = coupled_rows(pis, Gt, Z, S)
         assert np.array_equal(Gt, Gt_before)
         notes = {"solved": "dangling from nondangling=",
                  "unit row sums": "skipped (trailing block has unit row sums)",
@@ -395,19 +409,20 @@ class TestBorrowedTrailingBlock:
         assert notes[case] in rows[0][1]
         # a read-only G~ gives read-only views, which are copied, not borrowed
         Gt.setflags(write=False)
-        assert coupled_rows(pis, ldu_factors(Gt, k)[0]) == rows
+        Z, S, _ = ldu_factors(Gt, k)
+        assert coupled_rows(pis, Gt, Z, S) == rows
 
     @pytest.mark.parametrize("case", ["solved", "unit row sums", "singular"])
     def test_checked_before_the_factors_gives_the_same_rows(self, case):
         # run_checks takes (c) from G~'s own blocks before ldu_factors runs
         # and hands it to the coupled check: the rows are those of (c) taken
-        # from the factors' views after ldu_factors, and G~ is restored
+        # from G~'s blocks after ldu_factors, and G~ is restored
         [(_, Gt, k, pis)] = [c for c in coupled_cases() if c[0] == case]
         Gt_before = Gt.copy()
         dangling = dangling_from_nondangling(pis, Gt[:k, k:], Gt[k:, k:])
         assert np.array_equal(Gt, Gt_before)
-        f, _ = ldu_factors(Gt, k)
-        assert verify_coupled_stationarity(pis, f, dangling) == coupled_rows(pis, f)
+        Z, S, _ = ldu_factors(Gt, k)
+        assert verify_coupled_stationarity(pis, Z, S, dangling) == coupled_rows(pis, Gt, Z, S)
         with pytest.raises(ValueError, match=f"length {Gt.shape[0]}"):
             dangling_from_nondangling(pis[:, 1:], Gt[:k, k:], Gt[k:, k:])
 
@@ -415,7 +430,7 @@ class TestBorrowedTrailingBlock:
         # the matrix solved is (I - G22)^T as a new array would hold it, to
         # the last bit, so the solution is unchanged by the borrowing
         [(_, Gt, k, pis)] = [c for c in coupled_cases() if c[0] == "solved"]
-        f, _ = ldu_factors(Gt, k)
+        Z, S, _ = ldu_factors(Gt, k)
         m = Gt.shape[0] - k
         formed = -Gt[k:, k:].T
         formed.flat[::m + 1] += 1.0
@@ -424,10 +439,10 @@ class TestBorrowedTrailingBlock:
         monkeypatch.setattr(lumprank.decomposition, "_solve",
                             lambda A, B, what: seen.append((A.copy(), solve(A, B, what)))
                             or seen[-1][1])
-        coupled_rows(pis, f)
+        coupled_rows(pis, Gt, Z, S)
         [(A, X)] = seen
         assert np.array_equal(A, formed)
-        assert np.array_equal(X, np.linalg.solve(formed, f.G12.T @ pis[:, :k].T))
+        assert np.array_equal(X, np.linalg.solve(formed, Gt[:k, k:].T @ pis[:, :k].T))
 
 
 class TestBorrowedMemory:
@@ -447,12 +462,12 @@ class TestBorrowedMemory:
         params = PageRankParams.uniform(n)
         Gt = build_dense_google(g, params, p)
         G1 = build_dense_lumped(permute_blocks(H, p), p, params)
-        f, _ = ldu_factors(Gt, k)
+        Z, S, _ = ldu_factors(Gt, k)
         pi = oracles.stationary(Gt)
         pis = np.stack([pi, perturbed(pi)])
         calls = {"check_spectrum_identity": lambda: check_spectrum_identity(Gt, [G1], k),
                  "stationary_dense": lambda: stationary_dense(Gt),
-                 "verify_coupled_stationarity": lambda: coupled_rows(pis, f)}
+                 "verify_coupled_stationarity": lambda: coupled_rows(pis, Gt, Z, S)}
         peaks = {}
         for name, call in calls.items():
             gc.collect()
@@ -473,7 +488,7 @@ class TestBorrowedMemory:
         g = parse_edge_list(generate_edge_list(550, 0.5, 4, seed=3))
         p = detect_dangling(build_hyperlink_matrix(g))
         Gt = build_dense_google(g, PageRankParams.uniform(g.n), p)
-        peak = traced_peak(lambda: check_lumpable(Gt, [p.k], tol=1e-10, blocks=[(1, 0)]))
+        peak = traced_peak(lambda: check_lumpable(Gt, p.k))
         assert peak < 0.1 * 8 * g.n * g.n, peak
 
     @pytest.mark.parametrize("kind", list(TransformKind))
@@ -594,6 +609,20 @@ class TestRunChecks:
         private_checks = {key for key in functions
                           if key[1].startswith("_") and key[1] not in HELPERS}
         assert sorted(called & private_checks) == []
+
+    def test_no_second_check_convention(self):
+        # every check returns its deviation and run_checks owns every
+        # threshold: no public lab function takes a threshold or a partition
+        # of its own, and no module wraps results in a dataclass
+        for mod in LAB:
+            for name, obj in vars(mod).items():
+                if getattr(obj, "__module__", None) != mod.__name__:
+                    continue
+                assert not dataclasses.is_dataclass(obj), (mod.__name__, name)
+                if inspect.isfunction(obj) and not name.startswith("_"):
+                    params = set(inspect.signature(obj).parameters)
+                    assert params.isdisjoint({"tol", "boundaries", "blocks"}), (
+                        mod.__name__, name, params)
 
     def test_trailing_solve_comes_before_the_leading_solves(self, monkeypatch):
         # identity (c) is solved while G~ and the vectors are the only large

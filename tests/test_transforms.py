@@ -98,37 +98,48 @@ def defined_as(monkeypatch, matrix):
                         lambda kind, m: np.array(matrix, dtype=float))
 
 
+def note_deviations(note):
+    """The deviations a transform-condition note names, in its order: the
+    forward map, the left operation and the inverse residual."""
+    return [float(part.split("=")[1]) for part in note.split(", ")]
+
+
 class TestTransformCondition:
+    # the threshold run_checks applies to the transform_condition rows
+    TOL = 1e-12
+
     @pytest.mark.parametrize("kind", BUILTIN)
     def test_builtins_pass_up_to_order_50(self, kind):
         for m in range(1, 51):
-            rep = verify_transform_condition(kind, m, tol=1e-12)
-            assert rep.passed, (kind, m, rep.detail)
+            dev, note = verify_transform_condition(kind, m)
+            assert dev <= self.TOL, (kind, m, note)
 
     def test_identity_fails_condition(self, monkeypatch):
         defined_as(monkeypatch, np.eye(3))
-        rep = verify_transform_condition(TransformKind.SPARSE_ELIM, 3, tol=1e-12)
-        assert not rep.passed
-        assert rep.max_abs_deviation >= 1.0  # I e = e, off e1 by 1 in each tail entry
-        assert rep.detail.startswith("forward map off")
+        dev, note = verify_transform_condition(TransformKind.SPARSE_ELIM, 3)
+        assert not dev <= self.TOL
+        assert dev >= 1.0  # I e = e, off e1 by 1 in each tail entry
+        fwd, _, _ = note_deviations(note)
+        assert fwd >= 1.0  # the forward map is off
 
     def test_singular_matrix_reported(self, monkeypatch):
         # maps e to e1, so only the operation checks can see that it is
         # singular: no column operation takes it to I
         defined_as(monkeypatch, [[1.0, 0.0], [0.0, 0.0]])
         for kind in BUILTIN:
-            rep = verify_transform_condition(kind, 2)
-            assert not rep.passed
-            assert rep.detail.startswith("left operation off")
-            assert rep.max_abs_deviation == 1.0  # right_inv(L) - I has -1 at (2, 2)
+            dev, note = verify_transform_condition(kind, 2)
+            assert not dev <= self.TOL
+            fwd, left, _ = note_deviations(note)
+            assert fwd <= self.TOL and not left <= self.TOL  # the left operation is off
+            assert dev == 1.0  # right_inv(L) - I has -1 at (2, 2)
 
     def test_nearly_singular_matrix_reported(self, monkeypatch):
         # maps e to e1 exactly; its inverse would have ~1e13 entries
         defined_as(monkeypatch, [[1.0, 0.0], [1e-13, -1e-13]])
         for kind in BUILTIN:
-            rep = verify_transform_condition(kind, 2)
-            assert not rep.passed
-            assert rep.max_abs_deviation >= 0.5
+            dev, _ = verify_transform_condition(kind, 2)
+            assert not dev <= self.TOL
+            assert dev >= 0.5
 
     def test_order_below_1_raises(self):
         for kind in BUILTIN:
@@ -143,24 +154,25 @@ class TestTransformCondition:
         L[-1] = L[-2]
         L[-1, 0] = np.nextafter(L[-1, 0], 0.0)
         defined_as(monkeypatch, L)
-        rep = verify_transform_condition(TransformKind.AVERAGING, 60)
-        assert not rep.passed
-        assert rep.detail.startswith("left operation off")
-        assert rep.max_abs_deviation == pytest.approx(1.0, abs=1e-15)
+        dev, note = verify_transform_condition(TransformKind.AVERAGING, 60)
+        assert not dev <= self.TOL
+        fwd, left, _ = note_deviations(note)
+        assert fwd <= self.TOL and not left <= self.TOL  # the left operation is off
+        assert dev == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_definition_fails(self, monkeypatch):
         L = build_transform(TransformKind.JORDAN_DIFF, 200)
         L[150, 7] = np.nan
         defined_as(monkeypatch, L)
-        rep = verify_transform_condition(TransformKind.JORDAN_DIFF, 200)
-        assert not rep.passed and np.isnan(rep.max_abs_deviation)
+        dev, _ = verify_transform_condition(TransformKind.JORDAN_DIFF, 200)
+        assert not dev <= self.TOL and np.isnan(dev)
 
     @pytest.mark.parametrize("kind", BUILTIN)
     def test_closed_form_inverse_passes(self, kind):
         for m in (1, 2, 127, 128, 129, 300):
-            rep = verify_transform_condition(kind, m)
-            assert rep.passed and rep.max_abs_deviation <= 1e-13, (m, rep.detail)
+            dev, note = verify_transform_condition(kind, m)
+            assert dev <= self.TOL and dev <= 1e-13, (m, note)
 
 
 class TestDenseGoogle:
@@ -387,15 +399,18 @@ class TestSimilarityTransform:
 
 
 class TestSpectrumIdentity:
+    # the threshold run_checks applies to the spectrum_identity row
+    TOL = 1e-8
+
     def test_passes_for_random_graphs_all_kinds(self):
         rng = np.random.default_rng(26)
         for _ in range(6):
             g, params, H, p, Gt, _ = dense_setup(rng)
             for kind in BUILTIN:
                 _, G1 = similarity_transform(Gt, kind, p.k)
-                [rep] = check_spectrum_identity(Gt, [G1], p.k, tol=1e-8, seed=42)
-                assert rep.passed, rep.detail
-                assert "seed=42" in rep.detail
+                [(dev, note)] = check_spectrum_identity(Gt, [G1], p.k, seed=42)
+                assert dev <= self.TOL, note
+                assert "seed=42" in note
 
     def test_all_dangling_two_node_closed_form(self):
         g = oracles.make_webgraph(2, {})
@@ -404,8 +419,8 @@ class TestSpectrumIdentity:
         Gt = build_dense_google(g, params, p)
         # rank-one matrix: det(2I - e u^T) = 2^2 * (1 - u^T e / 2) = 2
         assert abs(np.linalg.det(2 * np.eye(2) - Gt) - 2.0) <= 1e-12
-        [rep] = check_spectrum_identity(Gt, [np.array([[1.0]])], 0, tol=1e-8)
-        assert rep.passed
+        [(dev, _)] = check_spectrum_identity(Gt, [np.array([[1.0]])], 0)
+        assert dev <= self.TOL
 
     def test_negative_seed_raises(self):
         # random.Random(-s) would draw seed s's points; a negative seed is
@@ -415,19 +430,20 @@ class TestSpectrumIdentity:
         Gt = build_dense_google(g, params, detect_dangling(build_hyperlink_matrix(g)))
         with pytest.raises(ValueError, match="seed must be >= 0"):
             check_spectrum_identity(Gt, [np.array([[1.0]])], 0, seed=-1)
-        [rep] = check_spectrum_identity(Gt, [np.array([[1.0]])], 0, seed=0)
-        assert rep.passed
+        [(dev, _)] = check_spectrum_identity(Gt, [np.array([[1.0]])], 0, seed=0)
+        assert dev <= self.TOL
 
     def test_corrupted_lumped_block_fails(self):
         rng = np.random.default_rng(27)
         g, params, H, p, Gt, A = dense_setup(rng)
         bad = build_dense_lumped(A, p, params)
         bad[0, 0] += 0.1
-        assert not check_spectrum_identity(Gt, [bad], p.k, tol=1e-8)[0].passed
+        [(dev, _)] = check_spectrum_identity(Gt, [bad], p.k)
+        assert not dev <= self.TOL
 
     def test_blocks_share_one_set_of_full_determinants(self, monkeypatch):
-        # one report per block, in order, against one set of n x n
-        # determinants; each block is taken after the report of the one
+        # one result per block, in order, against one set of n x n
+        # determinants; each block is taken after the result of the one
         # before, so a generator may corrupt it in place
         rng = np.random.default_rng(32)
         g, params, H, p, Gt, A = dense_setup(rng)
@@ -439,12 +455,12 @@ class TestSpectrumIdentity:
 
         def blocks():
             yield G1
-            assert len(orders) == 8 + 8  # the first block's report is in
+            assert len(orders) == 8 + 8  # the first block's result is in
             G1[0, 0] += 0.1
             yield G1
 
-        good, bad = check_spectrum_identity(Gt, blocks(), p.k, tol=1e-8)
-        assert good.passed and not bad.passed
+        (good, _), (bad, _) = check_spectrum_identity(Gt, blocks(), p.k)
+        assert good <= self.TOL and not bad <= self.TOL
         assert orders == [g.n] * 8 + [p.k + 1] * 16
 
     def test_size_mismatch_raises(self):
@@ -458,8 +474,8 @@ class TestSpectrumIdentity:
     def test_agreeing_singular_points_count_as_zero(self):
         # at lambda = 2 both I - G/lambda are exactly singular; elsewhere the
         # determinants agree, so the check passes with no warning
-        [rep] = check_spectrum_identity(np.diag([2.0, 0, 0]), [np.diag([2.0, 0])], 1)
-        assert rep.passed and rep.max_abs_deviation == 0.0
+        [(dev, _)] = check_spectrum_identity(np.diag([2.0, 0, 0]), [np.diag([2.0, 0])], 1)
+        assert dev <= self.TOL and dev == 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_one_singular_side_fails(self):
@@ -469,8 +485,8 @@ class TestSpectrumIdentity:
         # every seed
         lumped = np.diag([np.nextafter(2.0, 3.0), 0])
         for seed in range(10):
-            [rep] = check_spectrum_identity(np.diag([2.0, 0, 0]), [lumped], 1, seed=seed)
-            assert not rep.passed and rep.max_abs_deviation == 1.0
+            [(dev, _)] = check_spectrum_identity(np.diag([2.0, 0, 0]), [lumped], 1, seed=seed)
+            assert not dev <= self.TOL and dev == 1.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("side", ["full", "lumped"])
@@ -478,48 +494,66 @@ class TestSpectrumIdentity:
     def test_non_finite_entries_fail(self, side, bad):
         G, G1 = np.full((3, 3), 1 / 3), np.full((2, 2), 0.5)
         (G if side == "full" else G1)[1, 1] = bad
-        [rep] = check_spectrum_identity(G, [G1], 1)
-        assert not rep.passed and rep.max_abs_deviation == np.inf
+        [(dev, note)] = check_spectrum_identity(G, [G1], 1)
+        assert not dev <= self.TOL and dev == np.inf
+        assert note == "seed=0; non-finite matrix entries"
 
 
 class TestLumpable:
+    # the threshold run_checks applies to the lumpable row
+    TOL = 1e-10
+
     def test_dangling_to_nondangling_block_always_passes(self):
         rng = np.random.default_rng(29)
         for _ in range(8):
             g, params, H, p, Gt, _ = dense_setup(rng)
-            rep = check_lumpable(Gt, [p.k], tol=1e-10, blocks=[(1, 0)])
-            assert rep.passed, rep.detail
+            assert check_lumpable(Gt, p.k) <= self.TOL
 
-    def test_constant_row_sum_blocks_pass(self):
+    def test_agreeing_dangling_rows_pass(self):
+        # rows 2 and 3 agree on the nondangling columns 0 and 1, and differ
+        # inside their own block, which lumping never reads
         M = np.array([[0, 0.5, 0.25, 0.25],
                       [0.5, 0, 0.25, 0.25],
                       [1 / 3, 1 / 3, 1 / 6, 1 / 6],
-                      [1 / 3, 1 / 3, 1 / 6, 1 / 6]])
-        rep = check_lumpable(M, [2], tol=1e-12)
-        assert rep.passed
-        assert rep.max_abs_deviation <= 1e-15
+                      [1 / 3, 1 / 3, 1 / 3, 0]])
+        dev = check_lumpable(M, 2)
+        assert dev <= self.TOL
+        assert dev <= 1e-15
 
-    def test_broken_block_row_sum_fails(self):
-        # move mass across the block boundary in one row: still stochastic,
-        # but the (0,1) block's row sums become 0.6 vs 0.5
-        M = np.array([[0, 0.4, 0.35, 0.25],
+    def test_broken_dangling_entry_fails(self):
+        # move mass from column 0 into the dangling block in one row: still
+        # stochastic, but column 0 of M[2:, :2] spreads from 1/3 - 0.1 to 1/3
+        M = np.array([[0, 0.5, 0.25, 0.25],
                       [0.5, 0, 0.25, 0.25],
-                      [1 / 3, 1 / 3, 1 / 6, 1 / 6],
+                      [1 / 3 - 0.1, 1 / 3, 1 / 6 + 0.1, 1 / 6],
                       [1 / 3, 1 / 3, 1 / 6, 1 / 6]])
-        rep = check_lumpable(M, [2], tol=1e-10)
-        assert not rep.passed
-        assert abs(rep.max_abs_deviation - 0.1) <= 1e-12
+        dev = check_lumpable(M, 2)
+        assert not dev <= self.TOL
+        assert abs(dev - 0.1) <= 1e-12
 
-    def test_boundaries_validated(self):
-        M = np.eye(2)
-        with pytest.raises(ValueError, match="boundaries"):
-            check_lumpable(M, [0], tol=1e-10)
-        with pytest.raises(ValueError, match="boundaries"):
-            check_lumpable(M, [2], tol=1e-10)
+    def test_equal_row_sums_with_unequal_entries_fail(self):
+        # both dangling rows put 0.6 on the nondangling columns, but not on
+        # the same ones: a row-sum test passes them, yet the dangling block
+        # enters state 0 with probability 0.4 from one row and 0.2 from the
+        # other, so the partition is not lumpable
+        M = np.array([[0, 0.5, 0.25, 0.25],
+                      [0.5, 0, 0.25, 0.25],
+                      [0.4, 0.2, 0.2, 0.2],
+                      [0.2, 0.4, 0.2, 0.2]])
+        sums = M[2:, :2].sum(axis=1)
+        assert sums.max() - sums.min() <= 1e-15
+        dev = check_lumpable(M, 2)
+        assert dev > 1e-10
+        assert abs(dev - 0.2) <= 1e-15
+
+    @pytest.mark.parametrize("k", [-1, 0, 3, 4])
+    def test_split_point_outside_1_to_n_minus_1_raises(self, k):
+        with pytest.raises(ValueError, match="split point"):
+            check_lumpable(np.full((3, 3), 1 / 3), k)
 
     def test_non_stochastic_rejected(self):
         with pytest.raises(ValueError, match="stochastic"):
-            check_lumpable(np.eye(3) * 2.0, [1], tol=1e-10)
+            check_lumpable(np.eye(3) * 2.0, 1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0]])
@@ -527,7 +561,7 @@ class TestLumpable:
         M = np.full((3, 3), 1 / 3)
         M[0] = row
         with pytest.raises(ValueError, match="not row-stochastic"):
-            check_lumpable(M, [1], tol=1e-10)
+            check_lumpable(M, 1)
 
 
 class TestStationaryDense:
@@ -563,8 +597,8 @@ class TestBorrowedInputs:
         g, params, H, p, Gt, A = dense_setup(rng)
         G1 = build_dense_lumped(A, p, params)
         Gt_before, G1_before = Gt.copy(), G1.copy()
-        [rep] = check_spectrum_identity(Gt, [G1], p.k)
-        assert rep.passed
+        [(dev, _)] = check_spectrum_identity(Gt, [G1], p.k)
+        assert dev <= 1e-8
         assert np.array_equal(Gt, Gt_before) and np.array_equal(G1, G1_before)
 
     @pytest.mark.parametrize("G, G1, k", [
@@ -574,13 +608,13 @@ class TestBorrowedInputs:
     ])
     def test_failing_paths_restore_every_matrix(self, G, G1, k):
         G_before, G1_before = G.copy(), G1.copy()
-        [rep] = check_spectrum_identity(G, [G1], k)
-        assert not rep.passed
+        [(dev, _)] = check_spectrum_identity(G, [G1], k)
+        assert not dev <= 1e-8
         assert np.array_equal(G, G_before, equal_nan=True)
         assert np.array_equal(G1, G1_before, equal_nan=True)
 
     def test_generator_takes_each_block_back_restored(self):
-        # a generator that alters a block after its report finds it as it
+        # a generator that alters a block after its result finds it as it
         # yielded it, and the caller gets the altered block back
         rng = np.random.default_rng(34)
         g, params, H, p, Gt, A = dense_setup(rng)
@@ -597,8 +631,8 @@ class TestBorrowedInputs:
             yield G1
             assert np.array_equal(G1, corrupted[0])
 
-        good, bad = check_spectrum_identity(Gt, blocks(), p.k)
-        assert good.passed and not bad.passed
+        (good, _), (bad, _) = check_spectrum_identity(Gt, blocks(), p.k)
+        assert good <= 1e-8 and not bad <= 1e-8
         assert np.array_equal(G1, corrupted[0]) and np.array_equal(Gt, Gt_before)
 
     def test_read_only_inputs_give_the_same_reports(self):
@@ -666,9 +700,9 @@ class TestLuSlogdet:
                 signs.add(s1)
                 top = max(l1, l2)
                 worst = max(worst, abs(s1 * np.exp(l1 - top) - s2 * np.exp(l2 - top)))
-            rep, same = check_spectrum_identity(A, [B, A], n - 1, tol=1e-8)
-            assert abs(rep.max_abs_deviation - worst) <= 1e-12
-            assert same.max_abs_deviation == 0.0
+            (dev, _), (same, _) = check_spectrum_identity(A, [B, A], n - 1)
+            assert abs(dev - worst) <= 1e-12
+            assert same == 0.0
         assert -1.0 in signs and 1.0 in signs
 
     @pytest.mark.parametrize("A", [
@@ -686,9 +720,9 @@ class TestLuSlogdet:
         assert tuple(np.linalg.slogdet(2.0 * np.eye(n) - Gt)) == (0.0, -np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [rep] = check_spectrum_identity(Gt, [Gt + 0.5 * np.eye(n)], n - 1)
-        assert not rep.passed
-        assert rep.max_abs_deviation >= 1.0
+            [(dev, _)] = check_spectrum_identity(Gt, [Gt + 0.5 * np.eye(n)], n - 1)
+        assert not dev <= 1e-8
+        assert dev >= 1.0
 
 
 def layouts(M):
