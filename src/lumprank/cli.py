@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="dense identity checks on a small graph")
     add_solver_args(p_ver)
-    p_ver.add_argument("--dense-limit", type=int, default=None)  # None: the lab's default
+    p_ver.add_argument("--dense-limit", type=int, default=2000,
+                       help="largest node count the dense checks accept (default 2000); "
+                            "a larger graph exits 3")
     p_ver.add_argument("--seed", type=int, default=0, help="seed for sampled check points")
     p_ver.add_argument("--negative-control", action="store_true",
                        help="also run deliberately corrupted checks (they must FAIL)")
@@ -239,23 +241,21 @@ def cmd_compare(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
-    # the dense lab loads only for the command that uses it
-    from .decomposition import run_checks
-    from .transforms import DENSE_LIMIT_DEFAULT
-
     if cfg.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {cfg.seed}")
-    dense_limit = DENSE_LIMIT_DEFAULT if cfg.dense_limit is None else cfg.dense_limit
-    if dense_limit < 1:
-        raise ValueError(f"--dense-limit must be at least 1, got {dense_limit}")
+    if cfg.dense_limit < 1:
+        raise ValueError(f"--dense-limit must be at least 1, got {cfg.dense_limit}")
     g = _load_graph(cfg.graph_path)
-    if g.n > dense_limit:
-        print(f"lumprank: n={g.n} exceeds dense limit {dense_limit}", file=sys.stderr)
+    if g.n > cfg.dense_limit:
+        print(f"lumprank: n={g.n} exceeds dense limit {cfg.dense_limit}", file=sys.stderr)
         return EXIT_DENSE_LIMIT
+    # the dense lab loads only for a graph within the limit
+    from .decomposition import run_checks
+
     params = _load_params(cfg, g.n)
     k = int(np.count_nonzero(np.diff(g.indptr)))  # nodes with out-links
     print(f"# n={g.n} k={k} dangling={g.n - k} alpha={params.alpha!r} seed={cfg.seed}")
-    rows = run_checks(g, params, cfg.seed, cfg.negative_control, dense_limit)
+    rows = run_checks(g, params, cfg.seed, cfg.negative_control)
     for status, name, dev, note in rows:
         dev_text = "" if dev is None else f" max_dev={dev:.3e}"
         print(f"{status} {name}{dev_text}" + (f"  ({note})" if note else ""))

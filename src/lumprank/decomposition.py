@@ -12,7 +12,6 @@ import numpy as np
 from .graph import PageRankParams, WebGraph, build_hyperlink_matrix
 from .lumping import detect_dangling, permute_blocks
 from .transforms import (
-    DENSE_LIMIT_DEFAULT,
     TransformKind,
     _absmax,
     build_dense_google,
@@ -135,8 +134,8 @@ def dangling_from_nondangling(pis: np.ndarray, G12: np.ndarray,
     for every row's right-hand side, and it is not copied: I - G22 is
     written into the view ``G22``, that is into G~ itself, and factored
     through its transpose, and G22 is restored bit for bit before return,
-    also when the solve raises.  A read-only G22 is copied first.  Returns
-    the deviation max|x - pi2| of each row, or None with the reason (c) was
+    also when the solve raises; G22 must be writeable.  Returns the
+    deviation max|x - pi2| of each row, or None with the reason (c) was
     skipped.
     """
     k, m = G12.shape
@@ -146,18 +145,17 @@ def dangling_from_nondangling(pis: np.ndarray, G12: np.ndarray,
                          f"got shape {pis.shape}")
     if not G22.sum(axis=1).max() < 1.0 - 1e-12:  # a NaN row sum skips too
         return None, "trailing block has unit row sums"
-    A = G22 if G22.flags.writeable else G22.copy()
-    diag = A.diagonal().copy()
+    diag = G22.diagonal().copy()
     B = G12.T @ pis[:, :k].T
-    np.negative(A, out=A)  # exact, so negating again restores every entry
+    np.negative(G22, out=G22)  # exact, so negating again restores every entry
     try:
-        A.flat[::m + 1] += 1.0  # I - G22, the identity added in place
-        X = _solve(A.T, B, "I minus the trailing block")
+        G22.flat[::m + 1] += 1.0  # I - G22, the identity added in place
+        X = _solve(G22.T, B, "I minus the trailing block")
     except np.linalg.LinAlgError as exc:
         return None, str(exc)
     finally:
-        np.negative(A, out=A)
-        A.flat[::m + 1] = diag
+        np.negative(G22, out=G22)
+        G22.flat[::m + 1] = diag
     return np.abs(X.T - pis[:, k:]).max(axis=1), ""
 
 
@@ -207,8 +205,7 @@ def verify_coupled_stationarity(pis: np.ndarray, Z: np.ndarray, S: np.ndarray,
 
 
 def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
-               negative_control: bool = False,
-               dense_limit: int = DENSE_LIMIT_DEFAULT) -> list[tuple]:
+               negative_control: bool = False) -> list[tuple]:
     """Every dense lab check of ``lumprank verify``, in its output order.
 
     Returns ``(status, name, max_dev, note)`` rows: status is PASS, FAIL or
@@ -227,7 +224,7 @@ def run_checks(g: WebGraph, params: PageRankParams, seed: int = 0,
     p = detect_dangling(H)
     n, k = g.n, p.k
     m = n - k
-    Gt = build_dense_google(g, params, p, dense_limit=dense_limit)
+    Gt = build_dense_google(H, p, params)
     # each negative control is checked beside the check it corrupts, and
     # its row is printed last
     rows, controls = [], []

@@ -3,10 +3,10 @@ similarity form, spectrum identity, and the lumpability test of the paper's
 partition, k nondangling singletons and one dangling block.
 
 Everything here is O(n^2)/O(n^3) dense machinery meant for desk-scale cross
-checks of the sparse pipeline, guarded by a configurable size cap.  Each
-check returns its deviation, with a note where ``verify`` prints one; the
-thresholds that make a deviation PASS or FAIL belong to
-:func:`lumprank.decomposition.run_checks`.
+checks of the sparse pipeline; ``lumprank verify`` refuses a graph above its
+``--dense-limit`` before this module loads.  Each check returns its
+deviation, with a note where ``verify`` prints one; the thresholds that make
+a deviation PASS or FAIL belong to :func:`lumprank.decomposition.run_checks`.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from random import Random
 
 import numpy as np
 
-from .graph import HyperlinkMatrix, PageRankParams, WebGraph, build_hyperlink_matrix
+from .graph import HyperlinkMatrix, PageRankParams
 from .lumping import DanglingPartition
-
-DENSE_LIMIT_DEFAULT = 2000
 
 # how far from 1 a row sum may be for check_lumpable to take M as stochastic
 _STOCHASTIC_TOL = 1e-10
@@ -136,27 +134,31 @@ def verify_transform_condition(kind: TransformKind, m: int) -> tuple[float, str]
                      f"|right_inv(L) - I|={dev_res:.3e}")
 
 
-def build_dense_google(g: WebGraph, params: PageRankParams, p: DanglingPartition,
-                       dense_limit: int = DENSE_LIMIT_DEFAULT) -> np.ndarray:
-    """Assemble the explicit permuted Google matrix (lab use only).
-
-    Rows above the split are alpha*H + (1-alpha) e v^T; dangling rows are the
-    rank-one u^T rows.  Refuses graphs beyond the dense cap.
-    """
-    if g.n > dense_limit:
-        raise ValueError(
-            f"n={g.n} exceeds the dense lab limit {dense_limit}; use the sparse solver"
-        )
-    if params.n != g.n or p.perm.size != g.n:
-        raise ValueError("graph, params, and partition sizes differ")
-    H = build_hyperlink_matrix(g)
-    G = np.zeros((g.n, g.n))
-    G[p.inv_perm[H.rows], p.inv_perm[H.indices]] = params.alpha * H.data
-    v = params.v[p.perm]
-    w = params.w[p.perm]
-    G[p.k:, :] += params.alpha * w
-    G += (1.0 - params.alpha) * v
+def _google_matrix(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, k: int,
+                   alpha: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dense alpha (H + d w^T) + (1-alpha) e v^T from the stored entries of a
+    hyperlink matrix H, ``data`` at (``rows``, ``cols``), where d marks the
+    dangling rows, which start at row k.  In place, with no temporary of the
+    matrix's size (the order of verify's dense allocations moves its peak
+    RSS by ~1 MB): alpha*data is scattered, alpha*w added to the dangling
+    rows, then (1-alpha)*v to every row."""
+    G = np.zeros((v.size, v.size))
+    G[rows, cols] = alpha * data
+    G[k:, :] += alpha * w
+    G += (1.0 - alpha) * v
     return G
+
+
+def build_dense_google(H: HyperlinkMatrix, p: DanglingPartition,
+                       params: PageRankParams) -> np.ndarray:
+    """Assemble the explicit permuted Google matrix G~ of the hyperlink
+    matrix H (lab use only): rows above the split are alpha*H + (1-alpha)
+    e v^T, and dangling rows are the rank-one u^T rows, u = alpha*w +
+    (1-alpha)*v."""
+    if params.n != H.n or p.perm.size != H.n:
+        raise ValueError("hyperlink matrix, params, and partition sizes differ")
+    return _google_matrix(p.inv_perm[H.rows], p.inv_perm[H.indices], H.data, p.k,
+                          params.alpha, params.v[p.perm], params.w[p.perm])
 
 
 def build_dense_lumped(A: HyperlinkMatrix, p: DanglingPartition,
@@ -165,16 +167,10 @@ def build_dense_lumped(A: HyperlinkMatrix, p: DanglingPartition,
     lumped chain's matrix A of :func:`~lumprank.lumping.permute_blocks`,
     with u = alpha*w + (1-alpha)*v the row every dangling node shares and
     v, w lumped by :meth:`DanglingPartition.lump`: the dense counterpart of
-    the matrix-free operator."""
-    k, alpha = p.k, params.alpha
-    v = (1.0 - alpha) * p.lump(params.v)
-    # in place, with no (k+1)^2 temporary: the order of verify's dense
-    # allocations moves its peak RSS by ~1 MB
-    M = A.toarray()
-    M *= alpha
-    M += v
-    M[k] = alpha * p.lump(params.w) + v
-    return M
+    the matrix-free operator.  A's one dangling row is row k, so this is the
+    Google matrix of A by the formula of :func:`build_dense_google`."""
+    return _google_matrix(A.rows, A.indices, A.data, p.k, params.alpha,
+                          p.lump(params.v), p.lump(params.w))
 
 
 def stationary_dense(M: np.ndarray) -> np.ndarray:
@@ -184,12 +180,10 @@ def stationary_dense(M: np.ndarray) -> np.ndarray:
     normalization sum(x) = 1.  M is borrowed, not copied: the system's
     transpose, I - M with its last column set to ones, is written into M
     itself and factored through the view M.T, and M's entries are put back
-    bit for bit before return, also when the solve raises.  A read-only M
-    is copied first.
+    bit for bit before return, also when the solve raises.  M must be
+    writeable.
     """
     M = np.asarray(M, dtype=np.float64)
-    if not M.flags.writeable:
-        M = M.copy()
     n = M.shape[0]
     diag, last = M.diagonal().copy(), M[:, -1].copy()
     rhs = np.zeros(n)
@@ -266,7 +260,7 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int,
     Every matrix is borrowed, not copied: its diagonal is shifted in place
     for each sample point, the transposed view is factored, and the
     diagonal is restored, bit for bit, before the next matrix is read, also
-    when a factorization raises.  A read-only matrix is copied first.
+    when a factorization raises.  Every matrix must be writeable.
 
     ``lumped`` is an iterable of (k+1)-order blocks G1, and the result holds
     one (max_dev, note) per block, in order: the worst relative deviation
@@ -304,8 +298,6 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int,
     # max|.| is finite exactly when every entry is; np.isfinite would hold
     # an n x n mask
     finite = bool(np.isfinite(_absmax(Gt)))
-    if finite and not Gt.flags.writeable:
-        Gt = Gt.copy()
     full = slogdets(Gt) if finite else []
     j = n - k - 1  # the power of -lam that the lumped side lacks
 
@@ -317,8 +309,6 @@ def check_spectrum_identity(Gt: np.ndarray, lumped, k: int,
         if not (finite and np.isfinite(_absmax(G1))):
             results.append((np.inf, f"seed={seed}; non-finite matrix entries"))
             continue
-        if not G1.flags.writeable:
-            G1 = G1.copy()
         worst, worst_lam = 0.0, lams[0]
         for lam, (s_full, ld_full), (s_lump, ld_lump) in zip(lams, full, slogdets(G1)):
             if s_full == s_lump == 0.0:

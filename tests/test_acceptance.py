@@ -124,7 +124,7 @@ def test_c3_block_triangularity_and_lumped_block(graph_set):
     worst_bottom = 0.0
     worst_block = 0.0
     for g, params, H, p in graph_set:
-        Gt = build_dense_google(g, params, p)
+        Gt = build_dense_google(H, p, params)
         k = p.k
         direct = direct_lumped_from_dense(Gt, k)
         for kind in BUILTIN:
@@ -142,7 +142,7 @@ def test_c4_spectrum_identity(graph_set):
     worst = 0.0
     all_passed = True
     for idx, (g, params, H, p) in enumerate(graph_set):
-        Gt = build_dense_google(g, params, p)
+        Gt = build_dense_google(H, p, params)
         G1 = direct_lumped_from_dense(Gt, p.k)
         [(dev, _)] = check_spectrum_identity(Gt, [G1], p.k, seed=idx)
         all_passed &= dev <= 1e-8
@@ -158,7 +158,7 @@ def test_c5_recovery_matches_dense_stationary(graph_set):
         sigma = oracles.stationary(build_dense_lumped(permute_blocks(H, p), p, params))
         pi_rec = recover_pagerank(sigma, H, p, params)
         worst_sum = max(worst_sum, abs(float(pi_rec.sum()) - 1.0))
-        pi_dense = oracles.stationary(build_dense_google(g, params, p))
+        pi_dense = oracles.stationary(build_dense_google(H, p, params))
         worst_l1 = max(worst_l1, float(np.abs(pi_rec - pi_dense).sum()))
     report("C5", worst_l1 <= 1e-9 and worst_sum <= 1e-12,
            f"recovered ranking vs dense direct solve: 1-norm gap {worst_l1:.2e} (<=1e-9), "
@@ -171,7 +171,7 @@ def test_c6_decomposition_identities_and_negative_controls(graph_set):
     worst_coupled = 0.0
     coupled_ok = complement_ok = True
     for g, params, H, p in graph_set:
-        Gt = build_dense_google(g, params, p)
+        Gt = build_dense_google(H, p, params)
         n, k = g.n, p.k
         Z, S, _ = ldu_factors(Gt, k)
         worst_ldu = max(worst_ldu, oracles.ldu_deviation(Gt, Z, S) / (1e-12 * n))
@@ -186,7 +186,7 @@ def test_c6_decomposition_identities_and_negative_controls(graph_set):
 
     # negative controls on the first case
     g, params, H, p = graph_set[0]
-    Gt = build_dense_google(g, params, p)
+    Gt = build_dense_google(H, p, params)
     pi_bad = oracles.stationary(Gt)
     pi_bad[0] += 1e-3
     pi_bad /= pi_bad.sum()

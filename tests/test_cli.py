@@ -719,9 +719,19 @@ class TestVerify:
                              "block is singular to working precision)")
 
     def test_dense_limit_exits_3(self, capsys, tri_file):
-        code, _, err = run(capsys, "verify", tri_file, "--dense-limit", "2")
+        code, out, err = run(capsys, "verify", tri_file, "--dense-limit", "2")
         assert code == 3
-        assert "dense limit" in err
+        assert out == ""
+        assert err == "lumprank: n=3 exceeds dense limit 2\n"
+
+    def test_dense_limit_equal_to_n_runs(self, capsys, tri_file):
+        code, out, err = run(capsys, "verify", tri_file, "--dense-limit", "3")
+        assert code == 0 and err == ""
+        assert out.startswith("# n=3 k=2 dangling=1 ")
+
+    def test_dense_limit_defaults_to_2000(self):
+        cfg = lumprank.cli.build_parser().parse_args(["verify", "g.txt"])
+        assert cfg.dense_limit == 2000
 
     def test_no_dangling_graph_skips_transform_lab(self, capsys, cycle_file):
         code, out, _ = run(capsys, "verify", cycle_file)
@@ -770,7 +780,7 @@ def public_path_checks(g, params, seed):
     H = build_hyperlink_matrix(g)
     p = detect_dangling(H)
     n, k = g.n, p.k
-    Gt = build_dense_google(g, params, p)
+    Gt = build_dense_google(H, p, params)
     out = []
 
     def emit(name, passed, dev, note=""):
@@ -1061,7 +1071,27 @@ print(json.dumps({"bare": bare, "code": code,
 """
 
 
+# Runs in a fresh interpreter: a verify over the dense limit exits 3 with the
+# lab's modules never imported.
+LIMIT_PROBE = """
+import contextlib, io, json, sys
+from lumprank.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["verify", sys.argv[1], "--dense-limit", "2"])
+print(json.dumps({"code": code, "out": out.getvalue(), "lab": sorted(
+    m for m in ("lumprank.transforms", "lumprank.decomposition") if m in sys.modules)}))
+"""
+
+
 class TestVerifyModules:
+    def test_verify_over_the_limit_loads_no_lab_module(self, tri_file):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", LIMIT_PROBE, tri_file],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert json.loads(proc.stdout) == {"code": 3, "out": "", "lab": []}
+        assert proc.stderr == "lumprank: n=3 exceeds dense limit 2\n"
+
     def test_verify_loads_no_numpy_random_or_hashlib(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(60, 0.5, 4, seed=11))

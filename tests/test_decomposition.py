@@ -2,12 +2,14 @@ import dataclasses
 import gc
 import inspect
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import lumprank.decomposition
+import lumprank.graph
 import lumprank.transforms
 import oracles
 from lumprank import (
@@ -48,15 +50,16 @@ def dense_setup(rng, n_max=40):
         if 1 <= p.k <= n - 1:
             break
     params = PageRankParams.uniform(n, alpha=float(rng.choice([0.5, 0.85, 0.99])))
-    Gt = build_dense_google(g, params, p)
+    Gt = build_dense_google(H, p, params)
     return g, params, H, p, Gt
 
 
 def micro_setup():
     g = parse_edge_list("1 2\n1 3\n2 1\n")
     params = PageRankParams.uniform(3, alpha=0.5)
-    p = detect_dangling(build_hyperlink_matrix(g))
-    return build_dense_google(g, params, p)
+    H = build_hyperlink_matrix(g)
+    p = detect_dangling(H)
+    return build_dense_google(H, p, params)
 
 
 class TestLduFactors:
@@ -166,9 +169,10 @@ class TestStochasticComplement:
     def test_single_nondangling_two_dangling(self):
         g = oracles.make_webgraph(3, {0: {1}})
         params = PageRankParams.uniform(3, alpha=0.85)
-        p = detect_dangling(build_hyperlink_matrix(g))
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
         assert p.k == 1
-        Gt = build_dense_google(g, params, p)
+        Gt = build_dense_google(H, p, params)
         S = complement(Gt, 1)
         assert S.shape == (2, 2)
         assert S.min() >= -1e-12
@@ -311,8 +315,9 @@ class TestCoupledStationarity:
         # call that formed W would fail: one did, at 558,602 B
         g = parse_edge_list(generate_edge_list(400, 0.5, 4, seed=3))
         n = g.n
-        p = detect_dangling(build_hyperlink_matrix(g))
-        Gt = build_dense_google(g, PageRankParams.uniform(n), p)
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        Gt = build_dense_google(H, p, PageRankParams.uniform(n))
         k, m, r = p.k, n - p.k, 2
         assert (n, k) == (367, 200)
         Z, S, _ = ldu_factors(Gt, k)
@@ -345,8 +350,9 @@ class TestCoupledStationarity:
         g = parse_edge_list("1 2\n1 3\n2 1\n")
         conc = np.array([0.0, 0.0, 1.0])
         params = PageRankParams(alpha=0.5, v=conc, w=conc.copy())
-        p = detect_dangling(build_hyperlink_matrix(g))
-        Gt = build_dense_google(g, params, p)
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        Gt = build_dense_google(H, p, params)
         pi = oracles.stationary(Gt)
         dev, note = coupled(pi, Gt, p.k)
         assert dev <= 1e-10, note
@@ -387,8 +393,9 @@ def coupled_cases():
             ("singular", "1 2\n2 1\n1 3\n2 4\n", [5e-12, 5e-12, 0.499999999995, 0.499999999995])]:
         g = parse_edge_list(text)
         v = np.array(v)
-        p = detect_dangling(build_hyperlink_matrix(g))
-        Gt = build_dense_google(g, PageRankParams(alpha=0.85, v=v, w=v.copy()), p)
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        Gt = build_dense_google(H, p, PageRankParams(alpha=0.85, v=v, w=v.copy()))
         yield name, Gt, p.k, oracles.stationary(Gt)[None]
 
 
@@ -407,10 +414,17 @@ class TestBorrowedTrailingBlock:
                  "unit row sums": "skipped (trailing block has unit row sums)",
                  "singular": "skipped (I minus the trailing block is singular"}
         assert notes[case] in rows[0][1]
-        # a read-only G~ gives read-only views, which are copied, not borrowed
+        # a borrowed G22 must be writeable: a read-only G~ gives read-only
+        # views, and the solve raises numpy's ValueError with no entry
+        # changed; the unit-row-sum skip writes nothing, so it still returns
         Gt.setflags(write=False)
-        Z, S, _ = ldu_factors(Gt, k)
-        assert coupled_rows(pis, Gt, Z, S) == rows
+        if case == "unit row sums":
+            assert dangling_from_nondangling(pis, Gt[:k, k:], Gt[k:, k:]) == (
+                None, "trailing block has unit row sums")
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                dangling_from_nondangling(pis, Gt[:k, k:], Gt[k:, k:])
+        assert np.array_equal(Gt, Gt_before)
 
     @pytest.mark.parametrize("case", ["solved", "unit row sums", "singular"])
     def test_checked_before_the_factors_gives_the_same_rows(self, case):
@@ -460,7 +474,7 @@ class TestBorrowedMemory:
         n, k = g.n, p.k
         assert (n, k) == (503, 275)
         params = PageRankParams.uniform(n)
-        Gt = build_dense_google(g, params, p)
+        Gt = build_dense_google(H, p, params)
         G1 = build_dense_lumped(permute_blocks(H, p), p, params)
         Z, S, _ = ldu_factors(Gt, k)
         pi = oracles.stationary(Gt)
@@ -486,8 +500,9 @@ class TestBorrowedMemory:
         # its finiteness test is max|M|, with no n x n mask of np.isfinite
         # (that mask alone is 0.125 n^2 doubles); measured: 0.004 n^2
         g = parse_edge_list(generate_edge_list(550, 0.5, 4, seed=3))
-        p = detect_dangling(build_hyperlink_matrix(g))
-        Gt = build_dense_google(g, PageRankParams.uniform(g.n), p)
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        Gt = build_dense_google(H, p, PageRankParams.uniform(g.n))
         peak = traced_peak(lambda: check_lumpable(Gt, p.k))
         assert peak < 0.1 * 8 * g.n * g.n, peak
 
@@ -511,8 +526,9 @@ class TestBorrowedMemory:
         # bound.  tracemalloc does not see LAPACK's work copies.  An
         # order-(n-k) or k x (n-k) product would not fit
         g = parse_edge_list(generate_edge_list(900, 0.6, 4, seed=3))
-        p = detect_dangling(build_hyperlink_matrix(g))
-        Gt = build_dense_google(g, PageRankParams.uniform(g.n), p)
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        Gt = build_dense_google(H, p, PageRankParams.uniform(g.n))
         n, k = g.n, p.k
         m = n - k
         assert (n, k) == (782, 360)
@@ -538,7 +554,7 @@ def traced_peak(call) -> int:
 
 LAB = (lumprank.transforms, lumprank.decomposition)
 # private helpers that compute one step of a check, not a check of their own
-HELPERS = {"_absmax", "_solve", "_apply_left", "_apply_right_inverse"}
+HELPERS = {"_absmax", "_solve", "_apply_left", "_apply_right_inverse", "_google_matrix"}
 
 
 class TestRunChecks:
@@ -609,6 +625,20 @@ class TestRunChecks:
         private_checks = {key for key in functions
                           if key[1].startswith("_") and key[1] not in HELPERS}
         assert sorted(called & private_checks) == []
+
+    def test_builds_one_hyperlink_matrix(self, monkeypatch):
+        # both dense chains are formed from the one H that run_checks builds
+        g, params, H, p, Gt = dense_setup(np.random.default_rng(53))
+        built = []
+        build = lumprank.graph.build_hyperlink_matrix
+        for name, mod in list(sys.modules.items()):  # every binding of the builder
+            if name.startswith("lumprank") and getattr(mod, "build_hyperlink_matrix",
+                                                       None) is build:
+                monkeypatch.setattr(mod, "build_hyperlink_matrix",
+                                    lambda g: built.append(build(g)) or built[-1])
+        rows = run_checks(g, params, negative_control=True)
+        assert [status for status, *_ in rows].count("PASS") == 14
+        assert len(built) == 1
 
     def test_no_second_check_convention(self):
         # every check returns its deviation and run_checks owns every

@@ -50,7 +50,7 @@ def dense_setup(rng, n_max=40, alphas=(0.5, 0.85, 0.99)):
         if 1 <= p.k <= n - 1:
             break
     params = PageRankParams.uniform(n, alpha=float(rng.choice(alphas)))
-    Gt = build_dense_google(g, params, p)
+    Gt = build_dense_google(H, p, params)
     return g, params, H, p, Gt, permute_blocks(H, p)
 
 
@@ -179,8 +179,9 @@ class TestDenseGoogle:
     def test_micro_instance_matrix(self):
         g = parse_edge_list("1 2\n1 3\n2 1\n")
         params = PageRankParams.uniform(3, alpha=0.5)
-        p = detect_dangling(build_hyperlink_matrix(g))
-        Gt = build_dense_google(g, params, p)
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        Gt = build_dense_google(H, p, params)
         expected = np.array([[1 / 6, 5 / 12, 5 / 12],
                              [2 / 3, 1 / 6, 1 / 6],
                              [1 / 3, 1 / 3, 1 / 3]])
@@ -204,31 +205,35 @@ class TestDenseGoogle:
 
     def test_equals_two_array_formula(self):
         # alpha*H.data scattered into one array, bit for bit the matrix of
-        # scattering H into Ht and scaling a second array alpha*Ht
+        # scattering H into Ht and scaling a second array alpha*Ht; and the
+        # lumped matrix, by the same formula, bit for bit A scaled in place
+        # with its dangling row k set to alpha*lump(w) + (1-alpha)*lump(v)
         rng = np.random.default_rng(27)
         for _ in range(8):
-            g, params, H, p, _, _ = dense_setup(rng)
+            g, params, H, p, _, A = dense_setup(rng)
             v, w = rng.pareto(1.5, g.n) + 1e-3, rng.random(g.n)
             params = PageRankParams(alpha=params.alpha, v=v / v.sum(), w=w / w.sum())
+            alpha = params.alpha
             Ht = np.zeros((g.n, g.n))
             Ht[p.inv_perm[H.rows], p.inv_perm[H.indices]] = H.data
-            expected = params.alpha * Ht
-            expected[p.k:, :] += params.alpha * params.w[p.perm]
-            expected += (1.0 - params.alpha) * params.v[p.perm]
-            assert np.array_equal(build_dense_google(g, params, p), expected)
+            expected = alpha * Ht
+            expected[p.k:, :] += alpha * params.w[p.perm]
+            expected += (1.0 - alpha) * params.v[p.perm]
+            assert np.array_equal(build_dense_google(H, p, params), expected)
 
-    def test_size_cap_enforced(self):
-        g = parse_edge_list("1 2\n1 3\n2 1\n")
-        params = PageRankParams.uniform(3)
-        p = detect_dangling(build_hyperlink_matrix(g))
-        with pytest.raises(ValueError, match="dense"):
-            build_dense_google(g, params, p, dense_limit=2)
+            lumped_v = (1.0 - alpha) * p.lump(params.v)
+            expected = A.toarray()
+            expected *= alpha
+            expected += lumped_v
+            expected[p.k] = alpha * p.lump(params.w) + lumped_v
+            assert np.array_equal(build_dense_lumped(A, p, params), expected)
 
 
 def lab_setup(g):
     """(Gt, k) of a graph at alpha 0.85 with uniform v and w."""
-    p = detect_dangling(build_hyperlink_matrix(g))
-    return build_dense_google(g, PageRankParams.uniform(g.n, alpha=0.85), p), p.k
+    H = build_hyperlink_matrix(g)
+    p = detect_dangling(H)
+    return build_dense_google(H, p, PageRankParams.uniform(g.n, alpha=0.85)), p.k
 
 
 def split_graph(rng, k, m):
@@ -335,8 +340,9 @@ class TestSimilarityTransform:
     def test_single_dangling_node_degenerate(self):
         g = parse_edge_list("1 2\n1 3\n2 1\n")
         params = PageRankParams.uniform(3, alpha=0.5)
-        p = detect_dangling(build_hyperlink_matrix(g))
-        Gt = build_dense_google(g, params, p)
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        Gt = build_dense_google(H, p, params)
         for kind in BUILTIN:
             lower, G1 = similarity_transform(Gt, kind, 2)
             assert np.array_equal(G1, Gt) and np.array_equal(lower, Gt[2:])
@@ -415,8 +421,9 @@ class TestSpectrumIdentity:
     def test_all_dangling_two_node_closed_form(self):
         g = oracles.make_webgraph(2, {})
         params = PageRankParams.uniform(2, alpha=0.85)
-        p = detect_dangling(build_hyperlink_matrix(g))
-        Gt = build_dense_google(g, params, p)
+        H = build_hyperlink_matrix(g)
+        p = detect_dangling(H)
+        Gt = build_dense_google(H, p, params)
         # rank-one matrix: det(2I - e u^T) = 2^2 * (1 - u^T e / 2) = 2
         assert abs(np.linalg.det(2 * np.eye(2) - Gt) - 2.0) <= 1e-12
         [(dev, _)] = check_spectrum_identity(Gt, [np.array([[1.0]])], 0)
@@ -427,7 +434,8 @@ class TestSpectrumIdentity:
         # refused, as `verify --seed` refuses it
         g = oracles.make_webgraph(2, {})
         params = PageRankParams.uniform(2, alpha=0.85)
-        Gt = build_dense_google(g, params, detect_dangling(build_hyperlink_matrix(g)))
+        H = build_hyperlink_matrix(g)
+        Gt = build_dense_google(H, detect_dangling(H), params)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             check_spectrum_identity(Gt, [np.array([[1.0]])], 0, seed=-1)
         [(dev, _)] = check_spectrum_identity(Gt, [np.array([[1.0]])], 0, seed=0)
@@ -635,16 +643,19 @@ class TestBorrowedInputs:
         assert good <= 1e-8 and not bad <= 1e-8
         assert np.array_equal(G1, corrupted[0]) and np.array_equal(Gt, Gt_before)
 
-    def test_read_only_inputs_give_the_same_reports(self):
+    def test_read_only_inputs_raise_and_stay_unchanged(self):
+        # a borrowed matrix must be writeable: a read-only full or lumped
+        # matrix raises numpy's ValueError, and no entry of either changes
         rng = np.random.default_rng(35)
         g, params, H, p, Gt, A = dense_setup(rng)
         G1 = build_dense_lumped(A, p, params)
-        bad = G1.copy()
-        bad[0, 0] += 0.1
-        expected = check_spectrum_identity(Gt, [G1, bad], p.k)
-        for M in (Gt, G1, bad):
-            M.setflags(write=False)
-        assert check_spectrum_identity(Gt, [G1, bad], p.k) == expected
+        for read_only in (Gt, G1):
+            Gt_before, G1_before = Gt.copy(), G1.copy()
+            read_only.setflags(write=False)
+            with pytest.raises(ValueError, match="read-only"):
+                check_spectrum_identity(Gt, [G1], p.k)
+            assert np.array_equal(Gt, Gt_before) and np.array_equal(G1, G1_before)
+            read_only.setflags(write=True)
 
     def test_stationary_dense_solves_the_formed_system_exactly(self):
         # the borrowed system is the one formed in a new array, I - M^T with
@@ -664,7 +675,9 @@ class TestBorrowedInputs:
                 assert np.array_equal(M, M_before)
                 assert np.array_equal(pi, np.linalg.solve(system, rhs))
                 M.setflags(write=False)
-                assert np.array_equal(stationary_dense(M), pi)
+                with pytest.raises(ValueError, match="read-only"):
+                    stationary_dense(M)
+                assert np.array_equal(M, M_before)
 
     def test_stationary_dense_restores_a_matrix_whose_solve_raises(self):
         # the identity chain: every equation of I - M^T is 0, so the system
