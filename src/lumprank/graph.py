@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,11 +73,12 @@ def _fast_pairs(raw: bytes) -> np.ndarray | None:
 
     Returns None unless ``raw`` holds only ASCII digits, spaces, tabs and
     ``\\n``, and every line that is not blank holds exactly two labels below
-    2**63.  On such input fromstring and :func:`_checked_pairs` agree; anything
-    else (comments and ``\\r\\n`` included), valid or not, is left to the
-    checked reader.  The line structure is checked on the bytes as arrays,
-    ``_CHUNK`` bytes at a time: each label's first digit and each newline,
-    in order, must come as newlines and pairs of labels.
+    2**63 - 1.  On such input fromstring and :func:`_checked_pairs` agree;
+    anything else (comments, ``\\r\\n`` and the label 2**63 - 1 included),
+    valid or not, is left to the checked reader.  The line structure is
+    checked on the bytes as arrays, ``_CHUNK`` bytes at a time: each label's
+    first digit and each newline, in order, must come as newlines and pairs
+    of labels.
     """
     if raw.translate(None, _DATA_BYTES) or not raw or raw.isspace():  # strip() would copy raw
         return None
@@ -87,26 +87,22 @@ def _fast_pairs(raw: bytes) -> np.ndarray | None:
     # time, behind the last two of the chunk before; a newline opens the file
     event, labels = np.zeros(2, bool), 0
     for lo in range(0, byte.size, _CHUNK):
-        start, newline = _label_starts_and_newlines(byte, lo)
-        event = np.concatenate([event[-2:], start[start | newline]])
+        chunk = byte[lo:lo + _CHUNK]
+        blank = chunk <= ord(" ")  # space, tab or newline
+        start = np.empty_like(blank)  # the first digit of each label
+        start[0] = not blank[0] and (lo == 0 or byte[lo - 1] <= ord(" "))
+        np.greater(blank[:-1], blank[1:], out=start[1:])
+        event = np.concatenate([event[-2:], start[start | (chunk == ord("\n"))]])
         labels += np.count_nonzero(event[2:])
         if _not_two_per_line(event):
             return None
     if _not_two_per_line(np.append(event[-2:], False)):  # a newline closes it
         return None
     values = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if values.size != labels:
+    # fromstring clamps a label of 2**63 or more to 2**63 - 1, so a file that
+    # holds that value is the checked reader's to accept or reject
+    if values.size != labels or (values == _MAX_LABEL).any():
         return None
-    # fromstring clamps a label of 2**63 or more to 2**63 - 1, so that value
-    # is trusted only when its text, past leading zeros, is 2**63 - 1
-    clamped = values == _MAX_LABEL
-    if clamped.any():
-        starts = np.concatenate([np.flatnonzero(_label_starts_and_newlines(byte, lo)[0]) + lo
-                                 for lo in range(0, byte.size, _CHUNK)])
-        digits = re.compile(rb"0*([0-9]*)")  # compiled here, not at import
-        for start in starts[clamped].tolist():
-            if digits.match(raw, start).group(1) != b"%d" % _MAX_LABEL:
-                return None
     return values.reshape(-1, 2)
 
 
@@ -116,17 +112,6 @@ def _not_two_per_line(event: np.ndarray) -> bool:
     exactly two labels."""
     before, mid, after = event[:-2], event[1:-1], event[2:]
     return bool((mid & before & after).any() or (mid > (before | after)).any())
-
-
-def _label_starts_and_newlines(byte: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks over ``byte[lo:lo + _CHUNK]`` (bytes that passed the
-    fast reader's guard): the first digit of each label, and each newline."""
-    chunk = byte[lo:lo + _CHUNK]
-    blank = chunk <= ord(" ")  # space, tab or newline
-    start = np.empty_like(blank)
-    start[0] = not blank[0] and (lo == 0 or byte[lo - 1] <= ord(" "))
-    np.greater(blank[:-1], blank[1:], out=start[1:])
-    return start, chunk == ord("\n")
 
 
 def _decimal(token: str) -> int:
@@ -241,11 +226,6 @@ class HyperlinkMatrix:
         # bincount of no entries returns int64 zeros, weights or not
         return out.astype(np.float64, copy=False)
 
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
-        dense[self.rows, self.indices] = self.data
-        return dense
-
 
 def build_hyperlink_matrix(g: WebGraph) -> HyperlinkMatrix:
     """Build the hyperlink matrix: uniform weight over each node's out-links."""
@@ -263,8 +243,10 @@ def probability_vector(values) -> np.ndarray:
         raise ValueError("probability vector has non-finite entries")
     if np.any(x < 0.0):
         raise ValueError("probability vector has a negative entry")
-    if abs(x.sum() - 1.0) > _SUM_TOL:
-        raise ValueError(f"probability vector sums to {float(x.sum())!r}, not 1")
+    with np.errstate(over="ignore"):  # finite entries may sum to inf, reported below
+        total = x.sum()
+    if abs(total - 1.0) > _SUM_TOL:
+        raise ValueError(f"probability vector sums to {float(total)!r}, not 1")
     return x
 
 
@@ -292,7 +274,8 @@ def load_weight_vector(source: str, n: int) -> np.ndarray:
         raise ValueError("weight vector: non-finite entry")
     if np.any(entries < 0.0):
         raise ValueError("weight vector: negative entry")
-    total = entries.sum()
+    with np.errstate(over="ignore"):  # finite entries may sum to inf, reported below
+        total = entries.sum()
     if not 1e-9 <= total <= 1e9:
         raise ValueError(
             f"weight vector: sum {float(total)!r} outside [1e-9, 1e9] (all-zero or badly scaled)"

@@ -2,7 +2,9 @@
 
 Matrices are assembled entry by entry from raw out-edge dicts, and stationary
 vectors come from one dense direct solve.  Nothing here touches the package's
-sparse machinery, so these values stay valid as a check on it.
+sparse machinery, so these values stay valid as a check on it.  The one
+exception, :func:`to_dense`, only scatters a matrix's stored arrays so that
+tests can compare them with these oracles.
 """
 
 import math
@@ -19,6 +21,14 @@ def dense_hyperlink(n, edges):
         for j in ts:
             H[i, j] = 1.0 / len(ts)
     return H
+
+
+def to_dense(H):
+    """A HyperlinkMatrix as a dense array: its stored entries scattered at
+    (rows, indices), zeros elsewhere."""
+    dense = np.zeros((H.n, H.n))
+    dense[H.rows, H.indices] = H.data
+    return dense
 
 
 def dense_google(n, edges, alpha, v=None, w=None):

@@ -194,6 +194,21 @@ class TestRank:
         assert err == ("lumprank: error: weight vector: sum 0.0 outside [1e-9, 1e9] "
                        "(all-zero or badly scaled)\n")
 
+    def test_overflowing_weight_sum_is_one_message(self, tmp_path):
+        # finite entries whose sum overflows: the message alone, and no numpy
+        # warning, which -W error would turn into a traceback
+        graph, weights = tmp_path / "g.txt", tmp_path / "v.txt"
+        graph.write_text("1 2\n2 3\n3 4\n4 1\n")
+        weights.write_text("1e308 1e308 1e308 1e308\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "lumprank.cli", "rank", str(graph), "--v", str(weights)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("lumprank: error: weight vector: sum inf outside [1e-9, 1e9] "
+                               "(all-zero or badly scaled)\n")
+
     @pytest.mark.parametrize("command", ["rank", "compare", "verify"])
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol_exits_1(self, capsys, tri_file, command, tol):

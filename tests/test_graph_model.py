@@ -13,9 +13,8 @@ from lumprank import (
 
 
 def row_as_dict(H, i):
-    start, stop = H.csr.indptr[i], H.csr.indptr[i + 1]
-    return dict(zip(H.csr.indices[start:stop].tolist(),
-                    H.csr.data[start:stop].tolist()))
+    start, stop = H.indptr[i], H.indptr[i + 1]
+    return dict(zip(H.indices[start:stop].tolist(), H.data[start:stop].tolist()))
 
 
 class TestParseEdgeList:
@@ -109,6 +108,12 @@ def assert_parses_like_reference(text):
     assert g.indices.tolist() == [t for r in rows for t in r]
 
 
+def edge_pairs(g):
+    """[src label, dst label] of each edge of ``g``, in CSR order."""
+    labels = g.labels.tolist()
+    return [[labels[i], labels[t]] for i in range(g.n) for t in oracles.out_edges(g, i)]
+
+
 def random_edge_text(rng, plain):
     """Edge-list text with shuffled labels up to 2**63 - 1, duplicate edges,
     self-loops, tabs, padding and blank lines.  Unless ``plain``, it may also
@@ -146,7 +151,10 @@ class TestReferenceParity:
             plain = i % 2 == 0
             text = random_edge_text(rng, plain)
             if plain:
-                assert _fast_pairs(text.encode("ascii")) is not None, text
+                # all but the label 2**63 - 1, which fromstring cannot tell
+                # from a clamped larger one
+                fast = _fast_pairs(text.encode("ascii"))
+                assert (fast is None) == (str(2**63 - 1) in text), text
             assert_parses_like_reference(text)
             assert_parses_like_reference(text.encode("utf-8"))
 
@@ -188,11 +196,16 @@ class TestReferenceParity:
         (b"00000000009223372036854775807\t3\n\n4 0000000000000000000000\n",
          [[2**63 - 1, 3], [4, 0]]),
     ])
-    def test_fast_reader_keeps_labels_at_the_int64_limit(self, raw, pairs):
-        # np.fromstring clamps at 2**63 - 1, so that value is checked on its text
+    def test_fast_reader_leaves_labels_at_the_int64_limit_to_the_checked_one(self, raw, pairs):
+        # np.fromstring clamps at 2**63 - 1, so that value goes to the checked reader
         from lumprank.graph import _fast_pairs
 
-        assert _fast_pairs(raw).tolist() == pairs
+        fast = _fast_pairs(raw)
+        if any(2**63 - 1 in pair for pair in pairs):
+            assert fast is None
+        else:  # leading zeros alone: fromstring reads the label
+            assert fast.tolist() == pairs
+        assert edge_pairs(parse_edge_list(raw)) == pairs
         assert_parses_like_reference(raw)
 
     @pytest.mark.parametrize("text, message", [
@@ -231,9 +244,10 @@ class TestReferenceParity:
         # three labels, then one, on the line that meets the edge
         assert _fast_pairs((head + "123456 7 5\n").encode("ascii")) is None
         assert _fast_pairs((head + "123456\n7 8\n").encode("ascii")) is None
-        # the clamp check finds the text of a label that meets the edge
-        assert _fast_pairs((head + f"{2**63 - 1} 7\n").encode("ascii"))[-1].tolist() == [
-            2**63 - 1, 7]
+        # a label at the int64 limit goes to the checked reader, wherever it falls
+        raw = (head + f"{2**63 - 1} 7\n").encode("ascii")
+        assert _fast_pairs(raw) is None
+        assert edge_pairs(parse_edge_list(raw)) == [[1, 2], [2**63 - 1, 7]]
         assert _fast_pairs((head + f"{2**63} 7\n").encode("ascii")) is None
 
     @pytest.mark.parametrize("text, fast", [
@@ -268,9 +282,8 @@ class TestHyperlinkMatrix:
             n = int(rng.integers(2, 40))
             edges = oracles.random_edge_dict(rng, n, float(rng.uniform(0.0, 0.9)))
             H = build_hyperlink_matrix(oracles.make_webgraph(n, edges))
-            indptr = H.csr.indptr
             for i in range(n):
-                vals = H.csr.data[indptr[i]:indptr[i + 1]]
+                vals = H.data[H.indptr[i]:H.indptr[i + 1]]
                 if vals.size == 0:
                     continue
                 assert abs(vals.sum() - 1.0) <= 1e-12
@@ -284,18 +297,27 @@ class TestHyperlinkMatrix:
         text = oracles.edge_text(edges)
         H1 = build_hyperlink_matrix(parse_edge_list(text))
         H2 = build_hyperlink_matrix(parse_edge_list(text))
-        assert np.array_equal(H1.csr.indptr, H2.csr.indptr)
-        assert np.array_equal(H1.csr.indices, H2.csr.indices)
-        assert np.array_equal(H1.csr.data, H2.csr.data)
+        assert np.array_equal(H1.indptr, H2.indptr)
+        assert np.array_equal(H1.indices, H2.indices)
+        assert np.array_equal(H1.data, H2.data)
 
-    def test_rmatvec_and_toarray_match_dense_oracle(self):
+    def test_csr_holds_the_same_arrays(self):
+        rng = np.random.default_rng(5)
+        edges = oracles.random_edge_dict(rng, 25, 0.4)
+        H = build_hyperlink_matrix(oracles.make_webgraph(25, edges))
+        assert H.csr.shape == (25, 25)
+        assert np.array_equal(H.csr.indptr, H.indptr)
+        assert np.array_equal(H.csr.indices, H.indices)
+        assert np.array_equal(H.csr.data, H.data)
+
+    def test_rmatvec_and_stored_entries_match_dense_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(2, 50))
             edges = oracles.random_edge_dict(rng, n, float(rng.uniform(0.0, 0.9)))
             H = build_hyperlink_matrix(oracles.make_webgraph(n, edges))
             Hd = oracles.dense_hyperlink(n, edges)
-            assert np.array_equal(H.toarray(), Hd)
+            assert np.array_equal(oracles.to_dense(H), Hd)
             assert H.rows.tolist() == [i for i in range(n) for _ in sorted(edges.get(i, ()))]
             x = rng.random(n)
             out = H.rmatvec(x)
@@ -307,7 +329,7 @@ class TestHyperlinkMatrix:
         H = build_hyperlink_matrix(oracles.make_webgraph(4, {}))
         out = H.rmatvec(np.full(4, 0.25))
         assert out.dtype == np.float64 and out.tolist() == [0.0] * 4
-        assert H.toarray().tolist() == [[0.0] * 4] * 4
+        assert oracles.to_dense(H).tolist() == [[0.0] * 4] * 4
 
 
 class TestLoadWeightVector:
@@ -326,9 +348,10 @@ class TestLoadWeightVector:
         with pytest.raises(ValueError, match=r"^weight vector: sum 0\.0 outside"):
             load_weight_vector("0 0 0", 3)
 
-    @pytest.mark.parametrize("text", ["1e10 1 1", "1e-12 1e-11 0"])
+    # the last: finite entries whose sum overflows, rejected with no numpy warning
+    @pytest.mark.parametrize("text", ["1e10 1 1", "1e-12 1e-11 0", "1e308 1e308 1e308"])
     def test_out_of_range_sum_rejected(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weight vector: sum \S+ outside"):
             load_weight_vector(text, 3)
 
     def test_non_numeric_rejected(self):
@@ -369,6 +392,9 @@ class TestParams:
             PageRankParams(alpha=0.5, v=np.array([1.5, -0.5]), w=np.full(2, 0.5))
         with pytest.raises(ValueError, match=r"^probability vector sums to 1\.1, not 1$"):
             PageRankParams(alpha=0.5, v=np.array([0.5, 0.6]), w=np.full(2, 0.5))
+        # finite entries whose sum overflows: the error alone, no numpy warning
+        with pytest.raises(ValueError, match=r"^probability vector sums to inf, not 1$"):
+            probability_vector([1e308, 1e308, 0.0])
         with pytest.raises(ValueError, match="same length"):
             PageRankParams(alpha=0.5, v=np.full(2, 0.5), w=np.full(4, 0.25))
 

@@ -100,7 +100,7 @@ class TestPermuteBlocks:
         assert p.k == 2 and p.n == 3
         # the lumped chain's matrix: [H11 | H12 e], then the lumped state's empty row
         assert A.n == 3
-        assert A.toarray().tolist() == [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert oracles.to_dense(A).tolist() == [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         assert A.dangling_mask().tolist() == [False, False, True]
         # H12, read through H
         assert [dangling_rows_of_product(H, p, x1).tolist() for x1 in np.eye(2)] == [
@@ -114,7 +114,7 @@ class TestPermuteBlocks:
         assert dangling_rows_of_product(H, p, np.ones(3)).shape == (0,)
         # each row stores its column-k entry, an explicit 0.0
         assert A.row_nnz().tolist() == [2, 2, 2, 0]
-        assert A.toarray()[:3, 3].tolist() == [0.0, 0.0, 0.0]
+        assert oracles.to_dense(A)[:3, 3].tolist() == [0.0, 0.0, 0.0]
 
     def test_uniform_vector_split(self):
         g = oracles.make_webgraph(4, {0: {1}, 1: {0}})
@@ -131,7 +131,8 @@ class TestPermuteBlocks:
         p = detect_dangling(H)
         A = permute_blocks(H, p)
         assert A.data.size == 2 + 2  # H11 holds 0 -> 1 and 1 -> 0
-        assert A.toarray().tolist() == [[0.0, 0.25, 0.75], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]]
+        assert oracles.to_dense(A).tolist() == [
+            [0.0, 0.25, 0.75], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]]
         assert np.count_nonzero(p.inv_perm[H.indices] >= p.k) == 4
 
     def test_row_ordered_layout_sums_like_concatenated(self):
@@ -153,7 +154,7 @@ class TestPermuteBlocks:
             in11 = pcol < k
             rows = np.concatenate([prow[in11], np.arange(k)])
             cols = np.concatenate([pcol[in11], np.full(k, k)])
-            data = np.concatenate([H.data[in11], A.toarray()[:k, k]])
+            data = np.concatenate([H.data[in11], oracles.to_dense(A)[:k, k]])
             for _ in range(3):
                 x = rng.random(k + 1)
                 concatenated = np.bincount(cols, weights=x[rows] * data, minlength=k + 1)
@@ -173,7 +174,7 @@ class TestPermuteBlocks:
             expected = np.zeros((k + 1, k + 1))
             expected[:k, :k] = Hd[:k, :k]
             expected[:k, k] = Hd[:k, k:].sum(axis=1)
-            Ad = A.toarray()
+            Ad = oracles.to_dense(A)
             assert np.abs(Ad - expected).max() <= 1e-15
             assert np.count_nonzero(A.data == 0.0) == np.count_nonzero(expected[:k, k] == 0.0)
             x = rng.random(k + 1)
@@ -199,7 +200,7 @@ class TestPermuteBlocks:
             seen.add({0: "k=0", g.n: "k=n"}.get(k, "mixed"))
             # dense [H11 | H12 e] from the oracle's hyperlink matrix
             Hd = oracles.dense_hyperlink(g.n, edges)[np.ix_(p.perm, p.perm)]
-            Ad = A.toarray()
+            Ad = oracles.to_dense(A)
             assert np.array_equal(Ad[:k, :k], Hd[:k, :k])
             assert np.abs(Ad[:k, k] - Hd[:k, k:].sum(axis=1)).max(initial=0.0) <= 1e-15
             assert np.abs(Ad[:k].sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12

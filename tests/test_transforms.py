@@ -222,7 +222,7 @@ class TestDenseGoogle:
             assert np.array_equal(build_dense_google(H, p, params), expected)
 
             lumped_v = (1.0 - alpha) * p.lump(params.v)
-            expected = A.toarray()
+            expected = oracles.to_dense(A)
             expected *= alpha
             expected += lumped_v
             expected[p.k] = alpha * p.lump(params.w) + lumped_v
