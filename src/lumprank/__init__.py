@@ -24,10 +24,10 @@ from .lumping import (
     bicgstab,
     detect_dangling,
     full_operator,
-    full_system,
     permute_blocks,
     power_method,
     recover_pagerank,
+    solve_chain,
     solve_lumped,
     unpermute,
 )
@@ -45,13 +45,13 @@ __all__ = [
     "build_hyperlink_matrix",
     "detect_dangling",
     "full_operator",
-    "full_system",
     "load_weight_vector",
     "parse_edge_list",
     "permute_blocks",
     "power_method",
     "probability_vector",
     "recover_pagerank",
+    "solve_chain",
     "solve_lumped",
     "uniform_vector",
     "unpermute",

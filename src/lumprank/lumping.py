@@ -9,10 +9,10 @@ Google matrix, of a (k+1)-node graph whose only dangling node is the lumped
 state, so both chains' stationary vectors solve a system
 (I - alpha*P^T) x = (1-alpha)*v with P row-stochastic, and one sparse type,
 :class:`~lumprank.graph.HyperlinkMatrix`, one operator builder and one
-solver, :func:`bicgstab`, serve both.  :func:`solve_lumped`
-solves the lumped system, stops on a rigorous 1-norm error bound, and expands
-sigma back to all n nodes in closed form; :func:`full_system` is the full
-chain's operator, which ``compare`` solves the same way.
+solve, :func:`solve_chain`, serve both: BiCGSTAB from v, stopped on a
+rigorous 1-norm error bound.  :func:`solve_lumped` runs it on the lumped
+chain and expands sigma back to all n nodes in closed form; ``compare`` runs
+it on the full chain.
 """
 
 from __future__ import annotations
@@ -169,35 +169,17 @@ def _system(H: HyperlinkMatrix, w: np.ndarray,
     return apply
 
 
-def full_system(H: HyperlinkMatrix,
-                params: PageRankParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind x -> (I - alpha*P^T) x, the operator of the full chain's linear
-    system (I - alpha*P^T) pi = (1-alpha)*v with P = H + d w^T.
-
-    :func:`bicgstab` on it from pi = v, stopped when error_bound =
-    ||r||_1/(1-alpha) is at most tol, r the true residual of its checked
-    iterate, solves the full chain as :func:`solve_lumped` solves the lumped
-    one.  P is row-stochastic, so ||P^T||_1 = 1 and, by the Neumann series,
-    ||(I - alpha*P^T)^-1||_1 <= 1/(1-alpha): any x is within
-    ||r||_1/(1-alpha) of the exact pi*.  The checked iterate is already
-    clipped and renormalised, and it is the answer itself, with no recovery
-    map and no renormalisation after it, so the bound needs none of
-    :func:`solve_lumped`'s factor 4.  Cost O(nnz(H) + n) per application.
-    """
-    if params.n != H.n:
-        raise ValueError("parameter vectors and matrix sizes differ")
-    return _system(H, params.w, params.alpha)
-
-
 def full_operator(H: HyperlinkMatrix,
                   params: PageRankParams) -> Callable[[np.ndarray], np.ndarray]:
     """Bind a matrix-free x^T -> x^T G step over the full n-node chain.
 
-    x^T G = x - (I - alpha*P^T) x + (1-alpha)*(x^T e)*v^T: x minus
-    :func:`full_system`'s operator, plus the teleport term.  Cost
-    O(nnz(H) + n).
+    x^T G = x - (I - alpha*P^T) x + (1-alpha)*(x^T e)*v^T, P = H + d w^T:
+    x minus the operator :func:`solve_chain` solves with, plus the teleport
+    term.  Cost O(nnz(H) + n).
     """
-    system = full_system(H, params)
+    if params.n != H.n:
+        raise ValueError("parameter vectors and matrix sizes differ")
+    system = _system(H, params.w, params.alpha)
 
     def apply(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -317,6 +299,29 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     return x, applied, res, res <= tol
 
 
+def solve_chain(H: HyperlinkMatrix, v: np.ndarray, w: np.ndarray, alpha: float,
+                tol: float, max_iter: int):
+    """Stationary vector of the Google matrix alpha*P + (1-alpha) e v^T,
+    P = H + d w^T, by :func:`bicgstab` on (I - alpha*P^T) x = (1-alpha)*v
+    from x = v.
+
+    P is row-stochastic, so ||P^T||_1 = 1 and, by the Neumann series,
+    ||(I - alpha*P^T)^-1||_1 <= 1/(1-alpha): a checked iterate x with true
+    residual r is within error_bound = ||r||_1/(1-alpha) of the exact x*, and
+    the solve stops once that is at most tol.  The checked iterate is already
+    clipped and renormalised, so on the full chain, where x is the answer
+    itself with no recovery map and no renormalisation after it, the bound
+    needs none of :func:`solve_lumped`'s factor 4.
+
+    Returns (x, iterations, residual, error_bound), the first three as
+    :func:`bicgstab` returns them.  Cost O(nnz(H) + n) per application.
+    """
+    scale = 1.0 / (1.0 - alpha)  # error_bound per unit of ||r||_1
+    x, iters, res, _ = bicgstab(_system(H, w, alpha), (1.0 - alpha) * v, v, tol / scale,
+                                max_iter)
+    return x, iters, res, scale * res
+
+
 def recover_pagerank(sigma: np.ndarray, H: HyperlinkMatrix, p: DanglingPartition,
                      params: PageRankParams) -> np.ndarray:
     """Expand the lumped stationary vector to all n nodes (permuted order).
@@ -377,12 +382,11 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     The lumped stationary vector solves (I - alpha*S1^T) sigma = (1-alpha)*v,
     with S1 = [A; w^T], A the matrix of :func:`permute_blocks`, and v, w
     lumped by :meth:`DanglingPartition.lump`.
-    :func:`bicgstab` solves it from sigma = v and stops when error_bound =
-    4*||r||_1/(1-alpha) is at most tol, r the true residual of its clipped,
-    renormalised iterate:
+    :func:`solve_chain` solves it at tol/4, so the reported error_bound =
+    4*||r||_1/(1-alpha), r the true residual of its checked iterate, is at
+    most tol when the solve converges:
 
-    * S1 is row-stochastic, so ||S1^T||_1 = 1 and, by the Neumann series,
-      ||(I - alpha*S1^T)^-1||_1 <= 1/(1-alpha).  Any sigma is therefore within
+    * By :func:`solve_chain`'s Neumann step, sigma is within
       delta = ||r||_1/(1-alpha) of the exact sigma*.
     * The recovery map R of :func:`recover_pagerank` is linear and
       nonnegative, with column sums at most 2: 1 + alpha*(row sum of H12) +
@@ -405,16 +409,13 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
     with _stage(timings, "blocks"):
         A = permute_blocks(H, p)
     with _stage(timings, "loop"):
-        scale = 4.0 / (1.0 - params.alpha)  # error_bound per unit of ||r||_1
-        v = p.lump(params.v)
-        op = _system(A, p.lump(params.w), params.alpha)
-        sigma, iters, res, _ = bicgstab(op, (1.0 - params.alpha) * v, v,
-                                        params.tol / scale, params.max_iter)
+        sigma, iters, res, delta = solve_chain(A, p.lump(params.v), p.lump(params.w),
+                                               params.alpha, params.tol / 4, params.max_iter)
     with _stage(timings, "recover"):
         pi = unpermute(recover_pagerank(sigma, H, p, params), p)
         # exact no-op at stationarity; keeps the report a probability vector
         pi /= pi.sum()
-    error_bound = scale * res
+    error_bound = 4.0 * delta
     return SolveReport(iterations=iters, residual=res, error_bound=error_bound,
                        converged=error_bound <= params.tol, pagerank=pi, k=p.k, n=H.n,
                        timings=timings)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import lumprank.cli
 import lumprank.decomposition
+import lumprank.lumping
 import lumprank.transforms
 import oracles
 from lumprank import (
@@ -22,6 +24,7 @@ from lumprank import (
     load_weight_vector,
     parse_edge_list,
     permute_blocks,
+    solve_chain,
     solve_lumped,
 )
 from lumprank.cli import generate_edge_list, main
@@ -609,6 +612,82 @@ class TestCompare:
         # time= stays the whole solve, which contains the loop
         assert float(re.search(r"time=(\S+)s", line).group(1)) >= rep.timings["loop"]
 
+
+    def test_full_time_includes_hyperlink_build(self, capsys, tmp_path, monkeypatch):
+        # the lumped time= covers solve_lumped's hyperlink build, so the full
+        # time= covers its own; per_iter= stays the loop alone on both sides
+        def slow_build(g):
+            time.sleep(0.05)
+            return build_hyperlink_matrix(g)
+
+        monkeypatch.setattr(lumprank.cli, "build_hyperlink_matrix", slow_build)
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(120, 0.6, 4, seed=5))
+        code, out, _ = run(capsys, "compare", str(path))
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("full:"))
+        full_time = float(re.search(r"time=(\S+)s", line).group(1))
+        per_iter = float(re.search(r"per_iter=(\S+)s", line).group(1))
+        iters = int(re.search(r"iters=(\d+)", line).group(1))
+        assert full_time >= 0.05
+        assert per_iter * iters < full_time - 0.05
+
+    @staticmethod
+    def side_lines(out):
+        """{side: (iters, error_bound)} of the lumped: and full: lines."""
+        found = re.findall(r"^(lumped|full):\s+iters=(\d+) .* error_bound=(\S+)$", out, re.M)
+        return {side: (int(iters), float(bound)) for side, iters, bound in found}
+
+    def test_one_side_missing_tol_exits_2(self, capsys, tmp_path):
+        # the lumped side solves at tol/4 and here needs 27 applications, the
+        # full side 23; a budget of 25 runs the full solve unchanged to its
+        # stop and cuts the lumped one short
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(120, 0.6, 4, seed=2))
+        code, out, _ = run(capsys, "compare", str(path), "--alpha", "0.99")
+        assert code == 0
+        (lumped_iters, _), (full_iters, _) = self.side_lines(out).values()
+        assert full_iters + 2 < lumped_iters
+        budget = str(full_iters + 2)
+        code, out, _ = run(capsys, "compare", str(path), "--alpha", "0.99", "--max-iter", budget)
+        assert code == 2
+        assert len(out.splitlines()) == 4 and "\nl1_diff=" in out
+        sides = self.side_lines(out)
+        assert sides["full"][0] == full_iters and sides["full"][1] <= 1e-10
+        assert sides["lumped"][0] <= full_iters + 2 and sides["lumped"][1] > 1e-10
+
+    def test_both_sides_missing_tol_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(120, 0.6, 4, seed=2))
+        code, out, _ = run(capsys, "compare", str(path), "--tol", "1e-16", "--max-iter", "3")
+        assert code == 2
+        assert len(out.splitlines()) == 4 and "\nl1_diff=" in out
+        sides = self.side_lines(out)
+        assert set(sides) == {"lumped", "full"}
+        assert all(iters <= 3 and bound > 1e-16 for iters, bound in sides.values())
+
+    def test_both_sides_run_solve_chain(self, capsys, tmp_path, monkeypatch):
+        # one owner of BiCGSTAB's start, stop and bound: the lumped chain at
+        # tol/4 (through solve_lumped), then the full H at tol
+        calls = []
+
+        def spy(H, v, w, alpha, tol, max_iter):
+            calls.append((H, tol))
+            return solve_chain(H, v, w, alpha, tol, max_iter)
+
+        monkeypatch.setattr(lumprank.lumping, "solve_chain", spy)
+        monkeypatch.setattr(lumprank.cli, "solve_chain", spy)
+        path = tmp_path / "g.txt"
+        path.write_text(generate_edge_list(120, 0.6, 4, seed=5))
+        code, out, _ = run(capsys, "compare", str(path), "--tol", "1e-9")
+        assert code == 0
+        H = build_hyperlink_matrix(parse_edge_list(path.read_text()))
+        (A, lumped_tol), (full_H, full_tol) = calls
+        assert A.n == detect_dangling(H).k + 1 and lumped_tol == 1e-9 / 4
+        assert full_tol == 1e-9 and full_H.n == H.n
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(full_H, field), getattr(H, field))
+        assert not hasattr(lumprank.cli, "bicgstab") and not hasattr(lumprank.cli, "_system")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_converged_sides_are_within_tol(self, capsys, tmp_path, seed):

@@ -408,8 +408,8 @@ class TestPackageRoot:
     ENGINE = {
         "DanglingPartition", "EdgeListParseError", "HyperlinkMatrix", "PageRankParams",
         "SolveReport", "WebGraph", "bicgstab", "build_hyperlink_matrix", "detect_dangling",
-        "full_operator", "full_system", "load_weight_vector", "parse_edge_list",
-        "permute_blocks", "power_method", "probability_vector", "recover_pagerank",
+        "full_operator", "load_weight_vector", "parse_edge_list", "permute_blocks",
+        "power_method", "probability_vector", "recover_pagerank", "solve_chain",
         "solve_lumped", "uniform_vector", "unpermute",
     }
 

@@ -15,11 +15,11 @@ from lumprank import (
     build_hyperlink_matrix,
     detect_dangling,
     full_operator,
-    full_system,
     parse_edge_list,
     permute_blocks,
     power_method,
     recover_pagerank,
+    solve_chain,
     solve_lumped,
     uniform_vector,
     unpermute,
@@ -333,10 +333,12 @@ class TestFullApply:
         with pytest.raises(ValueError, match="length 3"):
             full_operator(H, params)(np.full(5, 0.2))
         with pytest.raises(ValueError, match="length 3"):
-            full_system(H, params)(np.full(5, 0.2))
+            _system(H, params.w, params.alpha)(np.full(5, 0.2))
+        with pytest.raises(ValueError, match="sizes differ"):
+            full_operator(H, PageRankParams.uniform(4))
 
     def test_system_matches_dense_oracle(self):
-        # full_system is x -> (I - alpha*P^T) x with P = H + d w^T
+        # on the full H, _system is x -> (I - alpha*P^T) x with P = H + d w^T
         rng = np.random.default_rng(16)
         for i in range(12):
             g, edges, params = random_case(rng) if i < 10 else (
@@ -346,7 +348,7 @@ class TestFullApply:
             P = oracles.dense_google(g.n, edges, 1.0, w=params.w)
             x = rng.random(g.n)
             expected = (np.eye(g.n) - params.alpha * P.T) @ x
-            out = full_system(build_hyperlink_matrix(g), params)(x)
+            out = _system(build_hyperlink_matrix(g), params.w, params.alpha)(x)
             assert np.abs(out - expected).max() <= 1e-13
 
 
@@ -377,7 +379,7 @@ class TestPowerMethod:
             power_method(bad, np.array([0.5, 0.5]), 1e-12, 10)
 
 
-class TestExtrapolation:
+class TestRankSinks:
     """Rank sinks put the second eigenvalue at alpha, where power iteration
     crawls and BiCGSTAB does not."""
 
@@ -537,6 +539,22 @@ class TestSolveLumped:
             assert rep.pagerank.min() >= 0.0
             assert abs(rep.pagerank.sum() - 1.0) <= 1e-10
 
+    def test_solves_through_solve_chain_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return solve_chain(*args)
+
+        monkeypatch.setattr(lumprank.lumping, "solve_chain", spy)
+        g, params, H, p, A = tri_setup()
+        rep = solve_lumped(g, params)
+        ((lumped, v, w, alpha, tol, max_iter),) = calls
+        assert lumped.n == p.k + 1 and np.array_equal(lumped.indptr, A.indptr)
+        assert np.array_equal(v, p.lump(params.v)) and np.array_equal(w, p.lump(params.w))
+        assert (alpha, tol, max_iter) == (params.alpha, params.tol / 4, params.max_iter)
+        assert rep.converged
+
     def test_non_convergence_returns_best_iterate(self):
         g = parse_edge_list(TRI_TEXT)
         rep = solve_lumped(g, PageRankParams.uniform(3, alpha=0.85, tol=1e-16,
@@ -599,18 +617,17 @@ class TestHonestStop:
 
     @pytest.mark.parametrize("alpha", [0.85, 0.99])
     def test_full_chain_bound_has_no_factor_4(self, alpha):
-        # bicgstab on full_system returns its checked iterate as the answer,
+        # solve_chain on the full H returns its checked iterate as the answer,
         # so ||r||_1/(1-alpha) bounds the error with no recovery factor
         for n, edges, v in honesty_graphs("sink", 45):
-            g = oracles.make_webgraph(n, edges)
-            op = full_system(build_hyperlink_matrix(g),
-                             PageRankParams(alpha=alpha, v=v, w=uniform_vector(n)))
+            H = build_hyperlink_matrix(oracles.make_webgraph(n, edges))
             pi_dense = oracles.stationary(oracles.dense_google(n, edges, alpha, v=v))
             for tol in (1e-8, 1e-10, 1e-12):
-                x, _, res, conv = bicgstab(op, (1 - alpha) * v, v, tol * (1 - alpha), 10_000)
+                x, _, res, bound = solve_chain(H, v, uniform_vector(n), alpha, tol, 10_000)
                 err = float(np.abs(x - pi_dense).sum())
-                assert conv and err <= tol, (n, tol, err)
-                assert err <= res / (1 - alpha) + 1e-15, (n, tol, err)
+                assert bound == pytest.approx(res / (1 - alpha), rel=1e-15)
+                assert bound <= tol and err <= tol, (n, tol, err)
+                assert err <= bound + 1e-15, (n, tol, err)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 1000])
     @pytest.mark.parametrize("case", ["k=0", "two-cycle", "uniform-three-cycle",
