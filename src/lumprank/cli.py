@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -154,7 +153,7 @@ def _ranking_rows(labels: np.ndarray, scores: np.ndarray, top: int | None):
     order = np.argsort((group[-1] - group)[inverse] * n + label_rank)[:top]
     del uniq, group, label_rank  # the blocks read order, inverse and cells alone
     m = order.size
-    label_width, rank_width = int(_decimal_width(labels.max())), int(_decimal_width(m))
+    label_width, rank_width = len(str(labels.max())), len(str(m))
     score_col = label_width + 1
     for lo in range(0, m, _BLOCK_ROWS):
         rows = order[lo:lo + _BLOCK_ROWS]
@@ -171,44 +170,22 @@ def _ranking_rows(labels: np.ndarray, scores: np.ndarray, top: int | None):
         yield text
 
 
-@functools.cache
-def _digit_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables for :func:`_decimal_digits`, built on first use.
-
-    The ASCII digits of 0..9999 as one uint32 each (4 bytes, leading zeros
-    kept); for z = 0..19, a row of five uint32 words whose first z bytes are
-    0x00 and the rest 0xff; and the powers 10**1..10**18.
-    """
-    quad = np.arange(10000)
-    digits = np.empty((10000, 4), np.uint8)
-    for j, place in enumerate((1000, 100, 10, 1)):
-        digits[:, j] = quad // place % 10 + ord("0")
-    keep = np.where(np.arange(20) >= np.arange(20)[:, None], 0xff, 0).astype(np.uint8)
-    powers = 10 ** np.arange(1, 19, dtype=np.int64)
-    return digits.view(np.uint32).ravel(), keep.view(np.uint32), powers
-
-
-def _decimal_width(x):
-    """Decimal digit count of each nonnegative integer in ``x``."""
-    return 1 + np.searchsorted(_digit_table()[2], x, side="right")
-
-
 def _decimal_digits(x: np.ndarray, width: int) -> np.ndarray:
     """(x.size, width) uint8 ASCII decimal of nonnegative int64 ``x``,
     right-aligned, with NULs for the leading zeros; ``width`` is at least the
-    widest number's digit count.  Four digits at a time come from the table
-    by integer division by 10**4; 2**63 has 19 digits, so five groups hold
-    any int64."""
-    quads, keep, _ = _digit_table()
-    lead = 20 - _decimal_width(x)
-    out = np.empty((x.size, 5), np.uint32)
-    for j in range(4, 0, -1):
-        q = x // 10000
-        out[:, j] = quads[x - q * 10000]
+    widest number's digit count.  One digit per pass, units first, into one
+    row per digit place; a digit taken from a number already down to 0 is a
+    leading zero, except in the units place, so 0 prints as "0".  The result
+    is the transposed view of those rows."""
+    out = np.empty((width, x.size), np.uint8)
+    for j in range(width - 1, -1, -1):
+        q = x // 10
+        out[j] = x - q * 10
+        out[j] += ord("0")  # in uint8, one int64 temporary fewer
+        if j < width - 1:
+            out[j] *= x > 0
         x = q
-    out[:, 0] = quads[x]
-    out &= np.take(keep, lead, axis=0)
-    return out.view(np.uint8)[:, 20 - width:]
+    return out.T
 
 
 def cmd_compare(cfg) -> int:

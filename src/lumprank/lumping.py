@@ -125,11 +125,9 @@ def permute_blocks(H: HyperlinkMatrix, p: DanglingPartition) -> HyperlinkMatrix:
     starts = np.flatnonzero(np.diff(rows12, prepend=-1))
     r12 = np.zeros(k)
     r12[rows12[starts]] = np.add.reduceat(H.data[in12], starts)
-    # A in row order: each row's H11 entries, then its H12 e entry.  Stored
-    # after all of H11, the k column-k terms form one serial add chain in
-    # bincount's bin k; interleaved, they overlap with the other bins' adds.
-    # Every bin still sums its terms in the same order, so rmatvec is
-    # bitwise unchanged.
+    # A in row order: each row's H11 entries, then its H12 e entry last.
+    # rmatvec's bin k sums the k column-k terms in one serial chain of k
+    # adds; that chain's rounding sets the residual floor (see solve_lumped).
     rows11 = prow[in11]
     indptr = np.zeros(k + 2, dtype=np.int64)
     np.cumsum(np.bincount(rows11, minlength=k) + 1, out=indptr[1:k + 1])
@@ -396,9 +394,12 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
       ||pi - p||_1 = |1 - s| = |e^T (p - pi*)| <= 2*delta, so
       ||pi - pi*||_1 <= 4*delta.
 
-    The bound holds in exact arithmetic on the computed sigma; evaluating r
-    and the recovery in floating point adds rounding of order 1e-16.  A tol
-    below that floor is never met: the solve runs out of max_iter and
+    The bound holds in exact arithmetic on the computed sigma.  In floating
+    point, bin k of A's rmatvec adds the k column-k terms in one serial
+    chain, whose rounding puts a floor under ||r||_1 that grows with k: on a
+    200,000-node graph with k = 20,000 at alpha 0.99, ||r||_1 stalls at
+    5.5e-15 and error_bound at 2.2e-12, while the true error is 1.5e-15.  A
+    tol below the floor is never met: the solve runs out of max_iter and
     reports not converged.
     """
     timings = {}

@@ -94,6 +94,7 @@ def rank_fixed_scores(monkeypatch, path, text, scores):
 
 LABEL_MAX = 2**63 - 1
 _SAME_LABELS = np.random.default_rng(6).permutation(1000)[:30].tolist()
+_WIDTH_LABELS = [0, *(10**d + e for d in range(1, 19) for e in (-1, 0)), LABEL_MAX]
 # (edge list, scores in internal node order, labels in the expected row order)
 FIXED_SCORE_CASES = {
     # the extreme labels share a printed score, 2**63 - 1 with the larger raw one
@@ -105,6 +106,12 @@ FIXED_SCORE_CASES = {
         "".join(f"{a} {b}\n" for a, b in zip(_SAME_LABELS, _SAME_LABELS[1:] + _SAME_LABELS[:1])),
         [(1.0 + i * 1e-15) / 30 for i in range(30)], sorted(_SAME_LABELS)),
     "one_node": ("7 7\n", [1.0], [7]),
+    # a cycle through 0 and both sides of every digit-count step up to 2**63 - 1,
+    # with distinct scores falling along it
+    "digit_count_boundaries": (
+        "".join(f"{a} {b}\n"
+                for a, b in zip(_WIDTH_LABELS, _WIDTH_LABELS[1:] + _WIDTH_LABELS[:1])),
+        [1.0 / (i + 1) for i in range(len(_WIDTH_LABELS))], _WIDTH_LABELS),
 }
 
 
@@ -296,7 +303,7 @@ class TestRank:
         path = tmp_path / "g.txt"
         g = rank_fixed_scores(monkeypatch, path, text, scores)
         assert np.unique(scores).size == g.n
-        # on the multi-node cases, --top 2 and n // 2 cut inside a group of
+        # on the two tie cases, --top 2 and n // 2 cut inside a group of
         # equal printed scores
         assert_rows_match(capsys, path, g.labels, scores, tops=(None, 0, 1, 2, g.n // 2))
         _, out, _ = run(capsys, "rank", str(path))
@@ -541,9 +548,9 @@ class TestRankBlocks:
         # cells: 16 n + 24 u.  Making a block adds at most 4 byte matrices of
         # BLOCK rows (the rows, their NUL mask, the selected bytes and their
         # text); a row here is at most 19 + 24 + 6 + 3 bytes.  Measured on
-        # numpy 2.4 with u = 49,925: an 8.5 MB peak against the 16.4 MB
-        # bound (the whole-string writer peaked at 24.7 MB), 3.6 MB held
-        # between blocks, and 3.1 MB above that while a block is made.
+        # numpy 2.4 with u = 49,925: a 7.6 MB peak against the 16.4 MB
+        # bound (the whole-string writer peaked at 24.7 MB), 4.2 MB held
+        # between blocks, and 4.9 MB above that while a block is made.
         n = 100_000
         rng = np.random.default_rng(3)
         labels = rng.choice(2**62, size=n, replace=False) * 2 + 1
