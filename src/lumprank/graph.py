@@ -7,6 +7,10 @@ from functools import cached_property
 
 import numpy as np
 
+__all__ = ["EdgeListParseError", "HyperlinkMatrix", "PageRankParams", "WebGraph",
+           "build_hyperlink_matrix", "load_weight_vector", "parse_edge_list",
+           "probability_vector", "uniform_vector"]
+
 
 class EdgeListParseError(ValueError):
     """Raised when edge-list text cannot be parsed; message carries the line number."""
@@ -35,6 +39,12 @@ _MAX_LABEL = 2**63 - 1
 _CHUNK = 1 << 18
 # How far a probability vector's sum may stray from 1.
 _SUM_TOL = 1e-12
+# Columns with more stored entries than this get their rmatvec bin summed
+# pairwise.  bincount adds a bin's m terms in one serial chain, whose rounding
+# grows like m; numpy's pairwise sum also runs serially, in 8 interleaved
+# chains, up to its block of 128 terms.  So no bin's rounding exceeds ~128
+# units in the last place of its terms' sum, however large the graph.
+_PAIRWISE_MIN = 128
 
 
 def parse_edge_list(text: str | bytes) -> WebGraph:
@@ -182,7 +192,9 @@ class HyperlinkMatrix:
 
     Row ``i`` stores ``data[indptr[i]:indptr[i + 1]]`` at columns
     ``indices[indptr[i]:indptr[i + 1]]``, each column at most once; ``rows``,
-    built with the matrix, holds the row of each stored entry.  A dangling row
+    built with the matrix, holds the row of each stored entry, and the private
+    fields the entries of each column with more than ``_PAIRWISE_MIN`` of
+    them, which :meth:`rmatvec` sums pairwise.  A dangling row
     stores no entries at all, so danglingness is a structural property of the
     storage, never a floating-point comparison.  From
     :func:`build_hyperlink_matrix` a row with out-links holds 1/out_degree at
@@ -196,9 +208,24 @@ class HyperlinkMatrix:
     indices: np.ndarray
     data: np.ndarray
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _long_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    _long_pos: np.ndarray = field(init=False, repr=False, compare=False)
+    _long_starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", np.repeat(np.arange(self.n), self.row_nnz()))
+        # the long columns, their entries' positions grouped by column in
+        # storage order, and where each column's group starts
+        col_nnz = np.bincount(self.indices, minlength=self.n)
+        long = col_nnz > _PAIRWISE_MIN
+        cols = np.flatnonzero(long)
+        pos = np.flatnonzero(long[self.indices])
+        pos = pos[np.argsort(self.indices[pos], kind="stable")]
+        starts = np.zeros(cols.size, dtype=np.int64)
+        np.cumsum(col_nnz[cols[:-1]], out=starts[1:])
+        object.__setattr__(self, "_long_cols", cols)
+        object.__setattr__(self, "_long_pos", pos)
+        object.__setattr__(self, "_long_starts", starts)
 
     @cached_property
     def csr(self):
@@ -219,10 +246,14 @@ class HyperlinkMatrix:
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """x^T H as a 1-D array of length n: a gather and a weighted
-        ``np.bincount``, one pass over the entries, no BLAS call and no scipy."""
+        ``np.bincount``, one pass over the entries, no BLAS call and no scipy.
+        The long columns' bins are then summed again by ``np.add.reduceat``,
+        which numpy sums pairwise, so their rounding grows like log m, not m."""
         weights = x[self.rows]
         weights *= self.data
         out = np.bincount(self.indices, weights=weights, minlength=self.n)
+        if self._long_cols.size:
+            out[self._long_cols] = np.add.reduceat(weights[self._long_pos], self._long_starts)
         # bincount of no entries returns int64 zeros, weights or not
         return out.astype(np.float64, copy=False)
 

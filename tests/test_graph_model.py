@@ -1,3 +1,7 @@
+import importlib
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -324,6 +328,19 @@ class TestHyperlinkMatrix:
             assert out.dtype == np.float64 and out.shape == (n,)
             assert np.abs(out - x @ Hd).max() <= 1e-14
 
+    def test_long_column_is_summed_pairwise(self):
+        # 20,000 rows link to node 0 and to themselves: bincount's serial
+        # chain for bin 0 lands ~37 ulp off the exact sum, numpy's pairwise
+        # one within 2; the short bins stay bincount's single products
+        m = 20_000
+        H = build_hyperlink_matrix(
+            oracles.make_webgraph(m + 1, {i: {0, i} for i in range(1, m + 1)}))
+        x = 1.0 + np.random.default_rng(6).random(m + 1) * 1e-4
+        out = H.rmatvec(x)
+        exact = math.fsum(0.5 * x[1:])  # halving is exact, so are the terms
+        assert abs(out[0] - exact) <= 2 * np.spacing(exact)
+        assert np.array_equal(out[1:], 0.5 * x[1:])
+
     def test_edgeless_rmatvec_is_float_zeros(self):
         # bincount of no entries returns int64 zeros; the kernel returns floats
         H = build_hyperlink_matrix(oracles.make_webgraph(4, {}))
@@ -418,6 +435,18 @@ class TestPackageRoot:
 
         assert len(lumprank.__all__) == len(set(lumprank.__all__)) == 20
         assert set(lumprank.__all__) == self.ENGINE
+        assert lumprank.__all__ == [*lumprank.graph.__all__, *lumprank.lumping.__all__]
+
+    @pytest.mark.parametrize("modname", ["lumprank.graph", "lumprank.lumping"])
+    def test_module_all_lists_its_own_public_definitions(self, modname):
+        # a public class or function added to an engine module without being
+        # exported, or an export that is gone, fails here
+        mod = importlib.import_module(modname)
+        own = {name for name, obj in vars(mod).items()
+               if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
+               and obj.__module__ == modname}
+        assert len(mod.__all__) == len(set(mod.__all__))
+        assert set(mod.__all__) == own
 
     def test_each_export_resolves_to_an_engine_module(self):
         import lumprank

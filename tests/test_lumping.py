@@ -138,7 +138,9 @@ class TestPermuteBlocks:
     def test_row_ordered_layout_sums_like_concatenated(self):
         # A stores each row's H12 e entry right after that row's H11 entries;
         # every bin of x^T A still adds its terms in the order of the layout
-        # with all H12 e entries after H11, so the products are bitwise equal
+        # with all H12 e entries after H11, serially in a bin of at most
+        # _PAIRWISE_MIN terms and pairwise in a longer one (column k of the
+        # 3000-node graph), so the products are bitwise equal
         rng = np.random.default_rng(9)
         cases = [random_case(rng)[0] for _ in range(10)]
         cases.append(parse_edge_list(generate_edge_list(3000, 0.5, 8, seed=9)))
@@ -155,10 +157,16 @@ class TestPermuteBlocks:
             rows = np.concatenate([prow[in11], np.arange(k)])
             cols = np.concatenate([pcol[in11], np.full(k, k)])
             data = np.concatenate([H.data[in11], oracles.to_dense(A)[:k, k]])
+            long_cols = np.flatnonzero(
+                np.bincount(cols, minlength=k + 1) > lumprank.graph._PAIRWISE_MIN)
             for _ in range(3):
                 x = rng.random(k + 1)
-                concatenated = np.bincount(cols, weights=x[rows] * data, minlength=k + 1)
+                terms = x[rows] * data
+                concatenated = np.bincount(cols, weights=terms, minlength=k + 1)
+                for j in long_cols:  # numpy's pairwise sum, the call rmatvec makes
+                    concatenated[j] = np.add.reduceat(terms[cols == j], [0])[0]
                 assert np.array_equal(A.rmatvec(x), concatenated)
+        assert k in long_cols  # the 3000-node graph's column k
 
     def test_kernel_on_lumped_matrix(self):
         # weighted rows and explicit 0.0 entries in column k: the product and
@@ -658,6 +666,23 @@ class TestHonestStop:
         if case in ("k=0", "uniform-three-cycle"):
             # the start vector is the solution: the first check stops
             assert rep.converged and rep.iterations == 1
+
+    def test_tol_1e_12_is_met_where_serial_sums_first_missed_it(self):
+        # the smallest gen graph (90 % dangling, average degree 16, seeds 1
+        # and 2, 20,000 to 85,000 nodes in steps of 1,000) on which the
+        # lumped solve at alpha 0.99 stalled above tol 1e-12 (residual
+        # 2.55e-15, error_bound 1.02e-12, 999 applications) while rmatvec
+        # summed column k's 7,300 terms in one serial chain
+        g = parse_edge_list(generate_edge_list(73_000, 0.9, 16, seed=2))
+        params = PageRankParams.uniform(g.n, alpha=0.99, tol=1e-12)
+        rep = solve_lumped(g, params)
+        assert (rep.n, rep.k) == (59_913, 7_300)
+        assert rep.converged and rep.error_bound <= 1e-12 and rep.iterations <= 50
+        # the full chain has no column that long, and agrees within both tols
+        x, _, _, bound = solve_chain(build_hyperlink_matrix(g), params.v, params.w, 0.99,
+                                     1e-12, 1000)
+        assert bound <= 1e-12
+        assert np.abs(rep.pagerank - x).sum() <= 2e-12
 
     def test_unreachable_tol_reports_not_converged(self):
         edges, v = oracles.sink_case(np.random.default_rng(43))
