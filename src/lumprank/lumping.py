@@ -68,7 +68,8 @@ class SolveReport:
     ``iterations`` counts applications of the lumped operator, the
     true-residual checks included.  ``residual`` is the 1-norm of the true
     residual of the lumped linear system at the returned lumped vector, and
-    ``error_bound`` = 4*residual/(1-alpha) bounds the 1-norm distance of
+    ``error_bound`` = residual/((1-alpha)*s), s the sum of the recovered
+    vector before its renormalisation, bounds the 1-norm distance of
     ``pagerank`` from the exact PageRank vector (derived in
     :func:`solve_lumped`); ``converged`` means error_bound <= tol.
 
@@ -309,10 +310,9 @@ def solve_chain(H: HyperlinkMatrix, v: np.ndarray, w: np.ndarray, alpha: float,
     P is row-stochastic, so ||P^T||_1 = 1 and, by the Neumann series,
     ||(I - alpha*P^T)^-1||_1 <= 1/(1-alpha): a checked iterate x with true
     residual r is within error_bound = ||r||_1/(1-alpha) of the exact x*, and
-    the solve stops once that is at most tol.  The checked iterate is already
-    clipped and renormalised, so on the full chain, where x is the answer
-    itself with no recovery map and no renormalisation after it, the bound
-    needs none of :func:`solve_lumped`'s factor 4.
+    the solve stops once that is at most tol.  On the full chain x is the
+    answer itself; :func:`solve_lumped` carries the same bound through the
+    recovery map to the full chain's answer.
 
     Returns (x, iterations, residual, error_bound), the first three as
     :func:`bicgstab` returns them.  Cost O(nnz(H) + n) per application.
@@ -382,28 +382,32 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
 
     The lumped stationary vector solves (I - alpha*S1^T) sigma = (1-alpha)*v,
     with S1 = [A; w^T], A the matrix of :func:`permute_blocks`, and v, w
-    lumped by :meth:`DanglingPartition.lump`.
-    :func:`solve_chain` solves it at tol/4, so the reported error_bound =
-    4*||r||_1/(1-alpha), r the true residual of its checked iterate, is at
-    most tol when the solve converges:
+    lumped by :meth:`DanglingPartition.lump`.  :func:`solve_chain` solves it
+    at tol and returns delta = ||r||_1/(1-alpha), r the true residual of its
+    checked iterate sigma, which is clipped to be nonnegative and sums to 1.
+    Recovery carries r to the full chain exactly: p = R(sigma) from
+    :func:`recover_pagerank` satisfies, in permuted order,
 
-    * By :func:`solve_chain`'s Neumann step, sigma is within
-      delta = ||r||_1/(1-alpha) of the exact sigma*.
-    * The recovery map R of :func:`recover_pagerank` is linear and
-      nonnegative, with column sums at most 2: 1 + alpha*(row sum of H12) +
-      (1-alpha)*sum(v2) for a nondangling column, sum(u2) for the lumped one.
-      So p = R(sigma) is within 2*delta of the exact PageRank pi* = R(sigma*).
-    * The report is pi = p/s with s = sum(p).  Since sigma >= 0, p >= 0 and
-      ||pi - p||_1 = |1 - s| = |e^T (p - pi*)| <= 2*delta, so
-      ||pi - pi*||_1 <= 4*delta.
+        (1-alpha)*v - (I - alpha*P^T) p = [r1 + alpha*r_k*w1 ; alpha*r_k*w2],
+        e^T p = s = 1 + r_k,
+
+    with r1 the first k entries of r, r_k its last, and w1, w2 the
+    nondangling and dangling entries of w.  The report is pi = p/s, so its
+    full residual is ([r1 ; 0] + r_k*u)/s with u = alpha*w + (1-alpha)*v, a
+    probability vector, and has 1-norm at most ||r||_1/s.  By
+    :func:`solve_chain`'s Neumann step on the full chain,
+    ||pi - pi*||_1 <= delta/s, the reported error_bound.  So one rule bounds
+    both chains, the lumped one up to the factor 1/s = 1 + O((1-alpha)*delta).
 
     The bound holds in exact arithmetic on the computed sigma.  In floating
     point, rounding puts a floor under ||r||_1.  A's rmatvec sums the k
     column-k terms pairwise, so the floor does not grow with k: at alpha
     0.99, error_bound met 1e-12 on every graph tried, of 16k to 200k nodes
-    with k = 2,000 to 20,000, and stalled between 3.5e-15 and 1.1e-13.  A tol
-    below the floor is never met: the solve runs out of max_iter and reports
-    not converged.
+    with k = 2,000 to 20,000.  A tol below the floor is never met: the solve
+    runs out of max_iter and reports not converged.  Near the floor the bound
+    is not rigorous either: the float64 residual can read low by about u
+    (the unit roundoff) per unit of ||sigma||_1, and 1/(1-alpha) magnifies
+    that, so below ~u/(1-alpha) neither chain's error_bound is proven.
     """
     timings = {}
     with _stage(timings, "hyperlink"):
@@ -414,12 +418,14 @@ def solve_lumped(g: WebGraph, params: PageRankParams) -> SolveReport:
         A = permute_blocks(H, p)
     with _stage(timings, "loop"):
         sigma, iters, res, delta = solve_chain(A, p.lump(params.v), p.lump(params.w),
-                                               params.alpha, params.tol / 4, params.max_iter)
+                                               params.alpha, params.tol, params.max_iter)
     with _stage(timings, "recover"):
         pi = unpermute(recover_pagerank(sigma, H, p, params), p)
-        # exact no-op at stationarity; keeps the report a probability vector
-        pi /= pi.sum()
-    error_bound = 4.0 * delta
+        # s = 1 + r_k: exact no-op at stationarity; keeps the report a
+        # probability vector
+        s = pi.sum()
+        pi /= s
+    error_bound = delta / s
     return SolveReport(iterations=iters, residual=res, error_bound=error_bound,
                        converged=error_bound <= params.tol, pagerank=pi, k=p.k, n=H.n,
                        timings=timings)

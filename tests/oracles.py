@@ -9,6 +9,7 @@ tests can compare them with these oracles.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +52,45 @@ def stationary(M):
     rhs = np.zeros(n)
     rhs[0] = 1.0
     return np.linalg.solve(A, rhs)
+
+
+def exact_pagerank(n, edges, alpha, v, w):
+    """Exact PageRank of float inputs, as n Fractions.
+
+    (I - alpha*P^T) x = (1-alpha)*v, P = H + d w^T with H's entries exactly
+    1/outdegree and every float of alpha, v and w at its exact binary value,
+    is scaled to integers and solved by fraction-free (Bareiss) elimination;
+    I - alpha*P^T is strictly diagonally dominant by columns, so no pivot is
+    zero.  Returns x/e^T x.
+    """
+    a = Fraction(alpha)
+    M = [[Fraction(int(i == j)) for j in range(n)] + [(1 - a) * Fraction(float(v[i]))]
+         for i in range(n)]
+    for j in range(n):  # column j of P^T is row j of P
+        targets = sorted(set(edges.get(j, ())))
+        out = ({t: Fraction(1, len(targets)) for t in targets} if targets
+               else {i: Fraction(float(w[i])) for i in range(n)})
+        for i, p_ji in out.items():
+            M[i][j] -= a * p_ji
+    scale = math.lcm(*(x.denominator for row in M for x in row))
+    A = [[int(x * scale) for x in row] for row in M]
+    prev = 1
+    for c in range(n - 1):
+        for r in range(c + 1, n):
+            for j in range(c + 1, n + 1):
+                A[r][j] = (A[r][j] * A[c][c] - A[r][c] * A[c][j]) // prev
+        prev = A[c][c]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (A[i][n] - sum(A[i][j] * x[j] for j in range(i + 1, n))) / Fraction(A[i][i])
+    total = sum(x)
+    return [xi / total for xi in x]
+
+
+def exact_l1(x, exact):
+    """1-norm distance of a float vector from a list of Fractions, rounded
+    once to float at the end."""
+    return float(sum(abs(Fraction(float(xi)) - e) for xi, e in zip(x, exact)))
 
 
 def conjugate(Gt, L, k):

@@ -646,9 +646,9 @@ class TestCompare:
         return {side: (int(iters), float(bound)) for side, iters, bound in found}
 
     def test_one_side_missing_tol_exits_2(self, capsys, tmp_path):
-        # the lumped side solves at tol/4 and here needs 27 applications, the
-        # full side 23; a budget of 25 runs the full solve unchanged to its
-        # stop and cuts the lumped one short
+        # at one tol the lumped side here needs 26 applications, the full
+        # side 23; a budget of 25 runs the full solve unchanged to its stop
+        # and cuts the lumped one short
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(120, 0.6, 4, seed=2))
         code, out, _ = run(capsys, "compare", str(path), "--alpha", "0.99")
@@ -674,8 +674,8 @@ class TestCompare:
         assert all(iters <= 3 and bound > 1e-16 for iters, bound in sides.values())
 
     def test_both_sides_run_solve_chain(self, capsys, tmp_path, monkeypatch):
-        # one owner of BiCGSTAB's start, stop and bound: the lumped chain at
-        # tol/4 (through solve_lumped), then the full H at tol
+        # one owner of BiCGSTAB's start, stop and bound: the lumped chain
+        # (through solve_lumped), then the full H, both at the caller's tol
         calls = []
 
         def spy(H, v, w, alpha, tol, max_iter):
@@ -690,7 +690,7 @@ class TestCompare:
         assert code == 0
         H = build_hyperlink_matrix(parse_edge_list(path.read_text()))
         (A, lumped_tol), (full_H, full_tol) = calls
-        assert A.n == detect_dangling(H).k + 1 and lumped_tol == 1e-9 / 4
+        assert A.n == detect_dangling(H).k + 1 and lumped_tol == 1e-9
         assert full_tol == 1e-9 and full_H.n == H.n
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(full_H, field), getattr(H, field))
