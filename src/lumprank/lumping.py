@@ -223,6 +223,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return np.einsum("i,i->", a, b)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite candidates are never checked
 def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
              x0: np.ndarray, tol: float, max_iter: int):
     """Solve apply_op(x) = rhs for a probability vector x by BiCGSTAB
@@ -238,6 +239,9 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     converge restarts the recurrence from the checked vector, its true
     residual and the shadow vector rhat = r.  A candidate that is not finite
     is never checked; the recurrence restarts from the best checked vector.
+    The overflow that makes such a candidate raises no numpy warning.  A
+    start vector that cannot be checked (not finite, or no positive entry)
+    raises ValueError.
 
     Returns (x, iterations, residual, converged) for the checked vector with
     the smallest true residual: ``residual`` is that residual's 1-norm,
@@ -262,7 +266,9 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
             best = (x, r, res)
         return x, r, res
 
-    x, r, res = check(np.asarray(x0, dtype=np.float64))
+    if check(np.asarray(x0, dtype=np.float64)) is None:
+        raise ValueError("bicgstab: start vector x0 is not finite or has no positive entry")
+    x, r, res = best
     while res > tol and applied + 2 <= max_iter:
         rhat = p = r  # never updated in place
         rho = _dot(rhat, r)

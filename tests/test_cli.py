@@ -433,17 +433,26 @@ class TestRank:
 
     def test_header_error_bound_is_honest(self, capsys, tmp_path):
         # alpha 0.99 on a gen graph: a converged run's bound is within tol;
-        # an unreachable tol exits 2, still printing every row and its bound
+        # an unreachable tol exits 2, still printing every row and its bound.
+        # A converged header's bound is the full chain's rule
+        # residual/(1-alpha), within the printed digits and the factor 1/s of
+        # the recovered sum s, |s - 1| <= residual
         path = tmp_path / "g.txt"
         path.write_text(generate_edge_list(400, 0.6, 4, seed=9))
-        for tol, max_iter, want in (("1e-12", "1000", 0), ("1e-16", "3", 2)):
-            code, out, _ = run(capsys, "rank", str(path), "--alpha", "0.99",
+        for alpha, tol, max_iter, want in (("0.99", "1e-12", "1000", 0),
+                                           ("0.99", "1e-16", "3", 2),
+                                           ("0.85", "1e-10", "1000", 0)):
+            code, out, _ = run(capsys, "rank", str(path), "--alpha", alpha,
                                "--tol", tol, "--max-iter", max_iter)
             assert code == want
             header, *rows = out.splitlines()
             fields = dict(f.split("=") for f in header[2:].split())
             assert int(fields["iters"]) <= int(max_iter)
-            assert (float(fields["error_bound"]) <= float(tol)) == (want == 0)
+            bound = float(fields["error_bound"])
+            assert (bound <= float(tol)) == (want == 0)
+            if want == 0:
+                assert bound == pytest.approx(
+                    float(fields["residual"]) / (1 - float(alpha)), rel=1e-5)
             assert len(rows) == int(fields["n"])
 
     def test_closed_stdout_exits_141_silently(self, tmp_path):
@@ -597,9 +606,12 @@ class TestCompare:
         assert "lumped:" in out and "full:" in out and "per_iter=" in out
 
     def test_no_dangling_notice(self, capsys, cycle_file):
+        # the lumped chain's dangling block is empty
         code, out, _ = run(capsys, "compare", cycle_file)
         assert code == 0
         assert float(re.search(r"^l1_diff=(\S+)$", out, re.M).group(1)) <= 1e-8
+        code, out, _ = run(capsys, "rank", cycle_file)
+        assert code == 0 and " dangling=0 " in out.splitlines()[0]
 
     def test_lumped_per_iter_is_loop_only(self, capsys, tmp_path, monkeypatch):
         reports = []
@@ -715,6 +727,28 @@ class TestCompare:
             assert float(re.search(r"^l1_diff=(\S+)$", out, re.M).group(1)) <= 2 * tol, out
 
 
+# the status and name columns of ``verify --negative-control`` on a graph
+# with both blocks nonempty, in output order
+NEGATIVE_CONTROL_ROWS = [
+    ("PASS", "transform_condition[averaging]"),
+    ("PASS", "block_triangular[averaging]"),
+    ("PASS", "lumped_block_formula[averaging]"),
+    ("PASS", "transform_condition[sparse-elim]"),
+    ("PASS", "block_triangular[sparse-elim]"),
+    ("PASS", "lumped_block_formula[sparse-elim]"),
+    ("PASS", "transform_condition[jordan-diff]"),
+    ("PASS", "block_triangular[jordan-diff]"),
+    ("PASS", "lumped_block_formula[jordan-diff]"),
+    ("PASS", "spectrum_identity"),
+    ("PASS", "lumpable_dangling_to_nondangling"),
+    ("PASS", "ldu_reconstruction"),
+    ("PASS", "stochastic_complement_rows"),
+    ("PASS", "coupled_stationarity"),
+    ("FAIL", "negative_control[corrupted_lumped_block]"),
+    ("FAIL", "negative_control[perturbed_stationary]"),
+]
+
+
 class TestVerify:
     def test_all_checks_pass_on_micro_instance(self, capsys, tri_file):
         code, out, _ = run(capsys, "verify", tri_file, "--alpha", "0.5")
@@ -738,13 +772,31 @@ class TestVerify:
         for graph in (tri_file, str(path)):
             code, out, _ = run(capsys, "verify", graph, "--negative-control")
             assert code == 1
-            lines = [l for l in out.splitlines() if not l.startswith("#")]
-            controls = [l for l in lines if "negative_control[" in l]
-            others = [l for l in lines if "negative_control[" not in l]
-            assert [l.split()[:2] for l in controls] == [
-                ["FAIL", "negative_control[corrupted_lumped_block]"],
-                ["FAIL", "negative_control[perturbed_stationary]"]]
-            assert len(others) == 14 and all(l.startswith("PASS ") for l in others)
+            header, *lines = out.splitlines()
+            assert header.startswith("# n=")
+            assert [LINE.match(l).groups()[:2] for l in lines] == NEGATIVE_CONTROL_ROWS
+
+    def test_negative_control_at_the_default_dense_limit(self, capsys, tmp_path):
+        # n = 2000 with 1850 dangling nodes: each nondangling node has an
+        # out-link and each dangling node an in-link, so the parser keeps all
+        # 2000; the spectrum identity's unscaled log-determinants round in
+        # proportion to n, and its max_dev must still be at most 1e-10
+        rng = np.random.default_rng(4)
+        k, n = 150, 2000
+        src = np.concatenate([rng.integers(0, k, n - k), np.arange(k),
+                              rng.integers(0, k, 2 * k)])
+        dst = np.concatenate([np.arange(k, n), rng.integers(0, n, k),
+                              rng.integers(0, n, 2 * k)])
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{a} {b}\n" for a, b in zip(src.tolist(), dst.tolist())))
+        code, out, err = run(capsys, "verify", str(path), "--negative-control")
+        assert code == 1 and err == ""
+        header, *lines = out.splitlines()
+        assert header == "# n=2000 k=150 dangling=1850 alpha=0.85 seed=0"
+        rows = [LINE.match(l).groups() for l in lines]
+        assert [row[:2] for row in rows] == NEGATIVE_CONTROL_ROWS
+        devs = {name: dev for _, name, dev, _ in rows}
+        assert float(devs["spectrum_identity"]) <= 1e-10
 
     def test_each_matrix_is_lu_factored_once(self, capsys, tmp_path, monkeypatch):
         # 28 LU factorizations, one per np.linalg.solve or slogdet call, none
@@ -1109,10 +1161,17 @@ class TestGen:
         assert out == ""
         assert "--seed must be at least 0, got -1" in err
 
-    def test_invalid_fraction_exits_1(self, capsys):
-        code, _, err = run(capsys, "gen", "--nodes", "10", "--dangling-frac", "1.5")
-        assert code == 1
-        assert "fraction" in err
+    @pytest.mark.parametrize("argv, message", [
+        (("--nodes", "10", "--dangling-frac", "1.5"),
+         "dangling fraction must lie in [0, 1], got 1.5"),
+        (("--nodes", "0", "--dangling-frac", "0.5"), "node count must be positive, got 0"),
+        (("--nodes", "10", "--dangling-frac", "0.5", "--avg-degree", "0"),
+         "average degree must be at least 1, got 0"),
+    ], ids=["fraction", "nodes", "avg_degree"])
+    def test_invalid_fraction_exits_1(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 1 and out == ""
+        assert err == f"lumprank: error: {message}\n"
 
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def out_of_memory(*args):

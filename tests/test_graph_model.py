@@ -252,7 +252,10 @@ class TestReferenceParity:
         raw = (head + f"{2**63 - 1} 7\n").encode("ascii")
         assert _fast_pairs(raw) is None
         assert edge_pairs(parse_edge_list(raw)) == [[1, 2], [2**63 - 1, 7]]
-        assert _fast_pairs((head + f"{2**63} 7\n").encode("ascii")) is None
+        raw = (head + f"{2**63} 7\n").encode("ascii")
+        assert _fast_pairs(raw) is None
+        with pytest.raises(EdgeListParseError, match="node label too large"):
+            parse_edge_list(raw)
 
     @pytest.mark.parametrize("text, fast", [
         ("05 1\n5 2\n", True), ("+5 1\n5 2\n", False), ("-0 1\n0 2\n", False)])
@@ -375,6 +378,11 @@ class TestLoadWeightVector:
         with pytest.raises(ValueError, match="non-numeric"):
             load_weight_vector("1 two 3", 3)
 
+    @pytest.mark.parametrize("text", ["1 inf 1", "1 nan 1"])
+    def test_non_finite_entry_rejected(self, text):
+        with pytest.raises(ValueError, match="^weight vector: non-finite entry$"):
+            load_weight_vector(text, 3)
+
     @pytest.mark.parametrize("text", ["1 0.2_5 3", "1_0 1 1", "1 \u0661 3", "1 \uff12 3",
                                       "0.\u0665 1 1"])
     def test_underscores_and_non_ascii_digits_rejected(self, text):
@@ -414,6 +422,12 @@ class TestParams:
             probability_vector([1e308, 1e308, 0.0])
         with pytest.raises(ValueError, match="same length"):
             PageRankParams(alpha=0.5, v=np.full(2, 0.5), w=np.full(4, 0.25))
+        with pytest.raises(ValueError,
+                           match=r"^probability vector must be 1-D, got shape \(2, 2\)$"):
+            probability_vector(np.full((2, 2), 0.25))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^probability vector has non-finite entries$"):
+                probability_vector([0.5, bad])
 
     def test_probability_vector_accepts_unit_sum(self):
         x = probability_vector([0.25, 0.75])

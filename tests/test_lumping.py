@@ -788,20 +788,32 @@ class TestBicgstab:
         assert conv
 
     def test_non_finite_candidate_never_returned(self):
+        # a direction scaled to 1e-310 passes the rhat.v breakdown guard, but
+        # a = rho / rhat.v overflows, so the candidate x + a*p is not finite:
+        # it is never checked, and the recurrence restarts from the start,
+        # silently under filterwarnings = ["error"]
         _, params, _, p, A = tri_setup(alpha=0.85)
-        calls, system = [], lumped_system(A, p, params)
+        inputs, system = [], lumped_system(A, p, params)
         v = p.lump(params.v)
 
         def op(x):
-            calls.append(1)
+            inputs.append(np.isfinite(x).all())
             y = system(x)
-            return y * np.inf if len(calls) == 2 else y  # the first direction overflows
+            return y * 1e-310 if len(inputs) == 2 else y  # the first direction
 
         x, iters, res, conv = bicgstab(op, (1 - params.alpha) * v, v, 1e-15, 100)
+        # the overflowed half step reached the operator, and the answer is
+        # finite and converged
+        assert not all(inputs) and iters == len(inputs)
         assert conv and np.isfinite(x).all()
         # one dangling node, kept in place: the lumped vector is the ranking
         pi_dense = oracles.stationary(oracles.dense_google(3, TRI_EDGES, 0.85))
         assert np.abs(x - pi_dense).sum() <= 1e-14
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [np.nan, 1.0]], ids=["zero", "nan"])
+    def test_uncheckable_start_vector_raises(self, x0):
+        with pytest.raises(ValueError, match="^bicgstab: start vector x0 is not finite"):
+            bicgstab(lambda x: x, np.array([0.5, 0.5]), np.array(x0), 1e-12, 10)
 
     def test_nan_operator_gives_unconverged_start(self):
         x0 = np.array([0.5, 0.5])
