@@ -63,6 +63,9 @@ def parse_edge_list(text: str | bytes) -> WebGraph:
     pairs = _fast_pairs(raw)
     if pairs is None:
         pairs = _checked_pairs(_decode_utf8(raw))
+    # on CPython 3.11+ the caller's argument lives only in this frame, so the
+    # input's bytes are freed before the graph build, which sets the peak
+    del text, raw
     return _build_graph(pairs)
 
 
@@ -292,11 +295,11 @@ def load_weight_vector(source: str, n: int) -> np.ndarray:
     to sum 1 provided the raw sum lies in [1e-9, 1e9].
     """
     tokens = source.split()
-    # float() alone also reads "0.2_5" and non-ASCII digits
+    # numpy's cast from str, like float(), also reads "0.2_5" and non-ASCII digits
     if "_" in source or not (source.isascii() or all(tok.isascii() for tok in tokens)):
         raise ValueError("weight vector: non-numeric entry")
     try:
-        entries = np.array([float(tok) for tok in tokens], dtype=np.float64)
+        entries = np.array(tokens, dtype=np.float64)
     except ValueError:
         raise ValueError("weight vector: non-numeric entry") from None
     if entries.size != n:

@@ -237,8 +237,10 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     down (a zero or non-finite rho, rhat.v, t.t or omega), and when one more
     step would leave no application for a check.  A check that does not
     converge restarts the recurrence from the checked vector, its true
-    residual and the shadow vector rhat = r.  A candidate that is not finite
-    is never checked; the recurrence restarts from the best checked vector.
+    residual and the shadow vector rhat = r.  A breakdown at a restart's
+    first product (rhat.v) ends the solve unchecked, since a restart from the
+    same x, r and rhat would repeat it.  A candidate that is not finite is
+    never checked; the recurrence restarts from the best checked vector.
     The overflow that makes such a candidate raises no numpy warning.  A
     start vector that cannot be checked (not finite, or no positive entry)
     raises ValueError.
@@ -272,8 +274,8 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
     while res > tol and applied + 2 <= max_iter:
         rhat = p = r  # never updated in place
         rho = _dot(rhat, r)
-        while True:
-            candidate = x
+        candidate = None  # only a step sets it
+        while applied + 2 <= max_iter:
             v = apply_op(p)
             applied += 1
             rhat_v = _dot(rhat, v)
@@ -292,16 +294,16 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray,
             if not 0.0 < tt < np.inf:
                 break
             omega = _dot(t, s) / tt
-            x = candidate + omega * s
-            candidate = x
+            candidate = x = candidate + omega * s
             r = s - omega * t
             rho_next = _dot(rhat, r)
             # beta divides by rho and omega
-            if (np.abs(r).sum() <= tol or applied + 2 > max_iter
-                    or not 0.0 < abs(rho_next * omega) < np.inf):
+            if np.abs(r).sum() <= tol or not 0.0 < abs(rho_next * omega) < np.inf:
                 break
             p = r + (rho_next / rho) * (a / omega) * (p - omega * v)
             rho = rho_next
+        if candidate is None:  # a restart from the same x, r and rhat would repeat it
+            break
         x, r, res = check(candidate)
     x, _, res = best
     return x, applied, res, res <= tol

@@ -113,6 +113,9 @@ class TestLduFactors:
         for k in (0, 3, -1):
             with pytest.raises(ValueError, match="split point"):
                 ldu_factors(Gt, k)
+        # and the matrix to split must be square
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3, 2\)"):
+            ldu_factors(Gt[:, :2], 1)
 
     def test_singular_leading_block_raises(self):
         # synthetic: identity trailing chain makes I - G11 exactly singular

@@ -1,10 +1,15 @@
 import importlib
 import inspect
 import math
+import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lumprank.cli
+import lumprank.graph
 import oracles
 from lumprank import (
     EdgeListParseError,
@@ -93,6 +98,32 @@ class TestParseEdgeList:
                 out = oracles.out_edges(g, i)
                 assert all(0 <= t < g.n for t in out)
                 assert len(set(out)) == len(out)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "a call moves its arguments into the callee only on CPython 3.11+; "
+        "before that the caller's stack keeps the file's bytes alive"))
+    def test_file_bytes_freed_before_the_graph_build(self, tmp_path, monkeypatch):
+        labels = np.random.default_rng(7).integers(10**9, 10**10, size=(200_000, 2))
+        path = tmp_path / "g.txt"
+        np.savetxt(path, labels, fmt="%d")
+        size = path.stat().st_size
+        held = []
+
+        def build(pairs):
+            held.append((tracemalloc.get_traced_memory()[0] - base, pairs.nbytes))
+            return build_graph(pairs)
+
+        build_graph = lumprank.graph._build_graph
+        monkeypatch.setattr(lumprank.graph, "_build_graph", build)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lumprank.cli._load_graph(str(path))
+        finally:
+            tracemalloc.stop()
+        (traced, pairs_nbytes), = held
+        # the pairs and what the parse leaves, but not the file on top
+        assert traced < pairs_nbytes + size // 2, (traced, pairs_nbytes, size)
 
 
 def assert_parses_like_reference(text):
@@ -395,6 +426,36 @@ class TestLoadWeightVector:
 
     def test_zero_entries_allowed(self):
         assert load_weight_vector("0 1 0", 3).tolist() == [0.0, 1.0, 0.0]
+
+    # signs, exponents, inf and nan spellings, hex, overflow, underflow to 0
+    # and to the least subnormal, 36-digit decimals, an underscore, an
+    # Arabic-Indic digit, and text float() rejects
+    @pytest.mark.parametrize("tok", [
+        "1", "+1", "-1", "-0", ".5", "5.", "1e3", "1E-3", "1e+2", "+.5e-2",
+        "inf", "-Infinity", "INF", "nan", "-nan", "NaN", "nan(1)", "0x1p3", "0x10",
+        "1e400", "4.9e-325", "5e-324", "1.7976931348623159e308",
+        "0.123456789012345678901234567890123456", "123456789012345678901234567890123456",
+        "1_0", "\u0663", "1e", "--1", "1.2.3", "1j", "1d3", "infx"])
+    def test_each_token_reads_as_float_reads_it(self, tok):
+        try:
+            x = float(tok)
+        except ValueError:
+            x = None
+        # float() also reads underscores and non-ASCII digits; the reader does not
+        if x is None or "_" in tok or not tok.isascii():
+            message = "weight vector: non-numeric entry"
+        elif not math.isfinite(x):
+            message = "weight vector: non-finite entry"
+        elif x < 0.0:
+            message = "weight vector: negative entry"
+        elif x + 0.5 > 1e9:
+            message = f"weight vector: sum {x + 0.5!r} outside"
+        else:
+            entries = load_weight_vector(f"{tok} 0.5", 2)
+            assert entries.tobytes() == (np.array([x, 0.5]) / (x + 0.5)).tobytes()
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_weight_vector(f"{tok} 0.5", 2)
 
 
 class TestParams:

@@ -102,6 +102,10 @@ class TestPermuteBlocks:
         assert A.n == 3
         assert oracles.to_dense(A).tolist() == [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         assert A.dangling_mask().tolist() == [False, False, True]
+        # a partition of another graph is refused
+        other = detect_dangling(build_hyperlink_matrix(oracles.make_webgraph(2, {0: {1}})))
+        with pytest.raises(ValueError, match="^partition and matrix sizes differ$"):
+            permute_blocks(H, other)
         # H12, read through H
         assert [dangling_rows_of_product(H, p, x1).tolist() for x1 in np.eye(2)] == [
             [0.5], [0.0]]
@@ -434,6 +438,8 @@ class TestRecoverAndUnpermute:
         pi = recover_pagerank(TRI_SIGMA, H, p, params)
         # single dangling node: the lumped coordinate is that node's rank
         assert np.abs(pi - TRI_SIGMA).max() <= 1e-15
+        with pytest.raises(ValueError, match=r"^expected vector of length 3, got shape \(2,\)"):
+            recover_pagerank(TRI_SIGMA[:2], H, p, params)
 
     def test_all_dangling_recovery_is_u(self):
         params = PageRankParams.uniform(2, alpha=0.3)
@@ -480,6 +486,8 @@ class TestRecoverAndUnpermute:
             oracles.make_webgraph(3, {2: {0}})))
         assert p_rot.perm.tolist() == [2, 0, 1]
         assert unpermute(np.array([1., 2., 3.]), p_rot).tolist() == [2.0, 3.0, 1.0]
+        with pytest.raises(ValueError, match=r"^expected vector of length 3, got shape \(2,\)"):
+            unpermute(np.array([1., 2.]), p_rot)
 
     def test_permute_unpermute_round_trip(self):
         rng = np.random.default_rng(8)
@@ -820,6 +828,21 @@ class TestBicgstab:
         x, iters, res, conv = bicgstab(lambda x: x * np.nan, x0, x0, 1e-12, 10)
         assert not conv and iters <= 10
         assert np.array_equal(x, x0)
+
+    def test_breakdown_at_a_restarts_first_product_ends_the_solve(self):
+        # x . Rx = 0 for the rotation R, so rhat.v = 0 at the first product
+        # from x0; a restart from the same x, r and rhat would repeat it
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        calls = []
+
+        def op(x):
+            calls.append(1)
+            return np.einsum("ij,j->i", rotation, x)
+
+        x0 = np.array([0.5, 0.5])
+        x, iters, res, conv = bicgstab(op, x0, x0, 1e-12, 1000)
+        assert np.array_equal(x, x0) and res == 1.0 and not conv
+        assert iters == len(calls) <= 2
 
 
     @pytest.mark.parametrize("module", [lumprank.graph, lumprank.lumping, lumprank.cli])

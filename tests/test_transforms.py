@@ -78,6 +78,9 @@ class TestBuildTransform:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
             build_transform(TransformKind.AVERAGING, 0)
+        # so must its kind be a TransformKind, not the kind's name
+        with pytest.raises(ValueError, match="^unknown transform kind: 'averaging'$"):
+            build_transform("averaging", 3)
 
     @pytest.mark.parametrize("kind", BUILTIN)
     @pytest.mark.parametrize("m", [1, 2, 3, 300])
@@ -145,6 +148,9 @@ class TestTransformCondition:
         for kind in BUILTIN:
             with pytest.raises(ValueError, match=">= 1"):
                 verify_transform_condition(kind, 0)
+        # a kind that is not a TransformKind, refused by the row operations
+        with pytest.raises(ValueError, match="^unknown transform kind: 'averaging'$"):
+            verify_transform_condition("averaging", 3)
 
     @pytest.mark.filterwarnings("error")
     def test_nearly_singular_transform_of_order_60_reported(self, monkeypatch):
@@ -186,6 +192,8 @@ class TestDenseGoogle:
                              [2 / 3, 1 / 6, 1 / 6],
                              [1 / 3, 1 / 3, 1 / 3]])
         assert np.abs(Gt - expected).max() <= 1e-15
+        with pytest.raises(ValueError, match="^hyperlink matrix, params, and partition sizes"):
+            build_dense_google(H, p, PageRankParams.uniform(4, alpha=0.5))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(20)
@@ -381,6 +389,9 @@ class TestSimilarityTransform:
         for k in (g.n, -1):
             with pytest.raises(ValueError, match="order"):
                 similarity_transform(Gt, TransformKind.AVERAGING, k)
+        # a matrix that is not square has no order
+        with pytest.raises(ValueError, match="^expected a square matrix"):
+            similarity_transform(Gt[:, 1:], TransformKind.AVERAGING, p.k)
 
     def test_guard_flags_products(self):
         tree = ast.parse("a @ b\nnp.dot(a, b)\nx.matmul(y)\nnp.linalg.inv(a)\n"
@@ -476,6 +487,9 @@ class TestSpectrumIdentity:
         g, params, H, p, Gt, _ = dense_setup(rng)
         with pytest.raises(ValueError, match="inconsistent"):
             check_spectrum_identity(Gt, [np.eye(p.k + 2)], p.k)
+        # the full matrix is checked before any block
+        with pytest.raises(ValueError, match="inconsistent"):
+            check_spectrum_identity(Gt[:, 1:], [np.eye(p.k + 1)], p.k)
 
 
     @pytest.mark.filterwarnings("error")
@@ -562,6 +576,8 @@ class TestLumpable:
     def test_non_stochastic_rejected(self):
         with pytest.raises(ValueError, match="stochastic"):
             check_lumpable(np.eye(3) * 2.0, 1)
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3, 2\)"):
+            check_lumpable(np.full((3, 2), 0.5), 1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0]])
